@@ -8,7 +8,10 @@ integral and double-precision floats where it involves the constants
 ``gamma`` (the q-binomial ratio bound, 3.48 by default) or ``beta``
 (the random-coding constant).  A value that cannot be computed at all
 (division by zero, log of a non-positive number) is reported as None
-with ``valid=False``.
+with ``valid=False``.  That covers every input outside the basic domain
+(see :func:`_evaluable`), and real values beyond the double range,
+which carry a failing ``finite`` check instead of raising
+``OverflowError``.
 
 Shared constants and exponents:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb, e as EULER_E, factorial, log2, sqrt
+from math import comb, e as EULER_E, factorial, inf, isfinite, log2, sqrt
 from typing import Optional, Union
 
 from .linalg import gaussian_binomial
@@ -96,6 +99,64 @@ def _report(name: str, value: Optional[Number], checks: list[tuple[str, bool]], 
     )
 
 
+def _evaluable(h: int, ell: int, eps: int, alpha: int = 2, q: int = 2, t: int = 1, r: int = 1,
+               gamma: float = GAMMA) -> bool:
+    """The basic domain on which the formulas can be evaluated at all:
+    ``h, ell, t, r >= 1``, ``eps >= 0``, ``alpha >= 2``, ``q >= 2`` and
+    a positive finite ``gamma``.  Outside it an evaluator reports None;
+    every such input but ``q`` and ``gamma`` also fails one of its
+    listed checks.  Arguments a formula does not take keep their
+    defaults."""
+    return (h >= 1 and ell >= 1 and t >= 1 and r >= 1 and eps >= 0 and alpha >= 2 and q >= 2
+            and 0 < gamma < inf)
+
+
+def _finite(compute) -> Optional[float]:
+    """The real value ``compute()`` returns, or None when it leaves the
+    double range (an ``OverflowError`` or an infinite result)."""
+    try:
+        val = compute()
+    except OverflowError:
+        return None
+    return val if isfinite(val) else None
+
+
+def _beta_or_none(alpha: int, gamma: float) -> Optional[float]:
+    """:func:`beta`, or None where it leaves the double range: the
+    factorial overflows for alpha above 171, and an extreme gamma drives
+    the value to 0 or infinity."""
+    b = _finite(lambda: beta(alpha, gamma))
+    return b if b else None
+
+
+def _log2_ratio(num: Number, den: float) -> float:
+    """``log2(num/den)`` for positive ``num`` and ``den``.  A ratio that
+    left the double range (``den`` overflowed to infinity, so the ratio
+    is 0) raises ``OverflowError`` for :func:`_finite` to report."""
+    ratio = num / den
+    if ratio <= 0:
+        raise OverflowError("ratio underflows the double range")
+    return log2(ratio)
+
+
+def _pow2_at_least(x: float, y: float) -> bool:
+    """``2**x >= y`` for a finite ``y``, without overflowing at large x."""
+    return x >= 1024 or 2.0 ** x >= y
+
+
+#: The check an evaluator adds when its real value leaves the double range.
+_NOT_FINITE = ("finite", False)
+
+
+def _real_report(name: str, compute, checks: list[tuple[str, bool]], **details) -> BoundReport:
+    """Report of a real-valued formula: the value ``compute()`` returns,
+    or None with a failing ``finite`` check beyond the double range."""
+    val = _finite(compute)
+    if val is None:
+        checks.append(_NOT_FINITE)
+    return _report(name, val, checks, **details)
+
+
 def middle_ub_exact(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> BoundReport:
     """Exact covering-count upper bound on the number of middle nodes.
 
@@ -111,6 +172,8 @@ def middle_ub_exact(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> B
         ("h - eps >= 2*ell", h - eps >= 2 * ell),
         ("alpha*ell >= h - eps", alpha * ell >= h - eps),
     ]
+    if not _evaluable(h, ell, eps, alpha, q, t):
+        return _report("middle_ub_exact", None, checks)
     th = theta(h, ell, eps, alpha)
     gb = gaussian_binomial((eps + ell) * t, eps * t, q)
     col = Fraction(q ** (ell * t + 1) - 1, q - 1)
@@ -125,7 +188,8 @@ def middle_ub_relaxed(
     """Relaxed form of the covering-count upper bound.
 
     ``gamma * theta * q^(ell*t*(eps*t+1)) + alpha - theta``; a real
-    number comparable across q.  Same domain as the exact form.
+    number comparable across q.  Same domain as the exact form; beyond
+    the double range the value is None with a failing ``finite`` check.
     """
     checks = [
         ("alpha >= 2", alpha >= 2),
@@ -134,19 +198,31 @@ def middle_ub_relaxed(
         ("h - eps >= 2*ell", h - eps >= 2 * ell),
         ("alpha*ell >= h - eps", alpha * ell >= h - eps),
     ]
+    if not _evaluable(h, ell, eps, alpha, q, t, gamma=gamma):
+        return _report("middle_ub_relaxed", None, checks, gamma=gamma)
     th = theta(h, ell, eps, alpha)
-    val = gamma * th * q ** (ell * t * (eps * t + 1)) + alpha - th
-    return _report("middle_ub_relaxed", val, checks, theta=th, gamma=gamma)
+    return _real_report(
+        "middle_ub_relaxed", lambda: gamma * th * q ** (ell * t * (eps * t + 1)) + alpha - th,
+        checks, theta=th, gamma=gamma,
+    )
 
 
-def middle_ub_pairwise(h: int, ell: int, eps: int, q: int, t: int, gamma: float = GAMMA) -> BoundReport:
+def middle_ub_pairwise(
+    h: int, ell: int, eps: int, q: int, t: int, gamma: float = GAMMA, *, alpha: int = 2
+) -> BoundReport:
     """Packing upper bound for two-subset coverage (alpha = 2).
 
     Exact value ``[ht, m]_q / [ell*t, m]_q`` with
     ``m = 2*ell*t - (h-eps)*t + 1`` as a Fraction; the relaxed real form
     ``gamma * q^((h-ell)(2*ell+eps-h)t^2 + (h-ell)t)`` is reported in
-    details.  Undefined when the denominator q-binomial vanishes
-    (m > ell*t, i.e. the subspace dimension cannot host m dimensions).
+    details, as None beyond the double range.  Undefined when the
+    denominator q-binomial vanishes (m > ell*t, i.e. the subspace
+    dimension cannot host m dimensions).
+
+    The bound counts pairs, so it holds only at ``alpha == 2``: at
+    alpha = 3 it falls below certified maxima, e.g. 13 at
+    (h, ell, eps, q, t) = (3, 1, 1, 3, 1), where 26 codewords exist.
+    The ``alpha == 2`` check is listed only when it fails.
     """
     m = 2 * ell * t - (h - eps) * t + 1
     checks = [
@@ -155,7 +231,13 @@ def middle_ub_pairwise(h: int, ell: int, eps: int, q: int, t: int, gamma: float 
         ("2*ell*t - (h-eps)*t + 1 >= 0", m >= 0),
         ("m <= ell*t (denominator nonzero)", 0 <= m <= ell * t),
     ]
-    relaxed = gamma * float(q) ** ((h - ell) * (2 * ell + eps - h) * t * t + (h - ell) * t)
+    if alpha != 2:
+        checks.append(("alpha == 2", False))
+    if not _evaluable(h, ell, eps, q=q, t=t, gamma=gamma):
+        return _report("middle_ub_pairwise", None, checks, m=m)
+    relaxed = _finite(
+        lambda: gamma * float(q) ** ((h - ell) * (2 * ell + eps - h) * t * t + (h - ell) * t)
+    )
     den = gaussian_binomial(ell * t, m, q) if m >= 0 else 0
     if den == 0:
         return _report("middle_ub_pairwise", None, checks, relaxed=relaxed, m=m)
@@ -187,14 +269,16 @@ def middle_lb_lll(
         ("ell + eps < h", ell + eps < h),
         ("h <= alpha*ell + eps", h <= alpha * ell + eps),
     ]
-    if alpha < 2:
+    if not _evaluable(h, ell, eps, alpha, q, t, gamma=gamma):
         return _report("middle_lb_lll", None, checks)
-    b = beta(alpha, gamma)
+    b = _beta_or_none(alpha, gamma)
     ft = f_exponent(h, ell, eps, alpha, t)
-    val = b * float(q) ** (ft / (alpha - 1))
-    if plus_one:
-        val += 1.0
-    return _report("middle_lb_lll", val, checks, beta=b, f=ft, plus_one=plus_one)
+    if b is None:
+        return _report("middle_lb_lll", None, checks + [_NOT_FINITE], f=ft, plus_one=plus_one)
+    return _real_report(
+        "middle_lb_lll", lambda: b * float(q) ** (ft / (alpha - 1)) + (1.0 if plus_one else 0.0),
+        checks, beta=b, f=ft, plus_one=plus_one,
+    )
 
 
 def middle_lb_mrd(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> BoundReport:
@@ -212,7 +296,7 @@ def middle_lb_mrd(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> Bou
     ]
     gt = g_exponent(h, ell, eps, t)
     branch = "ell*eps*t^2 + ell*t" if h <= 2 * ell else "(h-ell)(2ell+eps-h)t^2 + (h-ell)t"
-    val = (alpha - 1) * q**gt if alpha >= 2 and gt >= 0 else None
+    val = (alpha - 1) * q**gt if _evaluable(h, ell, eps, alpha, q, t) and gt >= 0 else None
     return _report("middle_lb_mrd", val, checks, g=gt, branch=branch)
 
 
@@ -229,8 +313,11 @@ def bad_event_prob_ub(
         ("h <= alpha*ell + eps", h <= alpha * ell + eps),
     ]
     exponent = (h - alpha * ell - eps) * eps * t * t + (h - alpha * ell - 2 * eps) * t - 1
-    val = 2 * gamma * float(q) ** exponent
-    return _report("bad_event_prob_ub", val, checks, exponent=exponent)
+    if not _evaluable(h, ell, eps, alpha, q, t, gamma=gamma):
+        return _report("bad_event_prob_ub", None, checks, exponent=exponent)
+    return _real_report(
+        "bad_event_prob_ub", lambda: 2 * gamma * float(q) ** exponent, checks, exponent=exponent
+    )
 
 
 def dependency_degree(r: int, alpha: int) -> tuple[int, int]:
@@ -262,16 +349,23 @@ def field_size_necessary(
         ("r, h, ell, t >= 1", r >= 1 and h >= 1 and ell >= 1 and t >= 1),
         ("eps >= 0", eps >= 0),
     ]
+    if not _evaluable(h, ell, eps, alpha, t=t, r=r, gamma=gamma):
+        return _report("field_size_necessary", None, checks)
     if first_case:
         th = theta(h, ell, eps, alpha)
         checks.append(("theta >= 1", th >= 1))
         checks.append(("r + theta - alpha > 0", r + th - alpha > 0))
         if th < 1 or r + th - alpha <= 0:
             return _report("field_size_necessary", None, checks, case="h >= 2ell+eps", theta=th)
-        val = ((r + th - alpha) / (gamma * th)) ** (1.0 / (ell * (eps * t + 1)))
-        return _report("field_size_necessary", val, checks, case="h >= 2ell+eps", theta=th)
-    val = (r / (gamma * (alpha - 1))) ** (1.0 / (ell * (eps * t + 1)))
-    return _report("field_size_necessary", val, checks, case="h < 2ell+eps")
+        return _real_report(
+            "field_size_necessary",
+            lambda: ((r + th - alpha) / (gamma * th)) ** (1.0 / (ell * (eps * t + 1))),
+            checks, case="h >= 2ell+eps", theta=th,
+        )
+    return _real_report(
+        "field_size_necessary", lambda: (r / (gamma * (alpha - 1))) ** (1.0 / (ell * (eps * t + 1))),
+        checks, case="h < 2ell+eps",
+    )
 
 
 def field_size_sufficient(
@@ -289,20 +383,29 @@ def field_size_sufficient(
         ("eps >= 0", eps >= 0),
         ("h <= alpha*ell + eps", h <= alpha * ell + eps),
     ]
+    if not _evaluable(h, ell, eps, alpha, t=t, r=r, gamma=gamma):
+        return _report("field_size_sufficient", None, checks)
     if first_case:
         ft = f_exponent(h, ell, eps, alpha, t)
         checks.append(("f(t) > 0", ft > 0))
-        if ft <= 0 or alpha < 2:
+        if ft <= 0:
             return _report("field_size_sufficient", None, checks, case="h >= 2ell+eps", f=ft)
-        b = beta(alpha, gamma)
-        val = (r / b) ** ((alpha - 1) * t / ft)
-        return _report("field_size_sufficient", val, checks, case="h >= 2ell+eps", f=ft, beta=b)
+        b = _beta_or_none(alpha, gamma)
+        if b is None:
+            checks.append(_NOT_FINITE)
+            return _report("field_size_sufficient", None, checks, case="h >= 2ell+eps", f=ft)
+        return _real_report(
+            "field_size_sufficient", lambda: (r / b) ** ((alpha - 1) * t / ft),
+            checks, case="h >= 2ell+eps", f=ft, beta=b,
+        )
     gt = g_exponent(h, ell, eps, t)
     checks.append(("g(t) > 0", gt > 0))
-    if gt <= 0 or alpha < 2:
+    if gt <= 0:
         return _report("field_size_sufficient", None, checks, case="h < 2ell+eps", g=gt)
-    val = (r / (alpha - 1)) ** (t / gt)
-    return _report("field_size_sufficient", val, checks, case="h < 2ell+eps", g=gt)
+    return _real_report(
+        "field_size_sufficient", lambda: (r / (alpha - 1)) ** (t / gt), checks,
+        case="h < 2ell+eps", g=gt,
+    )
 
 
 def _smallest_t(predicate, t_limit: int) -> Optional[int]:
@@ -359,29 +462,43 @@ def gap_lower_bound(
         ("r, h, ell >= 1", r >= 1 and h >= 1 and ell >= 1),
         ("eps >= 0", eps >= 0),
     ]
-    if alpha < 2:
+    if not _evaluable(h, ell, eps, alpha, r=r, gamma=gamma):
         return _report("gap_lower_bound", None, checks)
     if first_case:
         th = theta(h, ell, eps, alpha)
-        b = beta(alpha, gamma)
+        b = _beta_or_none(alpha, gamma)
         checks.append(("theta >= 1", th >= 1))
         checks.append(("r + theta - alpha > 0", r + th - alpha > 0))
+        need = None if b is None else _finite(lambda: r / b)
+        if need is None:
+            checks.append(_NOT_FINITE)
+            return _report("gap_lower_bound", None, checks, case="h >= 2ell+eps", theta=th)
         t_delta = _smallest_t(
-            lambda t: 2.0 ** (f_exponent(h, ell, eps, alpha, t) / (alpha - 1)) >= r / b, t_limit
+            lambda t: _pow2_at_least(f_exponent(h, ell, eps, alpha, t) / (alpha - 1), need),
+            t_limit,
         )
         checks.append(("t-search terminated", t_delta is not None))
         if th < 1 or r + th - alpha <= 0 or t_delta is None:
             return _report(
                 "gap_lower_bound", None, checks, case="h >= 2ell+eps", theta=th, t=t_delta
             )
-        val = log2((r + th - alpha) / (gamma * th)) / (ell * (eps + 1)) - t_delta
-        return _report("gap_lower_bound", val, checks, case="h >= 2ell+eps", theta=th, t=t_delta)
-    t_star = _smallest_t(lambda t: 2.0 ** g_exponent(h, ell, eps, t) >= r / (alpha - 1), t_limit)
+        return _real_report(
+            "gap_lower_bound",
+            lambda: _log2_ratio(r + th - alpha, gamma * th) / (ell * (eps + 1)) - t_delta,
+            checks, case="h >= 2ell+eps", theta=th, t=t_delta,
+        )
+    need = _finite(lambda: r / (alpha - 1))
+    if need is None:
+        checks.append(_NOT_FINITE)
+        return _report("gap_lower_bound", None, checks, case="h < 2ell+eps", t=None)
+    t_star = _smallest_t(lambda t: _pow2_at_least(g_exponent(h, ell, eps, t), need), t_limit)
     checks.append(("t-search terminated", t_star is not None))
     if t_star is None:
         return _report("gap_lower_bound", None, checks, case="h < 2ell+eps", t=None)
-    val = log2(r / (gamma * (alpha - 1))) / (ell * (eps + 1)) - t_star
-    return _report("gap_lower_bound", val, checks, case="h < 2ell+eps", t=t_star)
+    return _real_report(
+        "gap_lower_bound", lambda: _log2_ratio(r, gamma * (alpha - 1)) / (ell * (eps + 1)) - t_star,
+        checks, case="h < 2ell+eps", t=t_star,
+    )
 
 
 def gap_lower_bound_closed(
@@ -423,10 +540,13 @@ def gap_lower_bound_closed(
         ("r, h, ell >= 1", r >= 1 and h >= 1 and ell >= 1),
         ("eps >= 1", eps >= 1),
     ]
-    if alpha < 2 or eps < 1:
+    if eps < 1 or not _evaluable(h, ell, eps, alpha, r=r, gamma=gamma):
         return _report("gap_lower_bound_closed", None, checks)
     if h <= 2 * ell + eps:
-        ratio = r / (alpha - 1)
+        ratio = _finite(lambda: r / (alpha - 1))
+        if ratio is None:
+            checks.append(_NOT_FINITE)
+            return _report("gap_lower_bound_closed", None, checks, case="h <= 2ell+eps")
         checks.append(("log2(r/(alpha-1)) >= 0", ratio >= 1))
         if ratio < 1:
             return _report("gap_lower_bound_closed", None, checks, case="h <= 2ell+eps")
@@ -434,7 +554,10 @@ def gap_lower_bound_closed(
         val = (big_l - 2) / (ell * (eps + 1)) - sqrt(big_l / (ell * eps))
         return _report("gap_lower_bound_closed", val, checks, case="h <= 2ell+eps")
     th = theta(h, ell, eps, alpha)
-    b = beta(alpha, gamma)
+    b = _beta_or_none(alpha, gamma)
+    if b is None:
+        checks.append(_NOT_FINITE)
+        return _report("gap_lower_bound_closed", None, checks, case="h > 2ell+eps", theta=th)
     denom = (alpha * ell + eps - h) * eps
     checks.append(("theta >= 1", th >= 1))
     checks.append(("r + theta - alpha > 0", r + th - alpha > 0))
@@ -442,7 +565,9 @@ def gap_lower_bound_closed(
     checks.append(("r >= beta", r >= b))
     if th < 1 or r + th - alpha <= 0 or denom <= 0 or r < b:
         return _report("gap_lower_bound_closed", None, checks, case="h > 2ell+eps", theta=th)
-    val = log2((r + th - alpha) / (gamma * th)) / (ell * (eps + 1)) - sqrt(
-        (alpha - 1) * log2(r / b) / denom
+    return _real_report(
+        "gap_lower_bound_closed",
+        lambda: _log2_ratio(r + th - alpha, gamma * th) / (ell * (eps + 1))
+        - sqrt((alpha - 1) * log2(r / b) / denom),
+        checks, case="h > 2ell+eps", theta=th,
     )
-    return _report("gap_lower_bound_closed", val, checks, case="h > 2ell+eps", theta=th)

@@ -72,6 +72,30 @@ from .rankmetric import covering_code_from_mrd
 _SWEEPABLE = ("h", "ell", "eps", "alpha", "q", "t", "r")
 
 
+#: Ints up to this many bits (at most 4215 decimal digits) stay below
+#: the interpreter's default cap on int-to-str conversion, 4300 digits.
+_STR_SAFE_BITS = 14000
+
+#: ``_int_text`` converts longer ints this many digits at a time.
+_CHUNK_DIGITS = 1000
+
+
+def _int_text(value: int) -> str:
+    """Decimal text of an int of any size.  ``str`` refuses ints above
+    ``sys.get_int_max_str_digits()`` digits, which exact bounds such as
+    ``middle_ub_exact`` at q = 1024, t = 40 exceed."""
+    if value.bit_length() <= _STR_SAFE_BITS:
+        return str(value)
+    if value < 0:
+        return "-" + _int_text(-value)
+    chunks = []
+    while value >= 10**_CHUNK_DIGITS:
+        value, low = divmod(value, 10**_CHUNK_DIGITS)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
+
+
 def _fmt(value) -> str:
     """Deterministic text for a bound value: exact for ints and
     fractions, fixed six decimals for reals, empty for missing."""
@@ -82,14 +106,20 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _int_text(value)
     if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+        if value.denominator == 1:
+            return _int_text(value.numerator)
+        return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
     return f"{float(value):.6f}"
 
 
 def _json_value(value):
+    """Fractions, and ints too long for ``str``, go to JSON as their
+    exact decimal text."""
     if isinstance(value, Fraction):
+        return _fmt(value)
+    if isinstance(value, int) and value.bit_length() > _STR_SAFE_BITS:
         return _fmt(value)
     return value
 
@@ -269,7 +299,7 @@ def _point_reports(h, ell, eps, alpha, q, t, r, gamma, plus_one) -> list[BoundRe
     if q is not None and t is not None:
         reports.append(middle_ub_exact(h, ell, eps, alpha, q, t))
         reports.append(middle_ub_relaxed(h, ell, eps, alpha, q, t, gamma=gamma))
-        reports.append(middle_ub_pairwise(h, ell, eps, q, t, gamma=gamma))
+        reports.append(middle_ub_pairwise(h, ell, eps, q, t, gamma=gamma, alpha=alpha))
         reports.append(middle_lb_lll(h, ell, eps, alpha, q, t, gamma=gamma, plus_one=plus_one))
         reports.append(middle_lb_mrd(h, ell, eps, alpha, q, t))
         reports.append(bad_event_prob_ub(h, ell, eps, alpha, q, t, gamma=gamma))

@@ -133,6 +133,8 @@ def parse_code(text: str) -> CoveringCode:
     reader = _LineReader(text)
     n, k, delta, alpha, q, count = reader.next_ints(expect=6)
     header_line = reader.pos
+    if count < 0:
+        raise FileFormatError(f"codeword count must be non-negative, got {count}", header_line)
     try:
         field = field_from_size(q)
     except ValueError as exc:

@@ -133,6 +133,30 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     return (worst is None), worst
 
 
+class _SpanVerdicts(dict):
+    """Memo of ``span >= need`` verdicts keyed by sorted index tuples.
+
+    A miss computes the verdict from the distinct indices, since a
+    multiset spans what its distinct members span; distinct members
+    whose dimensions cannot add up to ``need`` fail without a rank call.
+    """
+
+    def __init__(self, arrays: list[np.ndarray], field: FieldSpec, need: int):
+        super().__init__()
+        self.arrays = arrays
+        self.field = field
+        self.need = need
+
+    def __missing__(self, key: tuple[int, ...]) -> bool:
+        distinct = sorted(set(key))
+        rows = [self.arrays[i] for i in distinct]
+        ok = sum(a.shape[0] for a in rows) >= self.need and (
+            rank_of_array(np.vstack(rows), self.field) >= self.need
+        )
+        self[key] = ok
+        return ok
+
+
 @dataclass
 class SearchResult:
     """Outcome of the exhaustive maximum-size search."""
@@ -156,15 +180,41 @@ def max_covering_code(
     """Exhaustive search for the largest covering code, exact or flagged.
 
     Explores multisets of Grassmannian elements in non-decreasing index
-    order, pruning as soon as a size-``alpha`` sub-multiset of the
-    current selection fails the span requirement (adding codewords never
-    repairs a violated selection, so the pruning is sound).  Every
-    extension attempt costs one node; if the budget runs out the best
+    order, depth first.  Each level carries a filtered candidate list:
+    the candidates ``y`` (at or after the last pick) such that adding
+    ``y`` keeps every size-``alpha`` sub-multiset spanning at least
+    ``delta + k``.  Picking ``x`` from that list keeps a later ``y``
+    (``x`` itself included) only if every ``S + (x, y)`` spans enough,
+    with ``S`` running over the size-``(alpha-2)`` sub-multisets of the
+    codewords chosen before ``x``; the other sub-multisets were checked
+    on the way down.  Adding codewords never repairs a violated
+    selection, so dropping a candidate is sound.  Span verdicts are
+    memoised for the duration of the call, keyed by the sorted index
+    tuple; for alpha = 2 they are the pairwise span ranks.
+
+    Alpha copies of one codeword span only ``k < k + delta``, so a
+    candidate contributes at most ``alpha - 1`` picks, and a branch with
+    ``|chosen| + (alpha-1) * |filtered[pos:]| <= best`` is cut.
+
+    The first codeword is fixed to index 0.  This loses no code: every
+    ``g`` in GL(n, q) maps k-subspaces to k-subspaces bijectively and
+    ``dim(gU_1 + ... + gU_a) = dim g(U_1 + ... + U_a) = dim(U_1 + ...
+    + U_a)``, so applying ``g`` to each codeword maps a covering code to
+    a covering code of the same size.  GL(n, q) acts transitively on
+    G_q(n, k): extending a basis of any codeword ``U`` to a basis of
+    GF(q)^n and sending it to the unit vectors gives a ``g`` with ``gU``
+    equal to candidate 0, the span of the first k unit vectors.  Every
+    code, of maximum size or of size ``target_size``, therefore has an
+    image of the same size that contains index 0, and index 0 comes
+    first in non-decreasing order.
+
+    ``nodes`` counts the extensions tried from filtered lists, the root
+    pick of index 0 included.  If it exceeds ``node_limit`` the best
     code found so far is returned with ``exact=False``.
 
     ``target_size`` stops the search once a valid code of that size is
     found; the result is then a decision witness, not a maximum, and
-    ``exact`` is False unless the tree finished anyway.
+    ``exact`` is False.
 
     Requires ``1 <= delta`` and ``delta + k <= n``; with ``delta == 0``
     every multiset is a covering code and no maximum exists.
@@ -178,55 +228,43 @@ def max_covering_code(
     candidates = enumerate_grassmannian(n, k, field, cap=cap)
     arrays = [c.basis_array() for c in candidates]
     need = delta + k
+    verdicts = _SpanVerdicts(arrays, field, need)
 
     best: list[int] = []
-    best_size = 0
     nodes = 0
     exhausted = False
     reached_target = False
-
     chosen: list[int] = []
-    chosen_arrays: list[np.ndarray] = []
 
-    def extension_ok(cand_arr: np.ndarray) -> bool:
-        if len(chosen) < alpha - 1:
-            return True
-        for sub in combinations(range(len(chosen)), alpha - 1):
-            stacked = [chosen_arrays[i] for i in sub] + [cand_arr]
-            if rank_of_array(np.vstack(stacked), field) < need:
-                return False
-        return True
-
-    def dfs(start: int) -> bool:
+    def dfs(cands: list[int]) -> bool:
         # returns True to abort the whole search (budget or target hit)
-        nonlocal best, best_size, nodes, exhausted, reached_target
-        if len(chosen) > best_size:
-            best_size = len(chosen)
+        nonlocal best, nodes, exhausted, reached_target
+        if len(chosen) > len(best):
             best = list(chosen)
-            if target_size is not None and best_size >= target_size:
+            if target_size is not None and len(best) >= target_size:
                 reached_target = True
                 return True
-        # alpha copies of one codeword span only k < k + delta, so each
-        # candidate contributes at most alpha - 1 picks: branches that
-        # cannot beat the best size are cut without exploring them
-        if len(chosen) + (len(candidates) - start) * (alpha - 1) <= best_size:
-            return False
-        for idx in range(start, len(candidates)):
+        # chosen is non-decreasing, so each tuple here is sorted
+        prefixes = set(combinations(chosen, alpha - 2))
+        # the root tries index 0 only (see the docstring)
+        for pos in range(len(cands) if chosen else 1):
+            if len(chosen) + (alpha - 1) * (len(cands) - pos) <= len(best):
+                return False
             nodes += 1
             if nodes > node_limit:
                 exhausted = True
                 return True
-            if extension_ok(arrays[idx]):
-                chosen.append(idx)
-                chosen_arrays.append(arrays[idx])
-                stop = dfs(idx)
-                chosen.pop()
-                chosen_arrays.pop()
-                if stop:
-                    return True
+            x = cands[pos]
+            heads = [s + (x,) for s in prefixes]
+            kept = [y for y in cands[pos:] if all(verdicts[h + (y,)] for h in heads)]
+            chosen.append(x)
+            stop = dfs(kept)
+            chosen.pop()
+            if stop:
+                return True
         return False
 
-    dfs(0)
+    dfs(list(range(len(candidates))))
     exact = not exhausted and not reached_target
     code = None
     if best:
@@ -238,4 +276,4 @@ def max_covering_code(
             alpha=alpha,
             codewords=tuple(candidates[i] for i in best),
         )
-    return SearchResult(size=best_size, code=code, exact=exact, nodes=nodes)
+    return SearchResult(size=len(best), code=code, exact=exact, nodes=nodes)

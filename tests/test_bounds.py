@@ -1,11 +1,14 @@
 """Bound evaluators: exact values, validity flags, and cross-checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcnet.bounds import (
     GAMMA,
+    BoundReport,
     bad_event_prob_ub,
     beta,
     dependency_degree,
@@ -267,3 +270,72 @@ def test_gap_grows_with_log_r():
     for (v1, t1), (v2, t2) in zip(zip(values, ts), zip(values[1:], ts[1:])):
         if t1 == t2:
             assert v2 > v1
+
+
+def test_middle_ub_pairwise_flags_alpha_above_two():
+    # at the three alpha = 3 points of the exhaustive search the pairwise
+    # count falls below the certified maximum
+    for (n, k, delta, q), value in {(3, 1, 1, 3): 13, (3, 1, 1, 4): 21, (4, 1, 2, 2): 1}.items():
+        best = max_covering_code(n, k, delta, 3, field_from_size(q))
+        rep = middle_ub_pairwise(n, k, n - k - delta, q, 1, alpha=3)
+        assert best.exact and rep.value == value < best.size
+        assert not rep.valid
+        assert rep.failed_assumptions() == ["alpha == 2"]
+    # alpha = 2 lists exactly the checks it always did
+    rep = middle_ub_pairwise(3, 1, 1, 2, 1, alpha=2)
+    assert rep.valid and [label for label, _ in rep.assumptions] == [
+        "h, ell, t >= 1", "eps >= 0", "2*ell*t - (h-eps)*t + 1 >= 0",
+        "m <= ell*t (denominator nonzero)",
+    ]
+
+
+def test_relaxed_forms_beyond_the_double_range():
+    # q^(ell*t*(eps*t+1)) = 1024^1640 does not fit a double
+    rep = middle_ub_relaxed(3, 1, 1, 2, 1024, 40)
+    assert rep.value is None and not rep.valid
+    assert rep.failed_assumptions() == ["finite"]
+    # the exact forms stay exact
+    assert middle_ub_exact(3, 1, 1, 2, 1024, 40).valid
+    pair = middle_ub_pairwise(2, 1, 1, 2, 1100)
+    assert pair.details["relaxed"] is None
+    lll = middle_lb_lll(3, 1, 1, 2, 2, 2000)
+    assert lll.value is None and "finite" in lll.failed_assumptions()
+
+
+def _float_value_is_finite(rep: BoundReport) -> bool:
+    return isinstance(rep.value, (int, Fraction)) or math.isfinite(rep.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(-2, 24),
+    ell=st.integers(-2, 6),
+    eps=st.integers(-2, 6),
+    alpha=st.one_of(st.integers(-1, 12), st.integers(150, 400)),
+    q=st.integers(-1, 1024),
+    t=st.integers(-2, 16),
+    r=st.one_of(st.integers(-2, 10**4), st.integers(1, 2**1100)),
+    gamma=st.one_of(
+        st.just(GAMMA),
+        st.floats(1.0, 1e6),
+        st.sampled_from([0.0, -1.0, 1e-320, 1e308, math.inf, math.nan]),
+    ),
+    plus_one=st.booleans(),
+)
+def test_bound_evaluators_never_raise(h, ell, eps, alpha, q, t, r, gamma, plus_one):
+    reports = [
+        middle_ub_exact(h, ell, eps, alpha, q, t),
+        middle_ub_relaxed(h, ell, eps, alpha, q, t, gamma=gamma),
+        middle_ub_pairwise(h, ell, eps, q, t, gamma=gamma, alpha=alpha),
+        middle_lb_lll(h, ell, eps, alpha, q, t, gamma=gamma, plus_one=plus_one),
+        middle_lb_mrd(h, ell, eps, alpha, q, t),
+        bad_event_prob_ub(h, ell, eps, alpha, q, t, gamma=gamma),
+        field_size_necessary(h, ell, eps, alpha, r, t, gamma=gamma),
+        field_size_sufficient(h, ell, eps, alpha, r, t, gamma=gamma),
+        gap_lower_bound(h, ell, eps, alpha, r, gamma=gamma, t_limit=1000),
+        gap_lower_bound_closed(h, ell, eps, alpha, r, gamma=gamma),
+    ]
+    for rep in reports:
+        assert isinstance(rep, BoundReport)
+        if rep.valid:
+            assert rep.value is not None and _float_value_is_finite(rep)

@@ -184,6 +184,32 @@ def test_bounds_json_round_trip(capsys):
     assert byname["middle_ub_exact"]["valid"] is True
 
 
+def test_bounds_beyond_the_double_range(capsys):
+    # q = 1024, t = 40: the relaxed form leaves the double range and the
+    # exact one has more decimal digits than str() accepts by default
+    argv = ["bounds", "--h", "3", "--ell", "1", "--eps", "1", "--alpha", "2",
+            "--q", "1024", "--t", "40", "--r", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    table = {l.split(",")[7]: l.split(",") for l in out.splitlines() if l.startswith("3,")}
+    assert table["middle_ub_relaxed"][8:10] == ["", "false"]
+    assert table["middle_ub_relaxed"][-1].endswith('finite=fail"')
+    exact = table["middle_ub_exact"][8]
+    assert exact.isdigit() and len(exact) > 4300
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    byname = {row["name"]: row for row in json.loads(out)["rows"]}
+    assert byname["middle_ub_exact"]["value"] == exact
+
+
+def test_bounds_flags_pairwise_above_alpha_two(capsys):
+    code, out, _ = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
+                       "--alpha", "3", "--q", "3", "--t", "1")
+    assert code == 0
+    row = next(l for l in out.splitlines() if ",middle_ub_pairwise," in l)
+    assert ",13,false," in row and row.endswith('alpha == 2=fail"')
+
+
 def test_bounds_requires_some_inputs(capsys):
     code, _, err = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
                        "--alpha", "2")

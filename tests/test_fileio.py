@@ -81,6 +81,13 @@ def test_code_truncated_block():
         parse_code("3 1 1 2 2 2\n1 0 0\n")
 
 
+def test_code_negative_count_points_at_header():
+    with pytest.raises(FileFormatError) as err:
+        parse_code("# comment\n2 1 1 2 2 -1\n")
+    assert "count" in str(err.value)
+    assert err.value.line == 2
+
+
 def test_solution_round_trip():
     p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
     sol = random_solution_search(p, field_from_size(11), t=1, trials=1000, seed=0)

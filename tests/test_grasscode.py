@@ -1,5 +1,7 @@
 """Covering Grassmannian codes: enumeration, verification, exhaustive search."""
 
+from itertools import combinations
+
 import pytest
 
 from gcnet.ffield import field_from_size
@@ -117,6 +119,66 @@ def test_max_code_found_code_verifies():
     for i, a in enumerate(result.code.codewords):
         for b in result.code.codewords[i + 1:]:
             assert span_dim([a, b]) >= 3
+
+
+def unpruned_max(n, k, delta, alpha, field):
+    """Reference maximum: grows every valid multiset in non-decreasing
+    index order, checking each new alpha-subset with span_dim, with no
+    bound, no fixed first codeword and no forward checking."""
+    cands = enumerate_grassmannian(n, k, field)
+    need = delta + k
+    dims = {}
+
+    def spans_enough(sel):
+        key = frozenset(sel)
+        if key not in dims:
+            dims[key] = span_dim([cands[i] for i in key])
+        return dims[key] >= need
+
+    best = 0
+
+    def grow(chosen, start):
+        nonlocal best
+        best = max(best, len(chosen))
+        for i in range(start, len(cands)):
+            if all(spans_enough(sub + (i,)) for sub in combinations(chosen, alpha - 1)):
+                grow(chosen + (i,), i)
+
+    grow((), 0)
+    return best
+
+
+SEARCH_GRID = [
+    (2, 1, 1, 2, 2), (3, 1, 1, 2, 2), (2, 1, 1, 2, 3), (3, 1, 2, 2, 2),
+    (4, 2, 2, 2, 2), (3, 1, 1, 2, 3),
+    (2, 1, 1, 3, 2), (3, 1, 1, 3, 2), (3, 1, 2, 3, 2), (2, 1, 1, 3, 4), (4, 1, 2, 3, 2),
+    (2, 1, 1, 4, 2), (2, 1, 1, 4, 3), (3, 1, 2, 4, 2),
+]
+
+
+@pytest.mark.parametrize("n,k,delta,alpha,q", SEARCH_GRID)
+def test_max_code_matches_unpruned_reference(n, k, delta, alpha, q):
+    field = field_from_size(q)
+    result = max_covering_code(n, k, delta, alpha, field)
+    assert result.exact
+    assert result.size == unpruned_max(n, k, delta, alpha, field)
+    # the first codeword is fixed to candidate 0
+    assert result.code.codewords[0] == enumerate_grassmannian(n, k, field)[0]
+    if result.size >= alpha:
+        assert is_covering_code(result.code)[0]
+
+
+def test_max_code_node_counts():
+    # the five planes of a spread of GF(2)^4, found in few extensions
+    assert max_covering_code(4, 2, 2, 2, F2).nodes <= 100
+
+
+def test_max_code_certifies_alpha_three_planes():
+    # any three of the planes must span GF(2)^4; the search finishes
+    result = max_covering_code(4, 2, 2, 3, F2)
+    assert result.exact
+    assert result.size == 10
+    assert is_covering_code(result.code)[0]
 
 
 def test_max_code_domain_errors():

@@ -408,11 +408,16 @@ def field_size_sufficient(
     )
 
 
-def _smallest_t(predicate, t_limit: int) -> Optional[int]:
+def _smallest_t(predicate, t_limit: int, stalled=lambda t: False) -> Optional[int]:
+    """Smallest ``t <= t_limit`` meeting ``predicate``, or None.  The scan
+    also gives up after a failing t for which ``stalled(t)`` says no
+    later t can meet the predicate."""
     t = 1
     while t <= t_limit:
         if predicate(t):
             return t
+        if stalled(t):
+            return None
         t += 1
     return None
 
@@ -455,6 +460,9 @@ def gap_lower_bound(
     The linear t-scan is guarded by ``t_limit``; exhaustion is reported
     as an invalid result with a diagnostic, which is reachable when the
     exponent polynomial is constant in t (e.g. eps = 0, h = alpha*ell).
+    When f stops rising (its t^2 coefficient is <= 0 and its next step
+    is <= 0), the scan ends there with the same diagnostic instead of
+    running on to ``t_limit``.
     """
     first_case = h >= 2 * ell + eps
     checks = [
@@ -473,9 +481,13 @@ def gap_lower_bound(
         if need is None:
             checks.append(_NOT_FINITE)
             return _report("gap_lower_bound", None, checks, case="h >= 2ell+eps", theta=th)
+        # f(t) = a*t^2 + b*t + 1 rises by a*(2t+1) + b from t to t+1; with
+        # a <= 0 that step only shrinks, so once it is <= 0 f never rises again
+        a, b = (alpha * ell + eps - h) * eps, alpha * ell + 2 * eps - h
         t_delta = _smallest_t(
             lambda t: _pow2_at_least(f_exponent(h, ell, eps, alpha, t) / (alpha - 1), need),
             t_limit,
+            stalled=lambda t: a <= 0 and a * (2 * t + 1) + b <= 0,
         )
         checks.append(("t-search terminated", t_delta is not None))
         if th < 1 or r + th - alpha <= 0 or t_delta is None:

@@ -14,10 +14,10 @@ all monic polynomials of degree at most ``m // 2``.  The choice is
 therefore reproducible across runs and machines, and two fields of the
 same order always agree element by element.
 
-Fields of order up to 256 carry dense NumPy lookup tables for addition,
-multiplication, negation and inversion; the matrix kernels index these
-tables directly.  Larger fields (up to order 1024) compute products and
-inverses from coefficient vectors on demand.
+Every field carries dense NumPy lookup tables for addition,
+multiplication, negation and inversion, built once at creation; scalar
+operations and the matrix kernels index these tables directly.  At the
+largest order, 1024, the two ``(q, q)`` int16 tables take 4 MiB.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ import numpy as np
 
 #: Largest field order accepted by :func:`field_create`.
 ORDER_LIMIT = 1024
-
-#: Largest field order for which dense operation tables are built.
-TABLE_LIMIT = 256
 
 
 def is_prime(n: int) -> bool:
@@ -197,9 +194,9 @@ class FieldSpec:
     modulus : tuple[int, ...]
         Coefficients of the reducing polynomial, ascending degree,
         length ``m + 1``, leading coefficient 1.
-    add_table, mul_table : numpy.ndarray or None
-        Dense ``(q, q)`` int16 operation tables when ``q <= 256``.
-    neg_table, inv_table : numpy.ndarray or None
+    add_table, mul_table : numpy.ndarray
+        Dense ``(q, q)`` int16 operation tables.
+    neg_table, inv_table : numpy.ndarray
         Dense ``(q,)`` int16 tables; ``inv_table[0]`` is unused.
 
     Use :func:`field_create` rather than calling this constructor in a
@@ -217,58 +214,59 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = q
-        base = _PrimeOps(p)
-        self._base = base
         if m == 1:
             self.modulus = (0, 1)
         else:
-            self.modulus = _smallest_irreducible(m, base)
+            self.modulus = _smallest_irreducible(m, _PrimeOps(p))
         self._weights = tuple(p**i for i in range(m))
-        if q <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.add_table = None
-            self.mul_table = None
-            self.neg_table = None
-            self.inv_table = None
+        self._build_tables()
 
     # -- construction ------------------------------------------------------
 
     def _build_tables(self) -> None:
+        # int32 holds every entry and every flat (q, q) index for q <= 1024
         p, m, q = self.p, self.m, self.q
-        idx = np.arange(q, dtype=np.int64)
-        digits = np.zeros((q, m), dtype=np.int64)
+        idx = np.arange(q, dtype=np.int32)
+        digits = np.zeros((q, m), dtype=np.int32)
         for i in range(m):
             digits[:, i] = (idx // p**i) % p
-        weights = np.array(self._weights, dtype=np.int64)
+        weights = np.array(self._weights, dtype=np.int32)
 
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+        # Both (q, q) tables grow one digit at a time, the new digit on
+        # top: index c*p^i + low for c in GF(p) and low < p^i.  No
+        # temporary has more entries than the finished table.
+        cp = np.arange(p, dtype=np.int32)
+        digit_add = np.add.outer(cp, cp) % p
+        add = np.zeros((1, 1), dtype=np.int32)
+        for i in range(m):
+            n = p**i
+            add = (digit_add[:, None, :, None] * n + add[None, :, None, :]).reshape(p * n, p * n)
         neg = ((-digits) % p) @ weights
 
         # scalar-by-element products c*w for c in GF(p)
-        smul = np.zeros((p, q), dtype=np.int64)
+        smul = np.zeros((p, q), dtype=np.int32)
         for c in range(p):
             smul[c] = ((digits * c) % p) @ weights
 
         # w -> x*w: shift coefficients up, fold x^m back via the modulus
-        mod_low = np.array(self.modulus[:m], dtype=np.int64)
+        mod_low = np.array(self.modulus[:m], dtype=np.int32)
         top = digits[:, m - 1]
-        shifted = np.zeros((q, m), dtype=np.int64)
-        if m > 1:
-            shifted[:, 1:] = digits[:, :-1]
+        shifted = np.zeros((q, m), dtype=np.int32)
+        shifted[:, 1:] = digits[:, :-1]
         xtimes = ((shifted - top[:, None] * mod_low[None, :]) % p) @ weights
 
-        mul = np.zeros((q, q), dtype=np.int64)
-        xi = idx.copy()  # x^i * b for all b
-        for i in range(m):
-            ci = digits[:, i]
-            contrib = smul[ci][:, xi]
-            mul = add[mul, contrib]
+        # row c*p^i + low of the product table is (c*x^i)*b + low*b; the
+        # rows below p are the scalar products themselves
+        flat_add = add.ravel()
+        mul = smul
+        xi = xtimes  # x^i * b for all b
+        for i in range(1, m):
+            mul = flat_add[smul[:, xi][:, None, :] * q + mul[None, :, :]].reshape(-1, q)
             xi = xtimes[xi]
 
         if not np.array_equal(mul[1], idx):
             raise RuntimeError("field construction failed the identity check")
-        inv = np.zeros(q, dtype=np.int64)
+        inv = np.zeros(q, dtype=np.int32)
         rows, cols = np.nonzero(mul == 1)
         inv[rows] = cols
         if np.count_nonzero(inv[1:]) != q - 1:
@@ -308,33 +306,22 @@ class FieldSpec:
     # -- scalar operations ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[self.check(a), self.check(b)])
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        return self.from_coeffs([(x + y) % self.p for x, y in zip(ca, cb)])
+        return int(self.add_table[self.check(a), self.check(b)])
 
     def neg(self, a: int) -> int:
-        if self.neg_table is not None:
-            return int(self.neg_table[self.check(a)])
-        return self.from_coeffs([(-x) % self.p for x in self.to_coeffs(a)])
+        return int(self.neg_table[self.check(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[self.check(a), self.check(b)])
-        prod = _poly_mul(self.to_coeffs(self.check(a)), self.to_coeffs(self.check(b)), self._base)
-        rem = _poly_mod(prod, self.modulus, self._base)
-        return self.from_coeffs(rem)
+        return int(self.mul_table[self.check(a), self.check(b)])
 
     def inv(self, a: int) -> int:
         a = self.check(a)
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        return self.pow(a, self.q - 2)
+        return int(self.inv_table[a])
 
     def pow(self, a: int, e: int) -> int:
         """Raise ``a`` to an integer power (negative allowed for ``a != 0``)."""

@@ -1,9 +1,9 @@
 """Matrices and subspaces over GF(q), with exact counting helpers.
 
 Matrices store int16 element indices in a NumPy array plus a reference
-to their field.  Rank and reduced row echelon form dispatch to the
-selected elimination kernel when the field carries dense tables, and to
-a generic scalar-arithmetic path for larger fields.
+to their field.  Products index the field's dense operation tables, and
+rank and reduced row echelon form run the table-driven elimination
+kernel in :mod:`gcnet.backend`, for every field order alike.
 
 Subspaces of GF(q)^n are kept in a canonical form: the unique reduced
 row echelon basis with zero rows dropped.  Equality, hashing and the
@@ -97,18 +97,9 @@ def matmul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     f = a.field
     out = np.zeros((a.rows, b.cols), dtype=np.int16)
-    if f.mul_table is not None:
-        mt, at = f.mul_table, f.add_table
-        for k in range(a.cols):
-            prod = mt[a.data[:, k][:, None], b.data[k, :][None, :]]
-            out = at[out, prod]
-    else:
-        for i in range(a.rows):
-            for j in range(b.cols):
-                acc = 0
-                for k in range(a.cols):
-                    acc = f.add(acc, f.mul(int(a.data[i, k]), int(b.data[k, j])))
-                out[i, j] = acc
+    for k in range(a.cols):
+        prod = f.mul_table[a.data[:, k][:, None], b.data[k, :][None, :]]
+        out = f.add_table[out, prod]
     return MatrixQ(f, out)
 
 
@@ -133,54 +124,22 @@ def rank_of_array(arr: np.ndarray, field: FieldSpec) -> int:
     """Rank of an int16 index array over ``field``; the array is not modified."""
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0
-    if field.add_table is not None:
-        work = np.ascontiguousarray(arr, dtype=np.int16).copy()
-        return backend.rank_destructive(
-            work, field.add_table, field.mul_table, field.inv_table, field.neg_table
-        )
-    return _rank_generic(arr, field)
+    work = np.ascontiguousarray(arr, dtype=np.int16).copy()
+    return backend.rank_destructive(
+        work, field.add_table, field.mul_table, field.inv_table, field.neg_table
+    )
 
 
 def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of ``arr`` and its pivot columns."""
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return np.array(arr, dtype=np.int16, copy=True), ()
-    if field.add_table is not None:
-        work = np.ascontiguousarray(arr, dtype=np.int16).copy()
-        pivots = np.zeros(min(work.shape), dtype=np.int16)
-        npiv = backend.rref_destructive(
-            work, pivots, field.add_table, field.mul_table, field.inv_table, field.neg_table
-        )
-        return work, tuple(int(c) for c in pivots[:npiv])
-    return _rref_generic(arr, field)
-
-
-def _rref_generic(arr: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    rows, cols = arr.shape
-    m = [[int(v) for v in row] for row in arr]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = next((i for i in range(rank, rows) if m[i][col] != 0), -1)
-        if pivot < 0:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pinv = field.inv(m[rank][col])
-        m[rank] = [field.mul(pinv, v) for v in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col] != 0:
-                factor = field.neg(m[i][col])
-                m[i] = [field.add(vi, field.mul(factor, vr)) for vi, vr in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    return np.array(m, dtype=np.int16), tuple(pivots)
-
-
-def _rank_generic(arr: np.ndarray, field: FieldSpec) -> int:
-    _, pivots = _rref_generic(arr, field)
-    return len(pivots)
+    work = np.ascontiguousarray(arr, dtype=np.int16).copy()
+    pivots = np.zeros(min(work.shape), dtype=np.int16)
+    npiv = backend.rref_destructive(
+        work, pivots, field.add_table, field.mul_table, field.inv_table, field.neg_table
+    )
+    return work, tuple(int(c) for c in pivots[:npiv])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gcnet import bounds
 from gcnet.bounds import (
     GAMMA,
     BoundReport,
@@ -228,6 +229,23 @@ def test_gap_lower_bound_search_exhaustion():
     assert not rep.valid
     assert rep.value is None
     assert "t-search terminated" in rep.failed_assumptions()
+
+
+@pytest.mark.parametrize("h, eps, r", [(2, 0, 5), (5, 1, 1000)])
+def test_gap_lower_bound_scan_stops_when_f_stops_rising(monkeypatch, h, eps, r):
+    # f(t) = 1 at (2, 1, 0, 2) and f(t) = -2t^2 - t + 1 at (5, 1, 1, 2):
+    # no t passes, and the scan must not run on to t_limit
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return f_exponent(*args)
+
+    monkeypatch.setattr(bounds, "f_exponent", counting)
+    rep = gap_lower_bound(h, 1, eps, 2, r)
+    assert rep.value is None and rep.details["t"] is None
+    assert "t-search terminated" in rep.failed_assumptions()
+    assert len(calls) <= 2
 
 
 def test_gap_lower_bound_closed_values():

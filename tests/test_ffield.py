@@ -6,8 +6,10 @@ import pytest
 from gcnet.ffield import (
     ExtensionField,
     ORDER_LIMIT,
-    TABLE_LIMIT,
     FieldSpec,
+    _poly_mod,
+    _poly_mul,
+    _PrimeOps,
     factor_prime_power,
     field_create,
     field_from_descriptor,
@@ -90,10 +92,39 @@ def test_coeff_round_trip():
         assert f.from_coeffs(coeffs) == a
 
 
-def test_large_field_has_no_tables():
+def poly_mul_reference(f, a, b):
+    """Product from coefficient vectors, reduced by the field's modulus."""
+    base = _PrimeOps(f.p)
+    prod = _poly_mul(f.to_coeffs(a), f.to_coeffs(b), base)
+    return f.from_coeffs(_poly_mod(prod, f.modulus, base))
+
+
+def add_reference(f, a, b):
+    return f.from_coeffs([x + y for x, y in zip(f.to_coeffs(a), f.to_coeffs(b))])
+
+
+@pytest.mark.parametrize("q", prime_powers(27))
+def test_tables_match_polynomial_arithmetic_on_all_pairs(q):
+    f = field_from_size(q)
+    for a in f.elements():
+        for b in f.elements():
+            assert f.add(a, b) == add_reference(f, a, b)
+            assert f.mul(a, b) == poly_mul_reference(f, a, b)
+
+
+@pytest.mark.parametrize("q", [257, 512, 729, 1024])
+def test_tables_match_polynomial_arithmetic_on_large_fields(q):
+    f = field_from_size(q)
+    rng = np.random.default_rng(q)
+    for a, b in rng.integers(0, q, size=(300, 2)):
+        a, b = int(a), int(b)
+        assert f.add(a, b) == add_reference(f, a, b)
+        assert f.mul(a, b) == poly_mul_reference(f, a, b)
+    assert f.add_table.shape == f.mul_table.shape == (q, q)
+
+
+def test_large_field_arithmetic():
     f = field_from_size(512)
-    assert f.q > TABLE_LIMIT
-    assert f.add_table is None
     rng = np.random.default_rng(3)
     for _ in range(50):
         a = int(rng.integers(1, 512))

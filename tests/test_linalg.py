@@ -68,7 +68,7 @@ def test_matmul_against_scalar_definition():
         MatrixQ(F2, [[1]]) @ MatrixQ(F3, [[1]])
 
 
-def test_matmul_big_field_scalar_path():
+def test_matmul_big_field():
     f = field_from_size(512)
     a = MatrixQ(f, [[300, 1], [0, 511]])
     ident = MatrixQ.identity(f, 2)
@@ -257,10 +257,9 @@ def test_random_matrix_determinism():
     assert int(a.data.max()) < 4
 
 
-def test_generic_path_matches_table_path():
-    # GF(257) exceeds the table limit, forcing the scalar elimination path
+def test_big_field_rank_and_rref():
+    # GF(257): the smallest field whose elements do not fit in a byte
     big = field_from_size(257)
-    assert big.add_table is None
     rng = np.random.default_rng(8)
     for _ in range(5):
         data = rng.integers(0, 257, size=(3, 4))

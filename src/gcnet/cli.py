@@ -212,6 +212,10 @@ def _cmd_construct(args, parser) -> int:
     return 0
 
 
+def _receiver_failure(witness: tuple[int, ...]) -> str:
+    return f"FAIL: receiver at middle nodes {','.join(str(i + 1) for i in witness)} cannot decode"
+
+
 def _cmd_verify(args, parser) -> int:
     if args.code is not None:
         code = parse_code(_read_text(args.code))
@@ -230,8 +234,7 @@ def _cmd_verify(args, parser) -> int:
               f"(h={p.h} r={p.r} alpha={p.alpha} ell={p.ell} eps={p.epsilon} "
               f"q={sol.field.q} t={sol.t})")
         return 0
-    labels = ",".join(str(i + 1) for i in witness)
-    print(f"FAIL: receiver at middle nodes {labels} cannot decode")
+    print(_receiver_failure(witness))
     return 1
 
 
@@ -257,6 +260,10 @@ def _cmd_search(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     sol = parse_solution(_read_text(args.solution))
+    ok, witness = verify_solution(sol)
+    if not ok:
+        print(_receiver_failure(witness))
+        return 1
     p = sol.params
     rng = np.random.default_rng(args.seed)
     receivers = p.receivers()

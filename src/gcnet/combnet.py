@@ -6,15 +6,15 @@ of middle nodes; a receiver sees the ``alpha * ell`` links of its middle
 nodes plus ``epsilon`` direct links from the source.  A ``(q, t)``-linear
 solution assigns to middle node ``i`` a coding matrix ``A_i`` of shape
 ``(ell*t, h*t)`` over GF(q); it is valid when every receiver's stacked
-coding matrix has rank at least ``(h - epsilon) * t``, which makes the
-direct links sufficient to complete decoding.
+coding matrix has rank at least ``(h - epsilon) * t``; its direct links,
+unit vectors read off one echelon pass per receiver, complete decoding.
 
 Solutions correspond exactly to covering subspace codes: the row spaces
 of valid ``A_i`` form a code in G_q(h*t, ell*t) in which every ``alpha``
 codewords span at least ``(h - epsilon) * t`` dimensions, and back.
-``compute_qs`` / ``compute_qv`` ride that bridge, deciding solvability
-per field size with the exhaustive covering-code search and reporting
-honestly when a decision hit its node budget.
+``compute_qs`` / ``compute_qv`` ride that bridge in one loop, deciding
+solvability per (q, t) with the exhaustive covering-code search and
+reporting honestly when a decision hit its node budget.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import enum
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, log2
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .ffield import FieldSpec, field_from_size, prime_powers
 from .grasscode import CoveringCode, max_covering_code
-from .linalg import MatrixQ, SubspaceQ, rank_of_array, solve_exact, stack_matrices
+from .linalg import MatrixQ, SubspaceQ, rank_of_array, rref_of_array, solve_exact, stack_matrices
 
 #: Default node budget handed to the covering-code search per decision.
 DECISION_NODE_LIMIT = 10**7
@@ -165,38 +165,35 @@ def code_from_solution(sol: LinearSolution) -> CoveringCode:
 
 
 def derive_direct_link_matrices(sol: LinearSolution) -> list[MatrixQ]:
-    """Greedy direct-link coding matrices, one per receiver.
+    """Direct-link coding matrices, one per receiver, from one echelon pass.
 
-    For each receiver the rows of ``B_i`` are the standard basis vectors
-    of GF(q)^(h*t), taken in index order, that extend the receiver's
-    stacked coding matrix to full rank ``h*t``; the remainder is zero
-    rows, giving shape ``(epsilon*t, h*t)``.  Requires a verified
-    solution (ValueError otherwise).
+    For a receiver with row space ``V`` the rows of ``B_i`` are the unit
+    vectors ``e_j``, in index order, at each ``j`` where no vector of
+    ``V`` has its last nonzero entry, then zero rows up to shape
+    ``(epsilon*t, h*t)``.  These are the picks of a greedy scan taking
+    ``e_j`` whenever it raises the rank: each skipped ``e_i`` is already
+    spanned, so it takes ``e_j`` iff ``e_j`` is outside ``V + span(e_0,
+    ..., e_{j-1})``, iff no vector of ``V`` ends at ``j``.  Reversed,
+    those ends are the pivots ``c`` of ``rref(stacked[:, ::-1])``, so
+    the skipped ``j`` are ``h*t - 1 - c``.  More than ``epsilon*t``
+    picks means rank below ``(h - epsilon) * t``: ValueError then names
+    the first such receiver, the witness ``verify_solution`` reports.
+    UNSOLVABLE parameters raise ValueError too.
     """
-    ok, witness = verify_solution(sol)
-    if not ok:
-        raise ValueError(f"solution is invalid (witness subset {witness})")
     p = sol.params
+    if classify(p) is SolvabilityClass.UNSOLVABLE:
+        raise ValueError("network is unsolvable; verification is meaningless")
     ht = p.h * sol.t
+    width = p.epsilon * sol.t
     out = []
     for subset in combinations(range(p.r), p.alpha):
         stacked = np.vstack([sol.matrices[i].data for i in subset])
-        rank = rank_of_array(stacked, sol.field)
-        picked = []
-        current = stacked
-        for j in range(ht):
-            if rank == ht:
-                break
-            e = np.zeros((1, ht), dtype=np.int16)
-            e[0, j] = 1
-            trial = np.vstack([current, e])
-            trial_rank = rank_of_array(trial, sol.field)
-            if trial_rank > rank:
-                picked.append(j)
-                current = trial
-                rank = trial_rank
-        assert len(picked) <= p.epsilon * sol.t
-        b = np.zeros((p.epsilon * sol.t, ht), dtype=np.int16)
+        _, pivots = rref_of_array(stacked[:, ::-1], sol.field)
+        trailing = {ht - 1 - c for c in pivots}
+        picked = [j for j in range(ht) if j not in trailing]
+        if len(picked) > width:
+            raise ValueError(f"solution is invalid (witness subset {subset})")
+        b = np.zeros((width, ht), dtype=np.int16)
         for row, j in enumerate(picked):
             b[row, j] = 1
         out.append(MatrixQ(sol.field, b))
@@ -292,6 +289,27 @@ def _admits_solution(params: NetworkParams, q: int, t: int, node_limit: int) -> 
     return False, res.exact
 
 
+def _smallest_alphabet(params: NetworkParams, candidates: Iterable[tuple[int, int, int]],
+                       node_limit: int) -> tuple[Optional[int], bool]:
+    """The loop behind ``compute_qs`` and ``compute_qv``: the first
+    ``value`` of ``(value, q, t)`` candidates, in non-decreasing
+    ``value`` order, with a (q, t)-linear solution, and whether no
+    decision at a strictly smaller value was inconclusive."""
+    cls = classify(params)
+    if cls is SolvabilityClass.UNSOLVABLE:
+        raise ValueError("network is unsolvable at any alphabet")
+    if cls is SolvabilityClass.TRIVIAL:
+        return 2, True
+    first_inconclusive = None
+    for value, q, t in candidates:
+        admits, conclusive = _admits_solution(params, q, t, node_limit)
+        if admits:
+            return value, first_inconclusive is None or first_inconclusive >= value
+        if not conclusive and first_inconclusive is None:
+            first_inconclusive = value
+    return None, False
+
+
 def compute_qs(
     params: NetworkParams,
     q_cap: int = 64,
@@ -305,19 +323,7 @@ def compute_qs(
     admits a solution.  TRIVIAL networks return ``(2, True)``;
     UNSOLVABLE parameters raise ValueError.
     """
-    cls = classify(params)
-    if cls is SolvabilityClass.UNSOLVABLE:
-        raise ValueError("network is unsolvable at any alphabet")
-    if cls is SolvabilityClass.TRIVIAL:
-        return 2, True
-    all_conclusive = True
-    for q in prime_powers(q_cap):
-        admits, conclusive = _admits_solution(params, q, 1, node_limit)
-        if admits:
-            return q, all_conclusive
-        if not conclusive:
-            all_conclusive = False
-    return None, False
+    return _smallest_alphabet(params, ((q, q, 1) for q in prime_powers(q_cap)), node_limit)
 
 
 def compute_qv(
@@ -333,29 +339,14 @@ def compute_qv(
     have been conclusively refuted.  TRIVIAL networks return
     ``(2, True)``; UNSOLVABLE parameters raise ValueError.
     """
-    cls = classify(params)
-    if cls is SolvabilityClass.UNSOLVABLE:
-        raise ValueError("network is unsolvable at any alphabet")
-    if cls is SolvabilityClass.TRIVIAL:
-        return 2, True
     candidates = []
     for q in prime_powers(qt_cap):
-        value = q
         t = 1
-        while value <= qt_cap:
-            candidates.append((value, t, q))
+        while q**t <= qt_cap:
+            candidates.append((q**t, q, t))
             t += 1
-            value = q**t
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    inconclusive_below: list[int] = []
-    for value, t, q in candidates:
-        admits, conclusive = _admits_solution(params, q, t, node_limit)
-        if admits:
-            exact = all(v >= value for v in inconclusive_below)
-            return value, exact
-        if not conclusive:
-            inconclusive_below.append(value)
-    return None, False
+    candidates.sort(key=lambda c: (c[0], c[2]))
+    return _smallest_alphabet(params, candidates, node_limit)
 
 
 @dataclass(frozen=True)

@@ -235,36 +235,35 @@ def max_covering_code(
     exhausted = False
     reached_target = False
     chosen: list[int] = []
-
-    def dfs(cands: list[int]) -> bool:
-        # returns True to abort the whole search (budget or target hit)
-        nonlocal best, nodes, exhausted, reached_target
+    # per level: filtered candidates, (alpha-2)-prefixes, next position
+    frames = [[list(range(len(candidates))), set(combinations(chosen, alpha - 2)), 0]]
+    while frames:
+        frame = frames[-1]
+        cands, prefixes, pos = frame
+        # the root tries index 0 only (see the docstring)
+        end = len(cands) if chosen else 1
+        if pos == end or len(chosen) + (alpha - 1) * (len(cands) - pos) <= len(best):
+            frames.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[2] = pos + 1
+        nodes += 1
+        if nodes > node_limit:
+            exhausted = True
+            break
+        x = cands[pos]
+        heads = [s + (x,) for s in prefixes]
+        kept = [y for y in cands[pos:] if all(verdicts[h + (y,)] for h in heads)]
+        chosen.append(x)
         if len(chosen) > len(best):
             best = list(chosen)
             if target_size is not None and len(best) >= target_size:
                 reached_target = True
-                return True
+                break
         # chosen is non-decreasing, so each tuple here is sorted
-        prefixes = set(combinations(chosen, alpha - 2))
-        # the root tries index 0 only (see the docstring)
-        for pos in range(len(cands) if chosen else 1):
-            if len(chosen) + (alpha - 1) * (len(cands) - pos) <= len(best):
-                return False
-            nodes += 1
-            if nodes > node_limit:
-                exhausted = True
-                return True
-            x = cands[pos]
-            heads = [s + (x,) for s in prefixes]
-            kept = [y for y in cands[pos:] if all(verdicts[h + (y,)] for h in heads)]
-            chosen.append(x)
-            stop = dfs(kept)
-            chosen.pop()
-            if stop:
-                return True
-        return False
+        frames.append([kept, set(combinations(chosen, alpha - 2)), 0])
 
-    dfs(list(range(len(candidates))))
     exact = not exhausted and not reached_target
     code = None
     if best:

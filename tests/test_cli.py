@@ -88,6 +88,23 @@ def test_verify_failing_solution(tmp_path, capsys):
     assert "1,2" in out
 
 
+def test_simulate_invalid_solution_fails_like_verify(tmp_path, capsys):
+    # middle nodes 1 and 2 carry the same line, so receiver 1,2 cannot decode
+    f2 = field_from_size(2)
+    p = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
+    a = MatrixQ(f2, [[1, 0]])
+    sol = LinearSolution(params=p, field=f2, t=1,
+                         matrices=(a, a, MatrixQ(f2, [[0, 1]])))
+    path = tmp_path / "sol.txt"
+    path.write_text(render_solution(sol))
+    code, verify_out, _ = run(capsys, "verify", "--solution", str(path))
+    assert code == 1
+    code, out, err = run(capsys, "simulate", "--solution", str(path), "--seed", "9")
+    assert code == 1
+    assert out == verify_out == "FAIL: receiver at middle nodes 1,2 cannot decode\n"
+    assert err == ""
+
+
 def test_search_find_verify_simulate(tmp_path, capsys):
     sol_file = tmp_path / "sol.txt"
     code, out, _ = run(capsys, "search", "--h", "3", "--r", "3", "--alpha", "2",

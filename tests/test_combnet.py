@@ -23,7 +23,7 @@ from gcnet.combnet import (
 )
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import is_covering_code
-from gcnet.linalg import MatrixQ, random_matrix, stack_matrices
+from gcnet.linalg import MatrixQ, random_matrix, rank_of_array, stack_matrices
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -129,6 +129,76 @@ def test_direct_link_matrices_complete_decoding():
         assert stacked.rank() == p.h * 1  # decodable: full column rank
 
 
+def reference_direct_links(sol):
+    """Greedy unit-vector scan: take e_j whenever it raises the rank."""
+    p = sol.params
+    ht = p.h * sol.t
+    out = []
+    for subset in p.receivers():
+        current = np.vstack([sol.matrices[i].data for i in subset])
+        rank = rank_of_array(current, sol.field)
+        picked = []
+        for j in range(ht):
+            e = np.zeros((1, ht), dtype=np.int16)
+            e[0, j] = 1
+            trial = np.vstack([current, e])
+            if rank_of_array(trial, sol.field) > rank:
+                picked.append(j)
+                current = trial
+                rank += 1
+        b = np.zeros((p.epsilon * sol.t, ht), dtype=np.int16)
+        for row, j in enumerate(picked):
+            b[row, j] = 1
+        out.append(MatrixQ(sol.field, b))
+    return out
+
+
+DIRECT_LINK_NETWORKS = [
+    NetworkParams(h=3, r=4, alpha=2, ell=1, epsilon=1),
+    NetworkParams(h=4, r=4, alpha=2, ell=1, epsilon=2),
+    NetworkParams(h=4, r=4, alpha=3, ell=1, epsilon=1),
+    NetworkParams(h=3, r=3, alpha=2, ell=2, epsilon=0),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 257])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_direct_links_match_greedy_reference(q, t):
+    field = field_from_size(q)
+    rng = np.random.default_rng(1000 * q + t)
+    receivers = 0
+    for p in DIRECT_LINK_NETWORKS:
+        for _ in range(12):
+            mats = []
+            for _ in range(p.r):
+                a = rng.integers(0, q, size=(p.ell * t, p.h * t))
+                # zero columns and repeated rows move the trailing pivots
+                # and drop the rank below full
+                if rng.random() < 0.5:
+                    a[:, rng.random(p.h * t) < 0.2] = 0
+                if p.ell * t > 1 and rng.random() < 0.3:
+                    a[-1] = a[0]
+                mats.append(MatrixQ(field, a))
+            sol = LinearSolution(params=p, field=field, t=t, matrices=tuple(mats))
+            if not verify_solution(sol)[0]:
+                continue
+            assert derive_direct_link_matrices(sol) == reference_direct_links(sol)
+            receivers += p.n_receivers
+    assert receivers >= 20
+
+
+def test_direct_links_name_the_first_failing_receiver():
+    # receivers (1, 2) and (2, 3) see only one line; (1, 2) comes first
+    p = NetworkParams(h=2, r=4, alpha=2, ell=1, epsilon=0)
+    a, b, c = MatrixQ(F2, [[1, 0]]), MatrixQ(F2, [[0, 1]]), MatrixQ(F2, [[1, 1]])
+    sol = LinearSolution(params=p, field=F2, t=1, matrices=(a, b, b, b))
+    assert verify_solution(sol) == (False, (1, 2))
+    with pytest.raises(ValueError, match=r"witness subset \(1, 2\)"):
+        derive_direct_link_matrices(sol)
+    with pytest.raises(ValueError, match=r"witness subset \(1, 2\)"):
+        simulate(sol, MatrixQ(F2, [[1], [0]]))
+
+
 def test_simulate_three_line():
     sol = three_line_solution()
     messages = MatrixQ(F2, [[1], [0]])
@@ -200,6 +270,24 @@ def test_compute_qv_values():
     # scalar and vector optima coincide here: q^t = 3 needs q=3, t=1
     assert compute_qv(NetworkParams(h=2, r=4, alpha=2, ell=1, epsilon=0)) == (3, True)
     assert compute_qv(NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)) == (2, True)
+
+
+def test_compute_qs_inexact_after_an_inconclusive_decision():
+    # five points of PG(2, q), no three collinear: none at q = 2 or 3
+    # (refuted in 18 and 128 nodes), found at q = 4 in 6 nodes
+    p = NetworkParams(h=3, r=5, alpha=3, ell=1, epsilon=0)
+    assert compute_qs(p, node_limit=6) == (4, False)
+    assert compute_qs(p, node_limit=20) == (4, False)
+    assert compute_qs(p, node_limit=128) == (4, True)
+
+
+def test_compute_qv_inexact_after_an_inconclusive_decision():
+    # six lines pairwise spanning everything: q^t = 4 is refuted at
+    # (4, 1) in 5 nodes and at (2, 2) in 29 (a spread of GF(2)^4 has 5
+    # planes); (5, 1) succeeds in 6 nodes
+    p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
+    assert compute_qv(p, qt_cap=8, node_limit=6) == (5, False)
+    assert compute_qv(p, qt_cap=8, node_limit=29) == (5, True)
 
 
 def test_compute_qv_trivial():

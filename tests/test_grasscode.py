@@ -1,5 +1,6 @@
 """Covering Grassmannian codes: enumeration, verification, exhaustive search."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -179,6 +180,25 @@ def test_max_code_certifies_alpha_three_planes():
     assert result.exact
     assert result.size == 10
     assert is_covering_code(result.code)[0]
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_max_code_depth_is_not_bounded_by_the_recursion_limit():
+    # the 57 points of PG(2, 7): one search level per codeword, run with
+    # only 40 frames to spare
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        result = max_covering_code(3, 1, 1, 2, field_from_size(7))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.size, result.exact) == (57, True)
 
 
 def test_max_code_domain_errors():

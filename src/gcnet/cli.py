@@ -168,6 +168,17 @@ def _parse_values(text: str) -> list[int]:
     return values
 
 
+def _count(text: str) -> int:
+    """argparse type of a non-negative integer count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _resolve_params(args, parser: argparse.ArgumentParser) -> NetworkParams:
     if args.params is not None:
         return parse_params(_read_text(args.params))
@@ -473,27 +484,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(sp)
     sp.add_argument("--q", type=int, required=True, help="field size")
     sp.add_argument("--t", type=int, default=1, help="message length (default 1)")
-    sp.add_argument("--trials", type=int, default=1000, help="draws to attempt")
+    sp.add_argument("--trials", type=_count, default=1000, help="draws to attempt")
     sp.add_argument("--seed", type=int, required=True, help="base seed")
     sp.add_argument("-o", "--out", help="write the found solution here")
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("simulate", help="random-message encode/decode round trips")
     sp.add_argument("--solution", required=True, help="solution file")
-    sp.add_argument("--count", type=int, default=100, help="message rounds (default 100)")
+    sp.add_argument("--count", type=_count, default=100, help="message rounds (default 100)")
     sp.add_argument("--seed", type=int, required=True, help="message seed")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("qs", help="smallest scalar field size solving the network")
     _add_network_flags(sp)
     sp.add_argument("--q-cap", type=int, default=64, help="largest field size to try")
-    sp.add_argument("--node-limit", type=int, default=DECISION_NODE_LIMIT)
+    sp.add_argument("--node-limit", type=_count, default=DECISION_NODE_LIMIT)
     sp.set_defaults(func=_cmd_qs)
 
     sp = sub.add_parser("qv", help="smallest vector space size q^t solving the network")
     _add_network_flags(sp)
     sp.add_argument("--qt-cap", type=int, default=64, help="largest q^t to try")
-    sp.add_argument("--node-limit", type=int, default=DECISION_NODE_LIMIT)
+    sp.add_argument("--node-limit", type=_count, default=DECISION_NODE_LIMIT)
     sp.set_defaults(func=_cmd_qv)
 
     sp = sub.add_parser("bounds", help="evaluate bound tables at a point or over a sweep")
@@ -533,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=int, required=True)
     sp.add_argument("--alpha", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--node-limit", type=int, default=10**7)
+    sp.add_argument("--node-limit", type=_count, default=10**7)
     sp.add_argument("--target-size", type=int, default=None,
                     help="stop early once a code of this size is found")
     sp.add_argument("-o", "--out", help="write the best code found")

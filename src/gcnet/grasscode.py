@@ -8,16 +8,16 @@ ordered tuples; repeated codewords are legal and meaningful.
 
 The module provides deterministic enumeration of Grassmannians, a
 verifier that reports the worst witness on failure, and an exhaustive
-branch-and-bound search for the maximum code size at small parameters.
-The search is exact-or-flagged: it either completes and returns a
-certified maximum or stops at a node budget and says so.
+branch-and-bound search for the maximum code size at small parameters;
+both read spans from one memo.  The search is exact-or-flagged: it either
+completes with a certified maximum or stops at a node budget and says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -113,48 +113,49 @@ def enumerate_grassmannian(n: int, k: int, field: FieldSpec, cap: int = ENUMERAT
 def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     """Exhaustively verify the covering property.
 
-    Scans every size-``alpha`` sub-multiset.  On failure returns the
-    witness with the smallest achieved dimension, breaking ties by the
-    lexicographically first index tuple.  Raises ValueError when the
-    code has fewer than ``alpha`` codewords (the property would be
-    vacuous) or when ``delta + k`` exceeds the ambient dimension.
+    Scans every size-``alpha`` sub-multiset, with each codeword read as its
+    first equal codeword in ``_Spans``.  On failure returns the witness with
+    the smallest achieved dimension, ties going to the lexicographically
+    first index tuple.  Raises ValueError when the code has fewer than
+    ``alpha`` codewords or when ``delta + k`` exceeds the ambient dimension.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
     need = code.delta + code.k
     if need > code.n:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
-    arrays = [c.basis_array() for c in code.codewords]
+    first: dict[SubspaceQ, int] = {}
+    rep = [first.setdefault(c, i) for i, c in enumerate(code.codewords)]
+    spans = _Spans(code.codewords, code.field, need)
     worst: Optional[CoverWitness] = None
     for sel in combinations(range(code.size), code.alpha):
-        got = rank_of_array(np.vstack([arrays[i] for i in sel]), code.field)
+        got = spans[tuple(sorted({rep[i] for i in sel}))]
         if got < need and (worst is None or got < worst.achieved_dim):
             worst = CoverWitness(indices=sel, achieved_dim=got, required_dim=need)
     return (worst is None), worst
 
 
-class _SpanVerdicts(dict):
-    """Memo of ``span >= need`` verdicts keyed by sorted index tuples.
-
-    A miss computes the verdict from the distinct indices, since a
-    multiset spans what its distinct members span; distinct members
-    whose dimensions cannot add up to ``need`` fail without a rank call.
+class _Spans(dict):
+    """Memo of ``min(span, need)`` keyed by sorted tuples of indices that
+    name pairwise distinct subspaces, valued from the distinct indices.  One
+    index spans its own dimension, and several of one dimension d span at
+    least d + 1; neither answer needs a rank call or is stored.
     """
 
-    def __init__(self, arrays: list[np.ndarray], field: FieldSpec, need: int):
+    def __init__(self, subspaces: Sequence[SubspaceQ], field: FieldSpec, need: int):
         super().__init__()
-        self.arrays = arrays
+        self.arrays = [c.basis_array() for c in subspaces]
         self.field = field
         self.need = need
 
-    def __missing__(self, key: tuple[int, ...]) -> bool:
-        distinct = sorted(set(key))
-        rows = [self.arrays[i] for i in distinct]
-        ok = sum(a.shape[0] for a in rows) >= self.need and (
-            rank_of_array(np.vstack(rows), self.field) >= self.need
-        )
-        self[key] = ok
-        return ok
+    def __missing__(self, key: tuple[int, ...]) -> int:
+        rows = [self.arrays[i] for i in set(key)]
+        if len(rows) == 1:
+            return min(rows[0].shape[0], self.need)
+        if rows[0].shape[0] + 1 >= self.need and len({a.shape[0] for a in rows}) == 1:
+            return self.need
+        got = self[key] = min(rank_of_array(np.vstack(rows), self.field), self.need)
+        return got
 
 
 @dataclass
@@ -188,9 +189,9 @@ def max_covering_code(
     with ``S`` running over the size-``(alpha-2)`` sub-multisets of the
     codewords chosen before ``x``; the other sub-multisets were checked
     on the way down.  Adding codewords never repairs a violated
-    selection, so dropping a candidate is sound.  Span verdicts are
-    memoised for the duration of the call, keyed by the sorted index
-    tuple; for alpha = 2 they are the pairwise span ranks.
+    selection, so dropping a candidate is sound.  Spans come from a
+    ``_Spans`` memo keyed by the sorted index tuple; at alpha = 2 and
+    delta = 1 every pair of distinct candidates passes with no rank call.
 
     Alpha copies of one codeword span only ``k < k + delta``, so a
     candidate contributes at most ``alpha - 1`` picks, and a branch with
@@ -226,9 +227,8 @@ def max_covering_code(
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
     candidates = enumerate_grassmannian(n, k, field, cap=cap)
-    arrays = [c.basis_array() for c in candidates]
     need = delta + k
-    verdicts = _SpanVerdicts(arrays, field, need)
+    spans = _Spans(candidates, field, need)
 
     best: list[int] = []
     nodes = 0
@@ -254,7 +254,7 @@ def max_covering_code(
             break
         x = cands[pos]
         heads = [s + (x,) for s in prefixes]
-        kept = [y for y in cands[pos:] if all(verdicts[h + (y,)] for h in heads)]
+        kept = [y for y in cands[pos:] if all(spans[h + (y,)] == need for h in heads)]
         chosen.append(x)
         if len(chosen) > len(best):
             best = list(chosen)

@@ -105,6 +105,41 @@ def test_simulate_invalid_solution_fails_like_verify(tmp_path, capsys):
     assert err == ""
 
 
+def test_simulate_negative_count_is_usage_error(tmp_path, capsys):
+    f2 = field_from_size(2)
+    p = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
+    sol = LinearSolution(params=p, field=f2, t=1, matrices=(
+        MatrixQ(f2, [[1, 0]]), MatrixQ(f2, [[0, 1]]), MatrixQ(f2, [[1, 1]])))
+    path = tmp_path / "sol.txt"
+    path.write_text(render_solution(sol))
+    code, out, err = run(capsys, "simulate", "--solution", str(path), "--seed", "9",
+                         "--count", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--count: must be >= 0, got -3" in err
+
+
+def test_search_negative_trials_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--h", "2", "--r", "3", "--alpha", "2",
+                         "--ell", "1", "--eps", "0", "--q", "2", "--trials", "-5",
+                         "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "--trials: must be >= 0, got -5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "2", "--k", "1", "--delta", "1", "--alpha", "2", "--q", "2"],
+    ["qs", "--h", "2", "--r", "4", "--alpha", "2", "--ell", "1", "--eps", "0"],
+    ["qv", "--h", "2", "--r", "4", "--alpha", "2", "--ell", "1", "--eps", "0"],
+], ids=["oracle", "qs", "qv"])
+def test_negative_node_limit_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--node-limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--node-limit: must be >= 0, got -1" in err
+
+
 def test_search_find_verify_simulate(tmp_path, capsys):
     sol_file = tmp_path / "sol.txt"
     code, out, _ = run(capsys, "search", "--h", "3", "--r", "3", "--alpha", "2",

@@ -3,16 +3,20 @@
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from gcnet import grasscode
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import (
+    CoverWitness,
     CoveringCode,
     enumerate_grassmannian,
     is_covering_code,
     max_covering_code,
 )
-from gcnet.linalg import SubspaceQ, gaussian_binomial, span_dim
+from gcnet.linalg import SubspaceQ, gaussian_binomial, random_matrix, rank_of_array, span_dim
+from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
 F3 = field_from_size(3)
@@ -70,6 +74,92 @@ def test_is_covering_code_domain_errors():
         is_covering_code(CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=(e1,)))
     with pytest.raises(ValueError):
         is_covering_code(CoveringCode(field=F2, n=2, k=1, delta=2, alpha=2, codewords=(e1, e1)))
+
+
+def reference_worst_witness(code):
+    """The per-subset loop is_covering_code ran before the span memo: one
+    rank call per size-alpha index tuple, keeping the smallest dimension
+    and, among equals, the first tuple."""
+    need = code.delta + code.k
+    arrays = [c.basis_array() for c in code.codewords]
+    worst = None
+    for sel in combinations(range(code.size), code.alpha):
+        got = rank_of_array(np.vstack([arrays[i] for i in sel]), code.field)
+        if got < need and (worst is None or got < worst.achieved_dim):
+            worst = CoverWitness(indices=sel, achieved_dim=got, required_dim=need)
+    return (worst is None), worst
+
+
+def random_code(rng, field, alpha):
+    """A code of 4-7 codewords of dimension at most k.  Each codeword is
+    either a fresh random span (often below k) or the span of random
+    combinations of an earlier codeword's basis, which gives the same
+    subspace under another basis or a subspace nested inside it."""
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(1, n))
+    delta = int(rng.integers(1, n - k + 1))
+    words = []
+    for _ in range(int(rng.integers(4, 8))):
+        if words and rng.random() < 0.5:
+            src = words[int(rng.integers(len(words)))]
+            if src.dim == 0:
+                rows = np.zeros((1, n), dtype=np.int64)
+            else:
+                mix = random_matrix(field, int(rng.integers(1, src.dim + 2)), src.dim, rng)
+                rows = (mix @ src.basis_matrix()).data
+        else:
+            rows = random_matrix(field, int(rng.integers(1, k + 1)), n, rng).data
+        words.append(SubspaceQ(field, n, rows))
+    return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=tuple(words))
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 257])
+def test_is_covering_code_matches_per_subset_reference(q, alpha):
+    field = field_from_size(q)
+    rng = np.random.default_rng(1000 * q + alpha)
+    seen = set()
+    for _ in range(40):
+        code = random_code(rng, field, alpha)
+        verdict = is_covering_code(code)
+        assert verdict == reference_worst_witness(code)
+        words = code.codewords
+        if not verdict[0]:
+            seen.add("fails")
+        if len(set(words)) < len(words):
+            seen.add("repeat")
+        if min(c.dim for c in words) < code.k:
+            seen.add("below k")
+        if any(a.dim < b.dim and span_dim([a, b]) == b.dim for a in words for b in words):
+            seen.add("nested")
+    assert seen >= {"fails", "repeat", "below k", "nested"}
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Shapes of the rank_of_array calls grasscode makes."""
+    calls = []
+
+    def counting(arr, field):
+        calls.append(arr.shape)
+        return rank_of_array(arr, field)
+
+    monkeypatch.setattr(grasscode, "rank_of_array", counting)
+    return calls
+
+
+def test_delta_one_pairs_need_no_rank_call(rank_calls):
+    # any two distinct lines of GF(7)^3 span a plane
+    assert max_covering_code(3, 1, 1, 2, field_from_size(7)).size == 57
+    assert rank_calls == []
+
+
+def test_verifier_shares_spans_between_repeated_codewords(rank_calls):
+    # each lifted-MRD dual appears alpha - 1 = 2 times
+    assert is_covering_code(covering_code_from_mrd(4, 2, 1, 3, 2)) == (True, None)
+    assert rank_calls == []
+    assert is_covering_code(covering_code_from_mrd(4, 2, 2, 3, 4)) == (True, None)
+    assert 0 < len(rank_calls) <= 800
 
 
 def test_max_code_binary_line_cases():

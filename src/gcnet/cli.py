@@ -47,7 +47,6 @@ from .bounds import (
     middle_ub_relaxed,
 )
 from .combnet import (
-    DECISION_NODE_LIMIT,
     NetworkParams,
     classify,
     compute_qs,
@@ -58,14 +57,13 @@ from .combnet import (
 )
 from .ffield import field_from_size
 from .fileio import (
-    FileFormatError,
     parse_code,
     parse_params,
     parse_solution,
     render_code,
     render_solution,
 )
-from .grasscode import is_covering_code, max_covering_code
+from .grasscode import NODE_LIMIT, is_covering_code, max_covering_code
 from .linalg import random_matrix
 from .rankmetric import covering_code_from_mrd
 
@@ -213,18 +211,20 @@ def _cmd_classify(args, parser) -> int:
 def _cmd_construct(args, parser) -> int:
     code = covering_code_from_mrd(args.n, args.k, args.delta, args.alpha, args.q)
     config = {"n": args.n, "k": args.k, "delta": args.delta, "alpha": args.alpha, "q": args.q}
-    text = render_code(code, header=_header_lines("construct", config))
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_output(text, args.out)
+    _write_output(render_code(code, header=_header_lines("construct", config)), args.out)
+    if args.out is not None:
         print(f"constructed covering code: n={code.n} k={code.k} delta={code.delta} "
               f"alpha={code.alpha} q={code.field.q} size={code.size} -> {args.out}")
     return 0
 
 
+def _labels(indices: tuple[int, ...]) -> str:
+    """0-based indices as the 1-based comma list the CLI prints."""
+    return ",".join(str(i + 1) for i in indices)
+
+
 def _receiver_failure(witness: tuple[int, ...]) -> str:
-    return f"FAIL: receiver at middle nodes {','.join(str(i + 1) for i in witness)} cannot decode"
+    return f"FAIL: receiver at middle nodes {_labels(witness)} cannot decode"
 
 
 def _cmd_verify(args, parser) -> int:
@@ -234,8 +234,8 @@ def _cmd_verify(args, parser) -> int:
         if ok:
             print(f"OK: every {code.alpha} of {code.size} codewords span >= {code.delta + code.k}")
             return 0
-        labels = ",".join(str(i + 1) for i in witness.indices)
-        print(f"FAIL: codewords {labels} span {witness.achieved_dim} < {witness.required_dim}")
+        print(f"FAIL: codewords {_labels(witness.indices)} span {witness.achieved_dim} "
+              f"< {witness.required_dim}")
         return 1
     sol = parse_solution(_read_text(args.solution))
     ok, witness = verify_solution(sol)
@@ -283,8 +283,7 @@ def _cmd_simulate(args, parser) -> int:
         decoded = simulate(sol, messages)
         for recv, got in zip(receivers, decoded):
             if got != messages:
-                labels = ",".join(str(i + 1) for i in recv)
-                print(f"FAIL: round {round_no} receiver at middle nodes {labels} "
+                print(f"FAIL: round {round_no} receiver at middle nodes {_labels(recv)} "
                       f"decoded incorrectly")
                 return 1
     print(f"OK: {args.count} random messages decoded at all {p.n_receivers} receivers "
@@ -441,8 +440,7 @@ def _render_table(rows: list[dict], columns: list[str], command: str, config: di
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row[k]) if not isinstance(row[k], bool) else str(row[k]).lower()
-                         for k in columns])
+        writer.writerow([_fmt(row[k]) for k in columns])
     return buf.getvalue()
 
 
@@ -498,13 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qs", help="smallest scalar field size solving the network")
     _add_network_flags(sp)
     sp.add_argument("--q-cap", type=int, default=64, help="largest field size to try")
-    sp.add_argument("--node-limit", type=_count, default=DECISION_NODE_LIMIT)
+    sp.add_argument("--node-limit", type=_count, default=NODE_LIMIT)
     sp.set_defaults(func=_cmd_qs)
 
     sp = sub.add_parser("qv", help="smallest vector space size q^t solving the network")
     _add_network_flags(sp)
     sp.add_argument("--qt-cap", type=int, default=64, help="largest q^t to try")
-    sp.add_argument("--node-limit", type=_count, default=DECISION_NODE_LIMIT)
+    sp.add_argument("--node-limit", type=_count, default=NODE_LIMIT)
     sp.set_defaults(func=_cmd_qv)
 
     sp = sub.add_parser("bounds", help="evaluate bound tables at a point or over a sweep")
@@ -544,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=int, required=True)
     sp.add_argument("--alpha", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--node-limit", type=_count, default=10**7)
+    sp.add_argument("--node-limit", type=_count, default=NODE_LIMIT)
     sp.add_argument("--target-size", type=int, default=None,
                     help="stop early once a code of this size is found")
     sp.add_argument("-o", "--out", help="write the best code found")
@@ -564,9 +562,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else 2
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2

@@ -21,18 +21,24 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, log2
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .ffield import FieldSpec, field_from_size, prime_powers
-from .grasscode import CoveringCode, max_covering_code
-from .linalg import MatrixQ, SubspaceQ, rank_of_array, rref_of_array, solve_exact, stack_matrices
-
-#: Default node budget handed to the covering-code search per decision.
-DECISION_NODE_LIMIT = 10**7
+from .ffield import ORDER_LIMIT, FieldSpec, field_from_size, prime_powers
+from .grasscode import NODE_LIMIT, CoveringCode, SearchResult, max_covering_code
+from .linalg import (
+    MatrixQ,
+    SubspaceQ,
+    random_matrix,
+    rank_of_array,
+    rref_of_array,
+    solve_exact,
+    stack_matrices,
+)
 
 
 class SolvabilityClass(enum.Enum):
@@ -69,6 +75,12 @@ class NetworkParams:
         """All receivers as lexicographic alpha-subsets of middle nodes (0-based)."""
         return list(combinations(range(self.r), self.alpha))
 
+    def code_params(self, t: int) -> tuple[int, int, int, int]:
+        """``(n, k, delta, alpha)`` of the covering codes that are the
+        (q, t)-linear solutions: ambient ``h*t``, dimension ``ell*t``,
+        surplus ``(h - ell - epsilon) * t`` and the same ``alpha``."""
+        return self.h * t, self.ell * t, (self.h - self.ell - self.epsilon) * t, self.alpha
+
 
 def classify(params: NetworkParams) -> SolvabilityClass:
     """TRIVIAL iff h <= ell+epsilon, UNSOLVABLE iff h > alpha*ell+epsilon."""
@@ -103,6 +115,11 @@ class LinearSolution:
                     f"matrix {i} has shape {a.rows}x{a.cols}, expected {want[0]}x{want[1]}"
                 )
 
+    @cached_property
+    def direct_links(self) -> list[MatrixQ]:
+        """``derive_direct_link_matrices(self)``, derived once per solution."""
+        return derive_direct_link_matrices(self)
+
 
 def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check the rank condition at every receiver.
@@ -127,14 +144,12 @@ def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]
 def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> LinearSolution:
     """Interpret covering-code codewords as middle-node coding matrices.
 
-    Requires the code parameters to match the network at blocklength t:
-    ambient ``h*t``, dimension ``ell*t``, covering surplus
-    ``(h - ell - epsilon) * t``, same ``alpha``, and exactly ``r``
-    codewords.  Codewords of dimension below ``ell*t`` are padded with
-    zero rows.
+    Requires the code parameters to be ``params.code_params(t)`` and
+    exactly ``r`` codewords.  Codewords of dimension below ``ell*t`` are
+    padded with zero rows.
     """
     p = params
-    want = (p.h * t, p.ell * t, (p.h - p.ell - p.epsilon) * t, p.alpha)
+    want = p.code_params(t)
     got = (code.n, code.k, code.delta, code.alpha)
     if want != got:
         raise ValueError(f"code parameters {got} do not match the network's {want}")
@@ -153,13 +168,13 @@ def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> Lin
 
 def code_from_solution(sol: LinearSolution) -> CoveringCode:
     """Row spaces of the coding matrices as a covering-code candidate."""
-    p = sol.params
+    n, k, delta, alpha = sol.params.code_params(sol.t)
     return CoveringCode(
         field=sol.field,
-        n=p.h * sol.t,
-        k=p.ell * sol.t,
-        delta=(p.h - p.ell - p.epsilon) * sol.t,
-        alpha=p.alpha,
+        n=n,
+        k=k,
+        delta=delta,
+        alpha=alpha,
         codewords=tuple(SubspaceQ.from_matrix(a) for a in sol.matrices),
     )
 
@@ -214,7 +229,7 @@ def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:
     if messages.field != sol.field:
         raise ValueError("messages are over the wrong field")
     x = MatrixQ(sol.field, messages.data.reshape(p.h * sol.t, 1))
-    direct = derive_direct_link_matrices(sol)
+    direct = sol.direct_links
     decoded = []
     for recv_index, subset in enumerate(combinations(range(p.r), p.alpha)):
         blocks = [sol.matrices[i] for i in subset] + [direct[recv_index]]
@@ -244,10 +259,7 @@ def random_solution_search(
     p = params
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-        mats = tuple(
-            MatrixQ(field, rng.integers(0, field.q, size=(p.ell * t, p.h * t), dtype=np.int64))
-            for _ in range(p.r)
-        )
+        mats = tuple(random_matrix(field, p.ell * t, p.h * t, rng) for _ in range(p.r))
         sol = LinearSolution(params=p, field=field, t=t, matrices=mats)
         ok, _ = verify_solution(sol)
         if ok:
@@ -260,52 +272,40 @@ def random_solution_search(
 # ---------------------------------------------------------------------------
 
 
-def _admits_solution(params: NetworkParams, q: int, t: int, node_limit: int) -> tuple[bool, bool]:
-    """Decide whether a (q, t)-linear solution exists.
-
-    Returns ``(admits, conclusive)``.  The decision reduces to whether
-    the maximum covering code in G_q(h*t, ell*t) with surplus
-    ``(h-ell-epsilon)*t`` reaches size r; the search stops early once r
-    codewords are found (conclusive yes) and is conclusive as a no only
-    when its tree completed within the node budget.  A Grassmannian too
-    large to enumerate counts as inconclusive, not as an error.
-    """
-    p = params
-    field = field_from_size(q)
-    try:
-        res = max_covering_code(
-            n=p.h * t,
-            k=p.ell * t,
-            delta=(p.h - p.ell - p.epsilon) * t,
-            alpha=p.alpha,
-            field=field,
-            node_limit=node_limit,
-            target_size=p.r,
-        )
-    except ValueError:
-        return False, False
-    if res.size >= p.r:
-        return True, True
-    return False, res.exact
-
-
 def _smallest_alphabet(params: NetworkParams, candidates: Iterable[tuple[int, int, int]],
                        node_limit: int) -> tuple[Optional[int], bool]:
     """The loop behind ``compute_qs`` and ``compute_qv``: the first
     ``value`` of ``(value, q, t)`` candidates, in non-decreasing
     ``value`` order, with a (q, t)-linear solution, and whether no
-    decision at a strictly smaller value was inconclusive."""
+    decision at a strictly smaller value was inconclusive.
+
+    A (q, t)-linear solution exists iff G_q(h*t, ell*t) holds a covering
+    code of size r with the network's ``code_params(t)``.  Each decision
+    is a ``max_covering_code`` search with target r: a code of size r is
+    a conclusive yes, a finished tree a conclusive no, and a spent node
+    budget or a Grassmannian above ``ENUMERATION_LIMIT`` inconclusive.
+    Each of the r codewords of a code costs one search node, so with
+    ``node_limit < r`` no decision can say yes and the answer is
+    ``(None, False)`` before any search.
+    """
     cls = classify(params)
     if cls is SolvabilityClass.UNSOLVABLE:
         raise ValueError("network is unsolvable at any alphabet")
     if cls is SolvabilityClass.TRIVIAL:
         return 2, True
+    if node_limit < params.r:
+        return None, False
     first_inconclusive = None
     for value, q, t in candidates:
-        admits, conclusive = _admits_solution(params, q, t, node_limit)
-        if admits:
+        field = field_from_size(q)
+        try:
+            res = max_covering_code(*params.code_params(t), field,
+                                    node_limit=node_limit, target_size=params.r)
+        except ValueError:  # the Grassmannian is above ENUMERATION_LIMIT
+            res = SearchResult(size=0, code=None, exact=False)
+        if res.size >= params.r:
             return value, first_inconclusive is None or first_inconclusive >= value
-        if not conclusive and first_inconclusive is None:
+        if not res.exact and first_inconclusive is None:
             first_inconclusive = value
     return None, False
 
@@ -313,34 +313,37 @@ def _smallest_alphabet(params: NetworkParams, candidates: Iterable[tuple[int, in
 def compute_qs(
     params: NetworkParams,
     q_cap: int = 64,
-    node_limit: int = DECISION_NODE_LIMIT,
+    node_limit: int = NODE_LIMIT,
 ) -> tuple[Optional[int], bool]:
     """Smallest field size admitting a scalar (t = 1) solution.
 
-    Iterates prime powers ``q <= q_cap`` in increasing order.  Returns
-    ``(q, exact)`` where ``exact`` is False if any smaller q's decision
-    was inconclusive, or ``(None, False)`` when no q below the cap
-    admits a solution.  TRIVIAL networks return ``(2, True)``;
-    UNSOLVABLE parameters raise ValueError.
+    Iterates prime powers ``q <= min(q_cap, ORDER_LIMIT)`` in increasing
+    order, with ``ORDER_LIMIT`` read at call time.  Returns ``(q,
+    exact)`` where ``exact`` is False if any smaller q's decision was
+    inconclusive, or ``(None, False)`` when no q below the cap admits a
+    solution.  TRIVIAL networks return ``(2, True)``; UNSOLVABLE
+    parameters raise ValueError.
     """
-    return _smallest_alphabet(params, ((q, q, 1) for q in prime_powers(q_cap)), node_limit)
+    orders = prime_powers(min(q_cap, ORDER_LIMIT))
+    return _smallest_alphabet(params, ((q, q, 1) for q in orders), node_limit)
 
 
 def compute_qv(
     params: NetworkParams,
     qt_cap: int = 64,
-    node_limit: int = DECISION_NODE_LIMIT,
+    node_limit: int = NODE_LIMIT,
 ) -> tuple[Optional[int], bool]:
     """Smallest vector-space size q^t admitting a (q, t)-linear solution.
 
-    Candidate pairs (q, t) with ``q^t <= qt_cap`` are tried in
-    increasing q^t order, ties broken by smaller t.  Returns
-    ``(q**t, exact)``; ``exact`` requires every strictly smaller q^t to
-    have been conclusively refuted.  TRIVIAL networks return
-    ``(2, True)``; UNSOLVABLE parameters raise ValueError.
+    Candidate pairs (q, t) with ``q^t <= qt_cap`` and ``q <=
+    ORDER_LIMIT`` are tried in increasing q^t order, ties broken by
+    smaller t.  Returns ``(q**t, exact)``; ``exact`` requires every
+    strictly smaller q^t to have been conclusively refuted.  TRIVIAL
+    networks return ``(2, True)``; UNSOLVABLE parameters raise
+    ValueError.
     """
     candidates = []
-    for q in prime_powers(qt_cap):
+    for q in prime_powers(min(qt_cap, ORDER_LIMIT)):
         t = 1
         while q**t <= qt_cap:
             candidates.append((q**t, q, t))
@@ -372,7 +375,7 @@ def estimate_gap(
     params: NetworkParams,
     q_cap: int = 64,
     qt_cap: int = 64,
-    node_limit: int = DECISION_NODE_LIMIT,
+    node_limit: int = NODE_LIMIT,
 ) -> GapEstimate:
     """Compute qs and qv by brute force and report the achieved gap."""
     qs, qs_exact = compute_qs(params, q_cap, node_limit)

@@ -81,8 +81,8 @@ def prime_powers(limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Generic polynomial helpers over an arbitrary coefficient field.
 #
-# ``base`` is any object with scalar ``add``, ``sub``, ``mul``, ``inv``
-# methods and a ``q`` attribute; coefficients are base-field indices and
+# ``base`` is any object with scalar ``add``, ``sub`` and ``mul`` methods
+# and a ``q`` attribute; coefficients are base-field indices and
 # polynomials are lists ordered by ascending degree.  These helpers serve
 # both the construction of prime-power fields over GF(p) and extension
 # towers GF(q^m) over GF(q).
@@ -171,13 +171,43 @@ class _PrimeOps:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
-    def inv(self, a: int) -> int:
+
+class _Field:
+    """Scalar operations common to :class:`FieldSpec` and
+    :class:`ExtensionField`, built on the ``q``, ``add``, ``neg``, ``mul``
+    and ``inv`` each of them defines."""
+
+    q: int
+
+    def check(self, a: int) -> int:
+        """Validate an element index and return it as a plain int."""
+        a = int(a)
+        if not 0 <= a < self.q:
+            raise ValueError(f"element {a} out of range for GF({self.q})")
+        return a
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def pow(self, a: int, e: int) -> int:
+        """Raise ``a`` to an integer power (negative allowed for ``a != 0``)."""
+        a = self.check(a)
+        if e < 0:
+            a = self.inv(a)
+            e = -e
         if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.q)
+            return 1 if e == 0 else 0
+        e %= self.q - 1
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
 
-class FieldSpec:
+class FieldSpec(_Field):
     """A concrete finite field GF(p^m) with a pinned reducing modulus.
 
     Parameters
@@ -281,13 +311,6 @@ class FieldSpec:
 
     # -- element codec -----------------------------------------------------
 
-    def check(self, a: int) -> int:
-        """Validate an element index and return it as a plain int."""
-        a = int(a)
-        if not 0 <= a < self.q:
-            raise ValueError(f"element {a} out of range for GF({self.q})")
-        return a
-
     def to_coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of ``a``, ascending degree, length ``m``."""
         a = self.check(a)
@@ -311,9 +334,6 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         return int(self.neg_table[self.check(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[self.check(a), self.check(b)])
 
@@ -322,23 +342,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
         return int(self.inv_table[a])
-
-    def pow(self, a: int, e: int) -> int:
-        """Raise ``a`` to an integer power (negative allowed for ``a != 0``)."""
-        a = self.check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
 
     # -- descriptors ---------------------------------------------------------
 
@@ -414,7 +417,7 @@ def field_from_descriptor(text: str) -> FieldSpec:
     return field_from_size(q)
 
 
-class ExtensionField:
+class ExtensionField(_Field):
     """GF(q^degree) built as a polynomial tower over an existing field.
 
     Elements are integer indices in ``[0, q**degree)`` encoding
@@ -437,12 +440,6 @@ class ExtensionField:
             self.modulus = (0, 1)
         else:
             self.modulus = _smallest_irreducible(degree, base)
-
-    def check(self, a: int) -> int:
-        a = int(a)
-        if not 0 <= a < self.q:
-            raise ValueError(f"element {a} out of range for GF({self.q})")
-        return a
 
     def to_coeffs(self, a: int) -> tuple[int, ...]:
         """Base-field coefficient vector, ascending degree, length ``degree``."""
@@ -469,9 +466,6 @@ class ExtensionField:
     def neg(self, a: int) -> int:
         return self.from_coeffs([self.base.neg(x) for x in self.to_coeffs(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         prod = _poly_mul(self.to_coeffs(a), self.to_coeffs(b), self.base)
         rem = _poly_mod(prod, self.modulus, self.base)
@@ -482,22 +476,6 @@ class ExtensionField:
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
         return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        a = self.check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
 
     def frobenius(self, a: int) -> int:
         """The base-field Frobenius map ``a -> a**q_base``."""

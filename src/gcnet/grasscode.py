@@ -27,7 +27,8 @@ from .linalg import SubspaceQ, gaussian_binomial, rank_of_array
 #: Refuse to enumerate Grassmannians larger than this.
 ENUMERATION_LIMIT = 10**6
 
-#: Default node budget for the exhaustive maximum-size search.
+#: Default node budget of the exhaustive search, for ``oracle`` and for
+#: each ``qs``/``qv`` decision alike.
 NODE_LIMIT = 10**7
 
 
@@ -74,7 +75,7 @@ class CoveringCode:
         return len(self.codewords)
 
 
-def enumerate_grassmannian(n: int, k: int, field: FieldSpec, cap: int = ENUMERATION_LIMIT) -> list[SubspaceQ]:
+def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> list[SubspaceQ]:
     """All k-dimensional subspaces of GF(q)^n in a pinned canonical order.
 
     Subspaces are emitted grouped by the pivot-column set of their
@@ -83,13 +84,14 @@ def enumerate_grassmannian(n: int, k: int, field: FieldSpec, cap: int = ENUMERAT
     significant first.  For G(2, 1) over GF(2) this yields
     span(1,0), span(1,1), span(0,1).
 
-    Raises ValueError if the Grassmannian has more than ``cap`` elements.
+    Raises ValueError if the Grassmannian has more than
+    ``ENUMERATION_LIMIT`` elements, read at call time.
     """
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = gaussian_binomial(n, k, field.q)
-    if total > cap:
-        raise ValueError(f"Grassmannian has {total} elements, above the cap {cap}")
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(f"Grassmannian has {total} elements, above the cap {ENUMERATION_LIMIT}")
     q = field.q
     out: list[SubspaceQ] = []
     for pivots in combinations(range(n), k):
@@ -176,7 +178,6 @@ def max_covering_code(
     field: FieldSpec,
     node_limit: int = NODE_LIMIT,
     target_size: Optional[int] = None,
-    cap: int = ENUMERATION_LIMIT,
 ) -> SearchResult:
     """Exhaustive search for the largest covering code, exact or flagged.
 
@@ -218,7 +219,9 @@ def max_covering_code(
     ``exact`` is False.
 
     Requires ``1 <= delta`` and ``delta + k <= n``; with ``delta == 0``
-    every multiset is a covering code and no maximum exists.
+    every multiset is a covering code and no maximum exists.  The
+    Grassmannian is enumerated first, so one above ``ENUMERATION_LIMIT``
+    raises ValueError.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1 for the maximum to be finite")
@@ -226,7 +229,7 @@ def max_covering_code(
         raise ValueError(f"need delta + k <= n, got {delta} + {k} > {n}")
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
-    candidates = enumerate_grassmannian(n, k, field, cap=cap)
+    candidates = enumerate_grassmannian(n, k, field)
     need = delta + k
     spans = _Spans(candidates, field, need)
 

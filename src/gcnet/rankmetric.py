@@ -50,21 +50,15 @@ class RankMetricCode:
         return len(self.codewords)
 
 
-def gabidulin_code(
-    q: int,
-    m: int,
-    n: int,
-    delta: int,
-    cap: int = CARDINALITY_LIMIT,
-    verify: bool = True,
-) -> RankMetricCode:
+def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
     """Build an MRD code of ``m x n`` matrices over GF(q) with distance ``delta``.
 
     Requires ``1 <= delta <= min(m, n)``.  The code has
     ``q^(max(m,n) * (min(m,n) - delta + 1))`` codewords; a ValueError is
-    raised when that exceeds ``cap``.  With ``verify=True`` (and at most
-    4096 codewords) the minimum nonzero rank is checked to equal
-    ``delta`` exactly, relying on linearity.
+    raised when that exceeds ``CARDINALITY_LIMIT``.  Up to
+    ``VERIFY_LIMIT`` codewords the minimum nonzero rank is checked to
+    equal ``delta`` exactly, relying on linearity.  Both limits are read
+    at call time.
     """
     if m < 1 or n < 1:
         raise ValueError(f"matrix shape must be positive, got {m}x{n}")
@@ -75,8 +69,8 @@ def gabidulin_code(
     rows, cols = (n, m) if transposed else (m, n)
     kg = cols - delta + 1
     size = q ** (rows * kg)
-    if size > cap:
-        raise ValueError(f"code size {size} exceeds the cap {cap}")
+    if size > CARDINALITY_LIMIT:
+        raise ValueError(f"code size {size} exceeds the cap {CARDINALITY_LIMIT}")
 
     ext = ExtensionField(base, rows)
     big = ext.q
@@ -101,7 +95,7 @@ def gabidulin_code(
         codewords.append(MatrixQ(base, mat))
 
     code = RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=tuple(codewords))
-    if verify and size <= VERIFY_LIMIT:
+    if size <= VERIFY_LIMIT:
         ranks = [rank_of_array(c.data, base) for c in code.codewords[1:]]
         if min(ranks) != delta:
             raise RuntimeError(
@@ -143,11 +137,11 @@ class LiftedCode:
         return len(self.codewords)
 
 
-def lifted_mrd_code(q: int, n: int, k: int, delta: int, cap: int = CARDINALITY_LIMIT) -> LiftedCode:
+def lifted_mrd_code(q: int, n: int, k: int, delta: int) -> LiftedCode:
     """Lift an MRD code of ``k x (n-k)`` matrices into G_q(n, k)."""
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    mrd = gabidulin_code(q, k, n - k, delta, cap=cap)
+    mrd = gabidulin_code(q, k, n - k, delta)
     return LiftedCode(
         field=mrd.field,
         n=n,
@@ -158,14 +152,7 @@ def lifted_mrd_code(q: int, n: int, k: int, delta: int, cap: int = CARDINALITY_L
     )
 
 
-def covering_code_from_mrd(
-    n: int,
-    k: int,
-    delta: int,
-    alpha: int,
-    q: int,
-    cap: int = CARDINALITY_LIMIT,
-) -> CoveringCode:
+def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> CoveringCode:
     """Covering code from duals of a lifted MRD code, repeated ``alpha - 1`` times.
 
     Requires ``1 <= delta <= k`` and ``delta + k <= n``.  The result has
@@ -181,7 +168,7 @@ def covering_code_from_mrd(
         raise ValueError(f"need delta + k <= n, got {delta} + {k} > {n}")
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
-    lifted = lifted_mrd_code(q, n, n - k, delta, cap=cap)
+    lifted = lifted_mrd_code(q, n, n - k, delta)
     duals = tuple(dual(s) for s in lifted.codewords)
     return CoveringCode(
         field=lifted.field,

@@ -1,16 +1,20 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gcnet.cli import main
-from gcnet.combnet import NetworkParams
-from gcnet.fileio import parse_code, parse_solution, render_params, render_solution
+from gcnet import combnet
+from gcnet.bounds import gamma_exact, middle_ub_relaxed
+from gcnet.cli import build_parser, main
+from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
+from gcnet.fileio import parse_code, parse_solution, render_code, render_params, render_solution
 from gcnet.ffield import field_from_size
-from gcnet.linalg import MatrixQ
+from gcnet.grasscode import NODE_LIMIT, CoveringCode, max_covering_code
+from gcnet.linalg import MatrixQ, SubspaceQ
 from gcnet.combnet import LinearSolution
 
 
@@ -72,6 +76,19 @@ def test_verify_garbage_is_parse_error(tmp_path, capsys):
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--code", str(tmp_path / "nope.txt"))
     assert code == 2
+
+
+def test_verify_failing_code_names_the_worst_witness(tmp_path, capsys):
+    # codewords 1 and 2 are one line, so together they span 1 < 2
+    f2 = field_from_size(2)
+    lines = [SubspaceQ(f2, 2, [v]) for v in ([1, 0], [1, 0], [0, 1])]
+    code = CoveringCode(field=f2, n=2, k=1, delta=1, alpha=2, codewords=tuple(lines))
+    path = tmp_path / "code.txt"
+    path.write_text(render_code(code))
+    rc, out, err = run(capsys, "verify", "--code", str(path))
+    assert rc == 1
+    assert out == "FAIL: codewords 1,2 span 1 < 2\n"
+    assert err == ""
 
 
 def test_verify_failing_solution(tmp_path, capsys):
@@ -140,6 +157,28 @@ def test_negative_node_limit_is_usage_error(capsys, argv):
     assert "--node-limit: must be >= 0, got -1" in err
 
 
+def test_simulate_derives_the_direct_links_once(tmp_path, capsys, monkeypatch):
+    f2 = field_from_size(2)
+    p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
+    sol = LinearSolution(params=p, field=f2, t=1, matrices=(
+        MatrixQ(f2, [[1, 0, 0]]), MatrixQ(f2, [[0, 1, 0]]), MatrixQ(f2, [[1, 1, 0]])))
+    path = tmp_path / "sol.txt"
+    path.write_text(render_solution(sol))
+    calls = []
+    derive = combnet.derive_direct_link_matrices
+
+    def counted(s):
+        calls.append(s)
+        return derive(s)
+
+    monkeypatch.setattr(combnet, "derive_direct_link_matrices", counted)
+    code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "3",
+                       "--count", "5")
+    assert code == 0
+    assert out == "OK: 5 random messages decoded at all 3 receivers (seed 3)\n"
+    assert len(calls) == 1
+
+
 def test_search_find_verify_simulate(tmp_path, capsys):
     sol_file = tmp_path / "sol.txt"
     code, out, _ = run(capsys, "search", "--h", "3", "--r", "3", "--alpha", "2",
@@ -191,6 +230,25 @@ def test_qs_cap_miss_exits_one(capsys):
                        "--ell", "1", "--eps", "0", "--q-cap", "4")
     assert code == 1
     assert "none" in out
+
+
+def test_qv_budget_below_r_answers_none_at_once(capsys):
+    # 8 codewords need 8 search nodes, so a budget of 6 decides nothing
+    code, out, err = run(capsys, "qv", "--h", "3", "--r", "8", "--alpha", "2",
+                         "--ell", "1", "--eps", "1", "--node-limit", "6")
+    assert code == 1
+    assert out == "qv: none found with q^t <= 64\n"
+    assert err == ""
+
+
+def test_every_node_limit_default_is_the_grasscode_one():
+    for fn in (compute_qs, compute_qv, estimate_gap, max_covering_code):
+        assert inspect.signature(fn).parameters["node_limit"].default == NODE_LIMIT
+    parser = build_parser()
+    net = ["--h", "2", "--r", "4", "--alpha", "2", "--ell", "1", "--eps", "0"]
+    for argv in (["oracle", "--n", "2", "--k", "1", "--delta", "1", "--alpha", "2",
+                  "--q", "2"], ["qs"] + net, ["qv"] + net):
+        assert parser.parse_args(argv).node_limit == NODE_LIMIT
 
 
 def test_bounds_point_table(capsys):
@@ -252,6 +310,36 @@ def test_bounds_beyond_the_double_range(capsys):
     assert code == 0
     byname = {row["name"]: row for row in json.loads(out)["rows"]}
     assert byname["middle_ub_exact"]["value"] == exact
+
+
+def test_bounds_prints_a_fraction_exactly(capsys):
+    argv = ["bounds", "--h", "5", "--ell", "2", "--eps", "1", "--alpha", "2",
+            "--q", "2", "--t", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    row = next(l for l in out.splitlines() if ",middle_ub_pairwise," in l)
+    assert row.split(",")[8:10] == ["31/3", "true"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    byname = {row["name"]: row for row in json.loads(out)["rows"]}
+    assert byname["middle_ub_pairwise"]["value"] == "31/3"
+
+
+def test_bounds_exact_gamma(capsys):
+    argv = ["bounds", "--h", "3", "--ell", "1", "--eps", "1", "--alpha", "2"]
+    code, out, err = run(capsys, *argv, "--r", "5", "--exact-gamma")
+    assert code == 2
+    assert out == ""
+    assert "--exact-gamma requires --q" in err
+    relaxed = {}
+    for extra in ([], ["--exact-gamma"]):
+        code, out, _ = run(capsys, *argv, "--q", "2", "--t", "1", *extra)
+        assert code == 0
+        row = next(l for l in out.splitlines() if ",middle_ub_relaxed," in l)
+        relaxed[bool(extra)] = row.split(",")[8]
+    assert relaxed[False] == "14.920000"
+    exact = middle_ub_relaxed(3, 1, 1, 2, 2, 1, gamma=gamma_exact(2)).value
+    assert relaxed[True] == f"{exact:.6f}" != relaxed[False]
 
 
 def test_bounds_flags_pairwise_above_alpha_two(capsys):

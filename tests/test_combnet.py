@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gcnet import combnet, grasscode
 from gcnet.combnet import (
     GapEstimate,
     LinearSolution,
@@ -288,6 +289,65 @@ def test_compute_qv_inexact_after_an_inconclusive_decision():
     p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
     assert compute_qv(p, qt_cap=8, node_limit=6) == (5, False)
     assert compute_qv(p, qt_cap=8, node_limit=29) == (5, True)
+
+
+def test_code_params_matches_code_from_solution():
+    sol = three_line_solution()
+    code = code_from_solution(sol)
+    assert (code.n, code.k, code.delta, code.alpha) == THREE_LINE.code_params(1)
+    assert NetworkParams(h=4, r=6, alpha=3, ell=2, epsilon=1).code_params(3) == (12, 6, 3, 3)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call's arguments are recorded."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_budget_below_r_makes_no_search(monkeypatch):
+    # r = 8 codewords need 8 search nodes, so a budget of 6 cannot say
+    # yes at any (q, t): the answer comes before any Grassmannian is built
+    calls = count_calls(monkeypatch, combnet, "max_covering_code")
+    assert compute_qv(NetworkParams(h=3, r=8, alpha=2, ell=1, epsilon=1),
+                      qt_cap=8, node_limit=6) == (None, False)
+    assert compute_qs(NetworkParams(h=3, r=8, alpha=2, ell=1, epsilon=1),
+                      node_limit=7) == (None, False)
+    assert calls == []
+    assert compute_qv(NetworkParams(h=2, r=4, alpha=2, ell=1, epsilon=0),
+                      qt_cap=8, node_limit=4) == (3, True)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("search", ["qs", "qv"])
+def test_candidates_stop_at_the_field_order_limit(monkeypatch, search):
+    # 20 pairwise independent points need q >= 19, so with fields capped
+    # at 16 the search runs out of candidates without a larger field; the
+    # small enumeration limit leaves the big Grassmannians of qv undecided
+    monkeypatch.setattr(combnet, "ORDER_LIMIT", 16)
+    monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 400)
+    orders = count_calls(monkeypatch, combnet, "field_from_size")
+    p = NetworkParams(h=2, r=20, alpha=2, ell=1, epsilon=0)
+    if search == "qs":
+        assert compute_qs(p, q_cap=1100, node_limit=20) == (None, False)
+    else:
+        assert compute_qv(p, qt_cap=32, node_limit=20) == (None, False)
+    assert max(q for (q,) in orders) == 16
+
+
+def test_grassmannian_above_the_enumeration_limit_is_inconclusive(monkeypatch):
+    # q^t = 4 at (2, 2) needs G_2(4, 2), 35 planes: above a limit of 30
+    # it cannot be refuted, so q^t = 5 is only an upper bound
+    p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
+    assert compute_qv(p, qt_cap=8) == (5, True)
+    monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 30)
+    assert compute_qv(p, qt_cap=8) == (5, False)
 
 
 def test_compute_qv_trivial():

@@ -39,8 +39,9 @@ def test_enumeration_count_matches_q_binomial(n, k, q):
 
 
 def test_enumeration_cap():
+    # G_2(10, 5) has 109 221 651 elements, above ENUMERATION_LIMIT
     with pytest.raises(ValueError):
-        enumerate_grassmannian(10, 5, F2, cap=1000)
+        enumerate_grassmannian(10, 5, F2)
 
 
 def one_dim(field, vec):

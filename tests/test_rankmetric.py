@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from gcnet import rankmetric
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import is_covering_code
 from gcnet.linalg import MatrixQ, intersection_dim
@@ -56,6 +57,16 @@ def test_gabidulin_domain_errors():
         gabidulin_code(2, 2, 2, 0)
     with pytest.raises(ValueError):
         gabidulin_code(2, 8, 8, 1)  # 2^64 codewords over the cap
+
+
+def test_cardinality_limit_is_read_at_call_time(monkeypatch):
+    # 16 codewords: under the default limit, over a patched one
+    assert gabidulin_code(2, 2, 2, 1).size == 16
+    monkeypatch.setattr(rankmetric, "CARDINALITY_LIMIT", 8)
+    with pytest.raises(ValueError, match="exceeds the cap 8"):
+        gabidulin_code(2, 2, 2, 1)
+    with pytest.raises(ValueError, match="exceeds the cap 8"):
+        covering_code_from_mrd(4, 2, 1, 2, 2)
 
 
 def test_lift_shape_and_injectivity():

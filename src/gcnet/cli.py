@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -74,25 +76,6 @@ _SWEEPABLE = ("h", "ell", "eps", "alpha", "q", "t", "r")
 #: the interpreter's default cap on int-to-str conversion, 4300 digits.
 _STR_SAFE_BITS = 14000
 
-#: ``_int_text`` converts longer ints this many digits at a time.
-_CHUNK_DIGITS = 1000
-
-
-def _int_text(value: int) -> str:
-    """Decimal text of an int of any size.  ``str`` refuses ints above
-    ``sys.get_int_max_str_digits()`` digits, which exact bounds such as
-    ``middle_ub_exact`` at q = 1024, t = 40 exceed."""
-    if value.bit_length() <= _STR_SAFE_BITS:
-        return str(value)
-    if value < 0:
-        return "-" + _int_text(-value)
-    chunks = []
-    while value >= 10**_CHUNK_DIGITS:
-        value, low = divmod(value, 10**_CHUNK_DIGITS)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(value))
-    return "".join(reversed(chunks))
-
 
 def _fmt(value) -> str:
     """Deterministic text for a bound value: exact for ints and
@@ -104,11 +87,14 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, int):
-        return _int_text(value)
+        # ``str`` refuses ints above ``sys.get_int_max_str_digits()``
+        # digits, which exact bounds such as ``middle_ub_exact`` at
+        # q = 1024, t = 40 exceed; ``Decimal`` has no such cap
+        return str(Decimal(value))
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return _int_text(value.numerator)
-        return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+            return _fmt(value.numerator)
+        return f"{_fmt(value.numerator)}/{_fmt(value.denominator)}"
     return f"{float(value):.6f}"
 
 
@@ -126,13 +112,21 @@ def _assumption_text(report: BoundReport) -> str:
     return ";".join(f"{label}={'ok' if ok else 'fail'}" for label, ok in report.assumptions)
 
 
-def _echo(command: str, config: dict) -> str:
-    body = " ".join(f"{k}={config[k]}" for k in sorted(config) if config[k] is not None)
-    return f"{command} {body}".strip()
+#: Parsed attributes that are not parameters of the run.
+_NOT_ECHOED = frozenset({"command", "func", "format", "out", "params"})
 
 
-def _header_lines(command: str, config: dict) -> list[str]:
-    return [f"gcnet {__version__}", _echo(command, config)]
+def _echo(args) -> str:
+    """The command and every parameter it ran with, as parsed, sorted
+    by name; unset options and off switches are left out."""
+    config = vars(args)
+    body = " ".join(f"{k}={_fmt(config[k])}" for k in sorted(config)
+                    if k not in _NOT_ECHOED and config[k] is not None and config[k] is not False)
+    return f"{args.command} {body}".strip()
+
+
+def _header_lines(args) -> list[str]:
+    return [f"gcnet {__version__}", _echo(args)]
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -178,8 +172,13 @@ def _count(text: str) -> int:
 
 
 def _resolve_params(args, parser: argparse.ArgumentParser) -> NetworkParams:
+    """The network from ``--params FILE`` or the flags.  Values read from
+    the file are written back onto ``args``, so the echo shows them."""
     if args.params is not None:
-        return parse_params(_read_text(args.params))
+        params = parse_params(_read_text(args.params))
+        args.h, args.r, args.alpha = params.h, params.r, params.alpha
+        args.ell, args.eps = params.ell, params.epsilon
+        return params
     missing = [n for n in ("h", "r", "alpha", "ell", "eps") if getattr(args, n) is None]
     if missing:
         parser.error(f"missing --{' --'.join(missing)} (or use --params FILE)")
@@ -210,8 +209,7 @@ def _cmd_classify(args, parser) -> int:
 
 def _cmd_construct(args, parser) -> int:
     code = covering_code_from_mrd(args.n, args.k, args.delta, args.alpha, args.q)
-    config = {"n": args.n, "k": args.k, "delta": args.delta, "alpha": args.alpha, "q": args.q}
-    _write_output(render_code(code, header=_header_lines("construct", config)), args.out)
+    _write_output(render_code(code, header=_header_lines(args)), args.out)
     if args.out is not None:
         print(f"constructed covering code: n={code.n} k={code.k} delta={code.delta} "
               f"alpha={code.alpha} q={code.field.q} size={code.size} -> {args.out}")
@@ -256,13 +254,8 @@ def _cmd_search(args, parser) -> int:
     if sol is None:
         print(f"no verifying solution in {args.trials} trials (seed {args.seed})")
         return 1
-    config = {
-        "h": params.h, "r": params.r, "alpha": params.alpha, "ell": params.ell,
-        "eps": params.epsilon, "q": args.q, "t": args.t,
-        "trials": args.trials, "seed": args.seed,
-    }
     if args.out is not None:
-        _write_output(render_solution(sol, header=_header_lines("search", config)), args.out)
+        _write_output(render_solution(sol, header=_header_lines(args)), args.out)
         print(f"found verifying solution (seed {args.seed}) -> {args.out}")
     else:
         print(f"found verifying solution (seed {args.seed})")
@@ -377,11 +370,8 @@ def _cmd_bounds(args, parser) -> int:
                 "assumptions": _assumption_text(rep),
             })
 
-    config = dict(base)
-    config["sweep"] = args.sweep
-    config["gamma"] = _fmt(args.gamma)
     columns = ["h", "ell", "eps", "alpha", "q", "t", "r", "name", "value", "valid", "assumptions"]
-    text = _render_table(rows, columns, "bounds", config, args.format)
+    text = _render_table(rows, columns, args)
     _write_output(text, args.out)
     return 0
 
@@ -399,10 +389,7 @@ def _cmd_gap(args, parser) -> int:
             "gap_lower_bound": search.value if search.valid else None,
             "gap_lower_bound_closed": closed.value if closed.valid else None,
         })
-    config = {"h": args.h, "ell": args.ell, "eps": args.eps, "alpha": args.alpha,
-              "r": args.r, "r_range": args.r_range, "gamma": _fmt(args.gamma)}
-    text = _render_table(rows, ["r", "gap_lower_bound", "gap_lower_bound_closed"],
-                         "gap", config, args.format)
+    text = _render_table(rows, ["r", "gap_lower_bound", "gap_lower_bound_closed"], args)
     _write_output(text, args.out)
     return 0
 
@@ -418,24 +405,19 @@ def _cmd_oracle(args, parser) -> int:
         if result.code is None:
             print(f"no code of size >= alpha found; nothing written to {args.out}")
         else:
-            config = {"n": args.n, "k": args.k, "delta": args.delta,
-                      "alpha": args.alpha, "q": args.q,
-                      "node_limit": args.node_limit, "target_size": args.target_size}
-            _write_output(render_code(result.code, header=_header_lines("oracle", config)),
-                          args.out)
+            _write_output(render_code(result.code, header=_header_lines(args)), args.out)
     return 0
 
 
-def _render_table(rows: list[dict], columns: list[str], command: str, config: dict,
-                  fmt: str) -> str:
-    if fmt == "json":
+def _render_table(rows: list[dict], columns: list[str], args) -> str:
+    if args.format == "json":
         doc = {
-            "meta": {"tool": "gcnet", "version": __version__, "echo": _echo(command, config)},
+            "meta": {"tool": "gcnet", "version": __version__, "echo": _echo(args)},
             "rows": [{k: _json_value(row[k]) for k in columns} for row in rows],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
-    for line in _header_lines(command, config):
+    for line in _header_lines(args):
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -449,7 +431,11 @@ def _render_table(rows: list[dict], columns: list[str], command: str, config: di
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every command and its parameters, built on
+    first use and shared by every later call in the process; callers
+    must not change it."""
     parser = argparse.ArgumentParser(
         prog="gcnet",
         description="Linear solutions of generalized combination networks "
@@ -555,12 +541,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         return args.func(args, parser)
     except SystemExit as exc:
-        # parser.error inside a handler
+        # argparse's own errors, --help and --version, and parser.error in a handler
         return exc.code if isinstance(exc.code, int) else 2
     except FileNotFoundError as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)

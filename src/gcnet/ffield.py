@@ -380,7 +380,12 @@ class FieldSpec(_Field):
         return f"FieldSpec(GF({self.q}), modulus={self.modulus_text})"
 
 
-@lru_cache(maxsize=None)
+# A decision needs one field at a time, and no benchmark workload uses
+# more than 5 fields (``exhaustive`` uses 2, 3, 4, 5 and 7; ``verify`` and
+# ``decode`` use 2, 4, 16 and 257), so 8 rebuilds nothing mid-run while a
+# sweep over q no longer keeps every field's tables alive.  Fields compare
+# and hash by value, so an evicted field equals its rebuilt copy.
+@lru_cache(maxsize=8)
 def field_create(p: int, m: int = 1) -> FieldSpec:
     """Create (or fetch the cached) field GF(p^m).
 

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from gcnet import combnet
-from gcnet.bounds import gamma_exact, middle_ub_relaxed
+from gcnet import cli, combnet
+from gcnet.bounds import gamma_exact, middle_ub_exact, middle_ub_relaxed
 from gcnet.cli import build_parser, main
 from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
 from gcnet.fileio import parse_code, parse_solution, render_code, render_params, render_solution
@@ -306,6 +306,12 @@ def test_bounds_beyond_the_double_range(capsys):
     assert table["middle_ub_relaxed"][-1].endswith('finite=fail"')
     exact = table["middle_ub_exact"][8]
     assert exact.isdigit() and len(exact) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert exact == str(middle_ub_exact(3, 1, 1, 2, 1024, 40).value)
+    finally:
+        sys.set_int_max_str_digits(limit)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     byname = {row["name"]: row for row in json.loads(out)["rows"]}
@@ -424,3 +430,116 @@ def test_module_entry_subcommand():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "NONTRIVIAL" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# The `#` echo: every parameter as parsed, from the one parser.
+# ---------------------------------------------------------------------------
+
+NET = ["--h", "3", "--r", "3", "--alpha", "2", "--ell", "1", "--eps", "1"]
+BOUNDS = ["bounds", "--h", "3", "--ell", "1", "--eps", "1", "--alpha", "2", "--q", "2", "--t", "1"]
+
+
+def echo_line(text):
+    """The echo line of a written file or CSV table."""
+    first, second = text.splitlines()[:2]
+    assert first == "# gcnet 0.1.0"
+    return second
+
+
+def test_construct_echo(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    assert main(["construct", "--n", "3", "--k", "1", "--delta", "1", "--alpha", "2",
+                 "--q", "2", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert echo_line(path.read_text()) == "# construct alpha=2 delta=1 k=1 n=3 q=2"
+
+
+def test_search_echo_is_the_same_from_flags_and_params_file(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(render_params(NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)))
+    rest = ["--q", "11", "--t", "1", "--trials", "1000", "--seed", "0"]
+    lines = []
+    for name, source in (("flags.txt", NET), ("file.txt", ["--params", str(net)])):
+        path = tmp_path / name
+        assert main(["search", *source, *rest, "-o", str(path)]) == 0
+        lines.append(echo_line(path.read_text()))
+    capsys.readouterr()
+    assert lines == ["# search alpha=2 ell=1 eps=1 h=3 q=11 r=3 seed=0 t=1 trials=1000"] * 2
+
+
+def test_oracle_echo_names_its_budget_and_target(tmp_path, capsys):
+    path = tmp_path / "best.txt"
+    assert main(["oracle", "--n", "4", "--k", "2", "--delta", "2", "--alpha", "2", "--q", "2",
+                 "--node-limit", "50", "--target-size", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert echo_line(path.read_text()) == (
+        "# oracle alpha=2 delta=2 k=2 n=4 node_limit=50 q=2 target_size=3")
+
+
+def test_bounds_echo_in_csv_and_json(capsys):
+    argv = [*BOUNDS, "--sweep", "r=3,5", "--gamma", "3"]
+    echo = "bounds alpha=2 ell=1 eps=1 gamma=3.000000 h=3 q=2 sweep=r=3,5 t=1"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert echo_line(out) == "# " + echo
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["echo"] == echo
+
+
+@pytest.mark.parametrize("extra, echo", [
+    (["--exact-gamma"], "exact_gamma=true gamma=3.480000 h=3 q=2 t=1"),
+    (["--plus-one"], "gamma=3.480000 h=3 plus_one=true q=2 t=1"),
+    (["--exact-gamma", "--plus-one"],
+     "exact_gamma=true gamma=3.480000 h=3 plus_one=true q=2 t=1"),
+], ids=["exact-gamma", "plus-one", "both"])
+def test_bounds_echo_names_its_switches(capsys, extra, echo):
+    code, out, _ = run(capsys, *BOUNDS, *extra)
+    assert code == 0
+    assert echo_line(out) == "# bounds alpha=2 ell=1 eps=1 " + echo
+
+
+def test_gap_echo(capsys):
+    code, out, _ = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1", "--alpha", "2",
+                       "--r-range", "4:16:4", "--gamma", "2.5")
+    assert code == 0
+    assert echo_line(out) == "# gap alpha=2 ell=1 eps=1 gamma=2.500000 h=2 r_range=4:16:4"
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_errors_leave_the_shared_parser_unchanged(capsys):
+    code, out, err = run(capsys, "qs", "--h", "x")
+    assert (code, out) == (2, "")
+    assert "argument --h: invalid int value: 'x'" in err
+    code, out, err = run(capsys, "qs", "--h", "3")
+    assert (code, out) == (2, "")
+    assert "missing --r --alpha --ell --eps" in err
+    code, out, err = run(capsys, *BOUNDS[:9], "--exact-gamma", "--r", "4")
+    assert (code, out) == (2, "")
+    assert "--exact-gamma requires --q" in err
+    first = run(capsys, *BOUNDS, "--r", "4")
+    assert first[0] == 0
+    assert run(capsys, *BOUNDS, "--r", "4") == first
+
+
+def test_handlers_look_up_simulate_at_call_time(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sol.txt"
+    assert main(["search", *NET, "--q", "11", "--seed", "0", "-o", str(path)]) == 0
+    capsys.readouterr()
+    calls = []
+    plain = cli.simulate
+
+    def counted(sol, messages):
+        calls.append(messages)
+        return plain(sol, messages)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "1",
+                       "--count", "3")
+    assert code == 0
+    assert out == "OK: 3 random messages decoded at all 3 receivers (seed 1)\n"
+    assert len(calls) == 3

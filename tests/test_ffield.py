@@ -205,3 +205,15 @@ def test_frobenius_is_additive_and_fixes_base():
     # base subfield elements are exactly the fixed points counted over GF(q)
     fixed = [a for a in range(16) if ext.frobenius(a) == a]
     assert len(fixed) == 2
+
+
+def test_field_cache_is_bounded_and_equal_after_eviction():
+    kept = field_from_size(2)
+    orders = prime_powers(64)
+    assert len(orders) == 27
+    for q in orders:
+        field_from_size(q)
+    assert field_create.cache_info().currsize == 8
+    rebuilt = field_from_size(2)
+    assert rebuilt is not kept
+    assert rebuilt == kept and hash(rebuilt) == hash(kept)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb, e as EULER_E, factorial, inf, isfinite, log2, sqrt
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .linalg import gaussian_binomial
 
@@ -89,16 +89,6 @@ class BoundReport:
         return [name for name, ok in self.assumptions if not ok]
 
 
-def _report(name: str, value: Optional[Number], checks: list[tuple[str, bool]], **details) -> BoundReport:
-    return BoundReport(
-        name=name,
-        value=value,
-        valid=all(ok for _, ok in checks) and value is not None,
-        assumptions=tuple(checks),
-        details=details,
-    )
-
-
 def _evaluable(h: int, ell: int, eps: int, alpha: int = 2, q: int = 2, t: int = 1, r: int = 1,
                gamma: float = GAMMA) -> bool:
     """The basic domain on which the formulas can be evaluated at all:
@@ -125,8 +115,9 @@ def _beta_or_none(alpha: int, gamma: float) -> Optional[float]:
     """:func:`beta`, or None where it leaves the double range: the
     factorial overflows for alpha above 171, and an extreme gamma drives
     the value to 0 or infinity."""
-    b = _finite(lambda: beta(alpha, gamma))
-    return b if b else None
+    if alpha > 171:  # decided without computing the factorial
+        return None
+    return _finite(lambda: beta(alpha, gamma)) or None
 
 
 def _log2_ratio(num: Number, den: float) -> float:
@@ -139,22 +130,47 @@ def _log2_ratio(num: Number, den: float) -> float:
     return log2(ratio)
 
 
-def _pow2_at_least(x: float, y: float) -> bool:
-    """``2**x >= y`` for a finite ``y``, without overflowing at large x."""
-    return x >= 1024 or 2.0 ** x >= y
+def _pow2_at_least(num: int, den: int, y: float) -> bool:
+    """``2**(num/den) >= y`` for a finite ``y``, without overflowing at a
+    large ``num``: from ``num/den >= 1024`` on it holds outright.  The
+    divisor ``den`` is 1 or ``alpha - 1 <= 170`` (beta is finite only for
+    alpha <= 171), so ``num/den`` stays below 1024 when ``num`` does
+    not reach ``1024*den``."""
+    return num >= 1024 * den or 2.0 ** (num / den) >= y
 
 
 #: The check an evaluator adds when its real value leaves the double range.
 _NOT_FINITE = ("finite", False)
 
 
-def _real_report(name: str, compute, checks: list[tuple[str, bool]], **details) -> BoundReport:
-    """Report of a real-valued formula: the value ``compute()`` returns,
-    or None with a failing ``finite`` check beyond the double range."""
-    val = _finite(compute)
-    if val is None:
-        checks.append(_NOT_FINITE)
-    return _report(name, val, checks, **details)
+def _report(name: str, value, checks: list[tuple[str, bool]], **details) -> BoundReport:
+    """The report of ``name``; ``valid`` is the conjunction of ``checks``
+    and a value being present.  ``value`` is a number or None, reported
+    as it is, or a zero-argument formula, evaluated under
+    :func:`_finite`: beyond the double range it reports None with a
+    failing ``finite`` check."""
+    if callable(value):
+        value = _finite(value)
+        if value is None:
+            checks = checks + [_NOT_FINITE]
+    return BoundReport(
+        name=name,
+        value=value,
+        valid=all(ok for _, ok in checks) and value is not None,
+        assumptions=tuple(checks),
+        details=details,
+    )
+
+
+def _covering_count_checks(h: int, ell: int, eps: int, alpha: int, t: int) -> list:
+    """The domain of the covering-count upper bound, exact and relaxed."""
+    return [
+        ("alpha >= 2", alpha >= 2),
+        ("h, ell, t >= 1", h >= 1 and ell >= 1 and t >= 1),
+        ("eps >= 0", eps >= 0),
+        ("h - eps >= 2*ell", h - eps >= 2 * ell),
+        ("alpha*ell >= h - eps", alpha * ell >= h - eps),
+    ]
 
 
 def middle_ub_exact(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> BoundReport:
@@ -165,13 +181,7 @@ def middle_ub_exact(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> B
     ``h - eps >= 2*ell`` and ``theta >= 1``; computed regardless and
     flagged.
     """
-    checks = [
-        ("alpha >= 2", alpha >= 2),
-        ("h, ell, t >= 1", h >= 1 and ell >= 1 and t >= 1),
-        ("eps >= 0", eps >= 0),
-        ("h - eps >= 2*ell", h - eps >= 2 * ell),
-        ("alpha*ell >= h - eps", alpha * ell >= h - eps),
-    ]
+    checks = _covering_count_checks(h, ell, eps, alpha, t)
     if not _evaluable(h, ell, eps, alpha, q, t):
         return _report("middle_ub_exact", None, checks)
     th = theta(h, ell, eps, alpha)
@@ -191,17 +201,11 @@ def middle_ub_relaxed(
     number comparable across q.  Same domain as the exact form; beyond
     the double range the value is None with a failing ``finite`` check.
     """
-    checks = [
-        ("alpha >= 2", alpha >= 2),
-        ("h, ell, t >= 1", h >= 1 and ell >= 1 and t >= 1),
-        ("eps >= 0", eps >= 0),
-        ("h - eps >= 2*ell", h - eps >= 2 * ell),
-        ("alpha*ell >= h - eps", alpha * ell >= h - eps),
-    ]
+    checks = _covering_count_checks(h, ell, eps, alpha, t)
     if not _evaluable(h, ell, eps, alpha, q, t, gamma=gamma):
         return _report("middle_ub_relaxed", None, checks, gamma=gamma)
     th = theta(h, ell, eps, alpha)
-    return _real_report(
+    return _report(
         "middle_ub_relaxed", lambda: gamma * th * q ** (ell * t * (eps * t + 1)) + alpha - th,
         checks, theta=th, gamma=gamma,
     )
@@ -275,7 +279,7 @@ def middle_lb_lll(
     ft = f_exponent(h, ell, eps, alpha, t)
     if b is None:
         return _report("middle_lb_lll", None, checks + [_NOT_FINITE], f=ft, plus_one=plus_one)
-    return _real_report(
+    return _report(
         "middle_lb_lll", lambda: b * float(q) ** (ft / (alpha - 1)) + (1.0 if plus_one else 0.0),
         checks, beta=b, f=ft, plus_one=plus_one,
     )
@@ -315,7 +319,7 @@ def bad_event_prob_ub(
     exponent = (h - alpha * ell - eps) * eps * t * t + (h - alpha * ell - 2 * eps) * t - 1
     if not _evaluable(h, ell, eps, alpha, q, t, gamma=gamma):
         return _report("bad_event_prob_ub", None, checks, exponent=exponent)
-    return _real_report(
+    return _report(
         "bad_event_prob_ub", lambda: 2 * gamma * float(q) ** exponent, checks, exponent=exponent
     )
 
@@ -334,6 +338,57 @@ def dependency_degree(r: int, alpha: int) -> tuple[int, int]:
     return bound, exact
 
 
+def dependency_degree_report(r: int, alpha: int) -> BoundReport:
+    """:func:`dependency_degree` as a report: the union-bound estimate as
+    the value and the exact count in details, both None outside
+    ``2 <= alpha <= r``."""
+    ok = 2 <= alpha <= r
+    bound, exact = dependency_degree(r, alpha) if ok else (None, None)
+    return _report("dependency_degree", bound, [("2 <= alpha <= r", ok)], exact=exact)
+
+
+class _Case(NamedTuple):
+    """One side of the ``h >= 2*ell + eps`` split shared by the two
+    field-size thresholds and the gap.
+
+    The necessary threshold is ``(num/den)^(1/(ell*(eps*t+1)))`` for
+    ``base = (num, den)``, None when one of ``checks`` fails.  The
+    sufficient one is ``need^(divisor*t/exponent(t))``: a (q, t)-linear
+    solution exists once ``q^(exponent(t)/divisor) >= need``.  ``need``
+    is None beyond the double range (and in the first case when beta
+    is), and ``stalled(t)`` says the exponent never rises again after t.
+    ``details`` names the case, and theta in the first one.
+    """
+
+    details: dict
+    checks: list[tuple[str, bool]]
+    base: Optional[tuple[int, float]]
+    beta: Optional[float]
+    need: Optional[float]
+    exponent_name: str
+    exponent: Callable[[int], int]
+    divisor: int
+    stalled: Callable[[int], bool]
+
+
+def _case(h: int, ell: int, eps: int, alpha: int, r: int, gamma: float) -> _Case:
+    if h >= 2 * ell + eps:
+        th = theta(h, ell, eps, alpha)
+        checks = [("theta >= 1", th >= 1), ("r + theta - alpha > 0", r + th - alpha > 0)]
+        b = _beta_or_none(alpha, gamma)
+        # f(t) = a*t^2 + lin*t + 1 rises by a*(2t+1) + lin from t to t+1; with
+        # a <= 0 that step only shrinks, so once it is <= 0 f never rises again
+        a, lin = (alpha * ell + eps - h) * eps, alpha * ell + 2 * eps - h
+        return _Case({"case": "h >= 2ell+eps", "theta": th}, checks,
+                     (r + th - alpha, gamma * th) if th >= 1 and r + th - alpha > 0 else None,
+                     b, None if b is None else _finite(lambda: r / b),
+                     "f", lambda t: f_exponent(h, ell, eps, alpha, t), alpha - 1,
+                     lambda t: a <= 0 and a * (2 * t + 1) + lin <= 0)
+    return _Case({"case": "h < 2ell+eps"}, [], (r, gamma * (alpha - 1)),
+                 None, _finite(lambda: r / (alpha - 1)),
+                 "g", lambda t: g_exponent(h, ell, eps, t), 1, lambda t: False)
+
+
 def field_size_necessary(
     h: int, ell: int, eps: int, alpha: int, r: int, t: int, gamma: float = GAMMA
 ) -> BoundReport:
@@ -343,7 +398,6 @@ def field_size_necessary(
     ``h >= 2*ell + eps``, else
     ``(r/(gamma*(alpha-1)))^(1/(ell*(eps*t+1)))``.
     """
-    first_case = h >= 2 * ell + eps
     checks = [
         ("alpha >= 2", alpha >= 2),
         ("r, h, ell, t >= 1", r >= 1 and h >= 1 and ell >= 1 and t >= 1),
@@ -351,21 +405,10 @@ def field_size_necessary(
     ]
     if not _evaluable(h, ell, eps, alpha, t=t, r=r, gamma=gamma):
         return _report("field_size_necessary", None, checks)
-    if first_case:
-        th = theta(h, ell, eps, alpha)
-        checks.append(("theta >= 1", th >= 1))
-        checks.append(("r + theta - alpha > 0", r + th - alpha > 0))
-        if th < 1 or r + th - alpha <= 0:
-            return _report("field_size_necessary", None, checks, case="h >= 2ell+eps", theta=th)
-        return _real_report(
-            "field_size_necessary",
-            lambda: ((r + th - alpha) / (gamma * th)) ** (1.0 / (ell * (eps * t + 1))),
-            checks, case="h >= 2ell+eps", theta=th,
-        )
-    return _real_report(
-        "field_size_necessary", lambda: (r / (gamma * (alpha - 1))) ** (1.0 / (ell * (eps * t + 1))),
-        checks, case="h < 2ell+eps",
-    )
+    c = _case(h, ell, eps, alpha, r, gamma)
+    value = None if c.base is None else (
+        lambda: (c.base[0] / c.base[1]) ** (1.0 / (ell * (eps * t + 1))))
+    return _report("field_size_necessary", value, checks + c.checks, **c.details)
 
 
 def field_size_sufficient(
@@ -376,7 +419,6 @@ def field_size_sufficient(
     ``(r/beta)^((alpha-1)*t/f(t))`` when ``h >= 2*ell + eps``, else
     ``(r/(alpha-1))^(t/g(t))``.
     """
-    first_case = h >= 2 * ell + eps
     checks = [
         ("alpha >= 2", alpha >= 2),
         ("r, h, ell, t >= 1", r >= 1 and h >= 1 and ell >= 1 and t >= 1),
@@ -385,57 +427,41 @@ def field_size_sufficient(
     ]
     if not _evaluable(h, ell, eps, alpha, t=t, r=r, gamma=gamma):
         return _report("field_size_sufficient", None, checks)
-    if first_case:
-        ft = f_exponent(h, ell, eps, alpha, t)
-        checks.append(("f(t) > 0", ft > 0))
-        if ft <= 0:
-            return _report("field_size_sufficient", None, checks, case="h >= 2ell+eps", f=ft)
-        b = _beta_or_none(alpha, gamma)
-        if b is None:
-            checks.append(_NOT_FINITE)
-            return _report("field_size_sufficient", None, checks, case="h >= 2ell+eps", f=ft)
-        return _real_report(
-            "field_size_sufficient", lambda: (r / b) ** ((alpha - 1) * t / ft),
-            checks, case="h >= 2ell+eps", f=ft, beta=b,
-        )
-    gt = g_exponent(h, ell, eps, t)
-    checks.append(("g(t) > 0", gt > 0))
-    if gt <= 0:
-        return _report("field_size_sufficient", None, checks, case="h < 2ell+eps", g=gt)
-    return _real_report(
-        "field_size_sufficient", lambda: (r / (alpha - 1)) ** (t / gt), checks,
-        case="h < 2ell+eps", g=gt,
+    c = _case(h, ell, eps, alpha, r, gamma)
+    e = c.exponent(t)
+    checks.append((f"{c.exponent_name}(t) > 0", e > 0))
+    details = {"case": c.details["case"], c.exponent_name: e}
+    if e <= 0:
+        return _report("field_size_sufficient", None, checks, **details)
+    if c.beta is not None:
+        details["beta"] = c.beta
+    if c.need is None:
+        return _report("field_size_sufficient", None, checks + [_NOT_FINITE], **details)
+    return _report(
+        "field_size_sufficient", lambda: c.need ** (c.divisor * t / e), checks, **details
     )
 
 
-def _smallest_t(predicate, t_limit: int, stalled=lambda t: False) -> Optional[int]:
-    """Smallest ``t <= t_limit`` meeting ``predicate``, or None.  The scan
-    also gives up after a failing t for which ``stalled(t)`` says no
-    later t can meet the predicate."""
+def _smallest_t(predicate, stalled) -> Optional[int]:
+    """Smallest ``t >= 1`` meeting ``predicate``, or None after a failing
+    t for which ``stalled(t)`` says no later t can meet it."""
     t = 1
-    while t <= t_limit:
-        if predicate(t):
-            return t
+    while not predicate(t):
         if stalled(t):
             return None
         t += 1
-    return None
+    return t
 
 
 def gap_lower_bound(
-    h: int,
-    ell: int,
-    eps: int,
-    alpha: int,
-    r: int,
-    gamma: float = GAMMA,
-    t_limit: int = 10**6,
+    h: int, ell: int, eps: int, alpha: int, r: int, gamma: float = GAMMA
 ) -> BoundReport:
     """Lower bound on log2(qs) - log2(qv) via a base-2 blocklength search.
 
-    First finds the smallest t such that a (2, t)-linear solution is
-    guaranteed by the sufficient threshold; subtracting it from the
-    scalar necessary bound gives the gap bound:
+    The gap reads the two field-size thresholds: it is
+    ``log2 field_size_necessary(t=1) - t``, where t is the smallest
+    blocklength with ``field_size_sufficient(t) <= 2^t``, i.e. the
+    first t at which a (2, t)-linear solution is guaranteed:
 
     - ``log2((r+theta-alpha)/(gamma*theta))/(ell*(eps+1)) - t_delta``
       when ``h >= 2*ell + eps``, with ``2^(f(t_delta)/(alpha-1)) >= r/beta``;
@@ -457,14 +483,17 @@ def gap_lower_bound(
     in log2 r and the bound falls, e.g. by 0.5 per doubling at
     (3, 1, 1, 2).
 
-    The linear t-scan is guarded by ``t_limit``; exhaustion is reported
-    as an invalid result with a diagnostic, which is reachable when the
-    exponent polynomial is constant in t (e.g. eps = 0, h = alpha*ell).
+    The t-scan has no limit and always ends.  It runs only when the
+    ratio ``r/beta`` or ``r/(alpha-1)`` is below 2^1024, and beta is
+    finite only for alpha <= 171.  ``g(t) >= t``, so t_star <= 1024.
     When f stops rising (its t^2 coefficient is <= 0 and its next step
-    is <= 0), the scan ends there with the same diagnostic instead of
-    running on to ``t_limit``.
+    is <= 0) the scan ends there, reported as an invalid result with a
+    failing ``t-search terminated`` check; this covers an f constant in
+    t (e.g. eps = 0, h = alpha*ell).  Otherwise f rises by at least 1
+    per step, so ``f/(alpha-1)`` reaches 1024 by t = 1024*170 = 174080.
+    The slowest case, ``(170, 1, 0, 171, 2**1023)`` with f(t) = t + 1,
+    ends valid at t = 172902.
     """
-    first_case = h >= 2 * ell + eps
     checks = [
         ("alpha >= 2", alpha >= 2),
         ("r, h, ell >= 1", r >= 1 and h >= 1 and ell >= 1),
@@ -472,45 +501,19 @@ def gap_lower_bound(
     ]
     if not _evaluable(h, ell, eps, alpha, r=r, gamma=gamma):
         return _report("gap_lower_bound", None, checks)
-    if first_case:
-        th = theta(h, ell, eps, alpha)
-        b = _beta_or_none(alpha, gamma)
-        checks.append(("theta >= 1", th >= 1))
-        checks.append(("r + theta - alpha > 0", r + th - alpha > 0))
-        need = None if b is None else _finite(lambda: r / b)
-        if need is None:
-            checks.append(_NOT_FINITE)
-            return _report("gap_lower_bound", None, checks, case="h >= 2ell+eps", theta=th)
-        # f(t) = a*t^2 + b*t + 1 rises by a*(2t+1) + b from t to t+1; with
-        # a <= 0 that step only shrinks, so once it is <= 0 f never rises again
-        a, b = (alpha * ell + eps - h) * eps, alpha * ell + 2 * eps - h
-        t_delta = _smallest_t(
-            lambda t: _pow2_at_least(f_exponent(h, ell, eps, alpha, t) / (alpha - 1), need),
-            t_limit,
-            stalled=lambda t: a <= 0 and a * (2 * t + 1) + b <= 0,
-        )
-        checks.append(("t-search terminated", t_delta is not None))
-        if th < 1 or r + th - alpha <= 0 or t_delta is None:
-            return _report(
-                "gap_lower_bound", None, checks, case="h >= 2ell+eps", theta=th, t=t_delta
-            )
-        return _real_report(
-            "gap_lower_bound",
-            lambda: _log2_ratio(r + th - alpha, gamma * th) / (ell * (eps + 1)) - t_delta,
-            checks, case="h >= 2ell+eps", theta=th, t=t_delta,
-        )
-    need = _finite(lambda: r / (alpha - 1))
-    if need is None:
-        checks.append(_NOT_FINITE)
-        return _report("gap_lower_bound", None, checks, case="h < 2ell+eps", t=None)
-    t_star = _smallest_t(lambda t: _pow2_at_least(g_exponent(h, ell, eps, t), need), t_limit)
-    checks.append(("t-search terminated", t_star is not None))
-    if t_star is None:
-        return _report("gap_lower_bound", None, checks, case="h < 2ell+eps", t=None)
-    return _real_report(
-        "gap_lower_bound", lambda: _log2_ratio(r, gamma * (alpha - 1)) / (ell * (eps + 1)) - t_star,
-        checks, case="h < 2ell+eps", t=t_star,
-    )
+    c = _case(h, ell, eps, alpha, r, gamma)
+    checks += c.checks
+    if c.need is None:
+        # no t is scanned; the second case still names it, as None
+        no_t = {} if c.checks else {"t": None}
+        return _report("gap_lower_bound", None, checks + [_NOT_FINITE], **c.details, **no_t)
+    # plain locals: the scan can take 10^5 steps, each reading all three
+    exponent, divisor, need = c.exponent, c.divisor, c.need
+    t = _smallest_t(lambda t: _pow2_at_least(exponent(t), divisor, need), c.stalled)
+    checks.append(("t-search terminated", t is not None))
+    value = None if c.base is None or t is None else (
+        lambda: _log2_ratio(*c.base) / (ell * (eps + 1)) - t)
+    return _report("gap_lower_bound", value, checks, **c.details, t=t)
 
 
 def gap_lower_bound_closed(
@@ -563,8 +566,9 @@ def gap_lower_bound_closed(
         if ratio < 1:
             return _report("gap_lower_bound_closed", None, checks, case="h <= 2ell+eps")
         big_l = log2(ratio)
-        val = (big_l - 2) / (ell * (eps + 1)) - sqrt(big_l / (ell * eps))
-        return _report("gap_lower_bound_closed", val, checks, case="h <= 2ell+eps")
+        return _report("gap_lower_bound_closed",
+                       lambda: (big_l - 2) / (ell * (eps + 1)) - sqrt(big_l / (ell * eps)),
+                       checks, case="h <= 2ell+eps")
     th = theta(h, ell, eps, alpha)
     b = _beta_or_none(alpha, gamma)
     if b is None:
@@ -577,7 +581,7 @@ def gap_lower_bound_closed(
     checks.append(("r >= beta", r >= b))
     if th < 1 or r + th - alpha <= 0 or denom <= 0 or r < b:
         return _report("gap_lower_bound_closed", None, checks, case="h > 2ell+eps", theta=th)
-    return _real_report(
+    return _report(
         "gap_lower_bound_closed",
         lambda: _log2_ratio(r + th - alpha, gamma * th) / (ell * (eps + 1))
         - sqrt((alpha - 1) * log2(r / b) / denom),

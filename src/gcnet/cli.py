@@ -36,7 +36,7 @@ from .bounds import (
     GAMMA,
     BoundReport,
     bad_event_prob_ub,
-    dependency_degree,
+    dependency_degree_report,
     field_size_necessary,
     field_size_sufficient,
     gamma_exact,
@@ -319,24 +319,12 @@ def _point_reports(h, ell, eps, alpha, q, t, r, gamma, plus_one) -> list[BoundRe
     if r is not None:
         reports.append(gap_lower_bound(h, ell, eps, alpha, r, gamma=gamma))
         reports.append(gap_lower_bound_closed(h, ell, eps, alpha, r, gamma=gamma))
-        ok = 2 <= alpha <= r
-        if ok:
-            bound, exact = dependency_degree(r, alpha)
-        else:
-            bound, exact = None, None
-        reports.append(BoundReport(
-            name="dependency_degree",
-            value=bound,
-            valid=ok,
-            assumptions=(("2 <= alpha <= r", ok),),
-            details={"exact": exact},
-        ))
+        reports.append(dependency_degree_report(r, alpha))
     return reports
 
 
 def _cmd_bounds(args, parser) -> int:
-    base = {"h": args.h, "ell": args.ell, "eps": args.eps, "alpha": args.alpha,
-            "q": args.q, "t": args.t, "r": args.r}
+    base = {name: getattr(args, name) for name in _SWEEPABLE}
     sweep_var, sweep_values = None, [None]
     if args.sweep is not None:
         if "=" not in args.sweep:
@@ -361,16 +349,11 @@ def _cmd_bounds(args, parser) -> int:
             if point["q"] is None:
                 parser.error("--exact-gamma requires --q")
             gamma = gamma_exact(point["q"])
-        for rep in _point_reports(point["h"], point["ell"], point["eps"], point["alpha"],
-                                  point["q"], point["t"], point["r"], gamma, args.plus_one):
-            rows.append({
-                "h": point["h"], "ell": point["ell"], "eps": point["eps"],
-                "alpha": point["alpha"], "q": point["q"], "t": point["t"], "r": point["r"],
-                "name": rep.name, "value": rep.value, "valid": rep.valid,
-                "assumptions": _assumption_text(rep),
-            })
+        for rep in _point_reports(**point, gamma=gamma, plus_one=args.plus_one):
+            rows.append({**point, "name": rep.name, "value": rep.value, "valid": rep.valid,
+                         "assumptions": _assumption_text(rep)})
 
-    columns = ["h", "ell", "eps", "alpha", "q", "t", "r", "name", "value", "valid", "assumptions"]
+    columns = [*_SWEEPABLE, "name", "value", "valid", "assumptions"]
     text = _render_table(rows, columns, args)
     _write_output(text, args.out)
     return 0

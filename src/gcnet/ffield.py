@@ -156,22 +156,6 @@ def _smallest_irreducible(degree: int, base) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _PrimeOps:
-    """Mod-p scalar arithmetic used while bootstrapping GF(p)."""
-
-    def __init__(self, p: int):
-        self.q = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-
 class _Field:
     """Scalar operations common to :class:`FieldSpec` and
     :class:`ExtensionField`, built on the ``q``, ``add``, ``neg``, ``mul``
@@ -247,7 +231,7 @@ class FieldSpec(_Field):
         if m == 1:
             self.modulus = (0, 1)
         else:
-            self.modulus = _smallest_irreducible(m, _PrimeOps(p))
+            self.modulus = _smallest_irreducible(m, FieldSpec(p, 1))
         self._weights = tuple(p**i for i in range(m))
         self._build_tables()
 

@@ -226,22 +226,23 @@ def render_params(params: NetworkParams) -> str:
 
 
 def parse_params(text: str) -> NetworkParams:
+    """The network of a JSON parameter file.  Every value must be a JSON
+    integer: a float, string or boolean is refused, not rounded."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(obj, dict):
         raise FileFormatError("parameter file must hold a JSON object")
-    missing = [k for k in ("h", "r", "alpha", "ell", "epsilon") if k not in obj]
+    keys = ("h", "r", "alpha", "ell", "epsilon")
+    missing = [k for k in keys if k not in obj]
     if missing:
         raise FileFormatError(f"missing parameter keys: {', '.join(missing)}")
+    for key in keys:
+        # ``bool`` is a subclass of ``int``, so test the exact type
+        if type(obj[key]) is not int:
+            raise FileFormatError(f"parameter {key} must be an integer, got {json.dumps(obj[key])}")
     try:
-        return NetworkParams(
-            h=int(obj["h"]),
-            r=int(obj["r"]),
-            alpha=int(obj["alpha"]),
-            ell=int(obj["ell"]),
-            epsilon=int(obj["epsilon"]),
-        )
-    except (TypeError, ValueError) as exc:
+        return NetworkParams(**{key: obj[key] for key in keys})
+    except ValueError as exc:
         raise FileFormatError(str(exc)) from None

@@ -13,6 +13,7 @@ from gcnet.bounds import (
     bad_event_prob_ub,
     beta,
     dependency_degree,
+    dependency_degree_report,
     f_exponent,
     field_size_necessary,
     field_size_sufficient,
@@ -159,10 +160,14 @@ def test_bad_event_prob_values():
 
 def test_dependency_degree_values():
     assert dependency_degree(5, 2) == (8, 7)
-    with pytest.raises(ValueError):
-        dependency_degree(3, 4)
-    with pytest.raises(ValueError):
-        dependency_degree(3, 1)
+    rep = dependency_degree_report(5, 2)
+    assert rep.valid and rep.value == 8 and rep.details == {"exact": 7}
+    assert rep.assumptions == (("2 <= alpha <= r", True),)
+    for r, alpha in ((3, 4), (3, 1)):
+        with pytest.raises(ValueError):
+            dependency_degree(r, alpha)
+        rep = dependency_degree_report(r, alpha)
+        assert not rep.valid and rep.value is None and rep.details == {"exact": None}
 
 
 def test_dependency_degree_dominates_exact():
@@ -224,17 +229,56 @@ def test_gap_lower_bound_values():
     assert rep.details["t"] == 6
 
 
-def test_gap_lower_bound_search_exhaustion():
-    rep = gap_lower_bound(2, 1, 1, 2, 2 ** 20, t_limit=2)
-    assert not rep.valid
-    assert rep.value is None
-    assert "t-search terminated" in rep.failed_assumptions()
+def test_gap_lower_bound_slowest_scan_ends_valid():
+    # f(t) = t + 1 and alpha - 1 = 170, the largest divisor with a finite
+    # beta, with r/beta just below the double range: the longest scan
+    rep = gap_lower_bound(170, 1, 0, 171, 2 ** 1023)
+    assert rep.valid
+    assert rep.details["t"] == 172902
+
+
+def test_gap_bounds_with_a_huge_ell_do_not_raise():
+    # f(1)/(alpha-1) is far beyond the double range: t = 1 passes at once
+    ell = 10 ** 400
+    rep = gap_lower_bound(2 * ell + 1, ell, 1, 3, 10)
+    assert rep.details["t"] == 1
+    assert rep.failed_assumptions() == ["finite"]
+    # ell*(eps+1) does not convert to a float
+    rep = gap_lower_bound_closed(2 * ell, ell, 1, 2, 10 ** 6)
+    assert rep.value is None and rep.failed_assumptions() == ["finite"]
+
+
+def test_gap_reads_the_two_field_size_thresholds():
+    # gap = log2 field_size_necessary(t=1) - t, with t the first
+    # blocklength whose sufficient threshold is at most 2^t
+    checked = 0
+    for h in range(1, 9):
+        for ell in range(1, 4):
+            for eps in range(4):
+                for alpha in range(2, 6):
+                    for r in (2, 3, 10, 100, 2**10, 2**20, 2**40, 2**60):
+                        gap = gap_lower_bound(h, ell, eps, alpha, r)
+                        if not gap.valid:
+                            continue
+                        checked += 1
+                        t = gap.details["t"]
+                        necessary = field_size_necessary(h, ell, eps, alpha, r, 1)
+                        assert gap.value == pytest.approx(
+                            math.log2(necessary.value) - t, rel=1e-12, abs=1e-12
+                        )
+                        assert field_size_sufficient(h, ell, eps, alpha, r, t).value <= (
+                            2.0 ** t * (1 + 1e-12)
+                        )
+                        if t > 1:
+                            below = field_size_sufficient(h, ell, eps, alpha, r, t - 1)
+                            assert below.value > 2.0 ** (t - 1) * (1 - 1e-12)
+    assert checked == 2451
 
 
 @pytest.mark.parametrize("h, eps, r", [(2, 0, 5), (5, 1, 1000)])
 def test_gap_lower_bound_scan_stops_when_f_stops_rising(monkeypatch, h, eps, r):
     # f(t) = 1 at (2, 1, 0, 2) and f(t) = -2t^2 - t + 1 at (5, 1, 1, 2):
-    # no t passes, and the scan must not run on to t_limit
+    # no t passes, and the scan must stop at once
     calls = []
 
     def counting(*args):
@@ -350,7 +394,7 @@ def test_bound_evaluators_never_raise(h, ell, eps, alpha, q, t, r, gamma, plus_o
         bad_event_prob_ub(h, ell, eps, alpha, q, t, gamma=gamma),
         field_size_necessary(h, ell, eps, alpha, r, t, gamma=gamma),
         field_size_sufficient(h, ell, eps, alpha, r, t, gamma=gamma),
-        gap_lower_bound(h, ell, eps, alpha, r, gamma=gamma, t_limit=1000),
+        gap_lower_bound(h, ell, eps, alpha, r, gamma=gamma),
         gap_lower_bound_closed(h, ell, eps, alpha, r, gamma=gamma),
     ]
     for rep in reports:

@@ -40,6 +40,15 @@ def test_classify_from_params_file(tmp_path, capsys):
     assert "TRIVIAL" in out
 
 
+def test_params_file_with_non_integers_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text('{"h": 3.9, "r": 4, "alpha": 2, "ell": true, "epsilon": "1"}')
+    code, out, err = run(capsys, "classify", "--params", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: parameter h must be an integer, got 3.9\n"
+
+
 def test_classify_missing_flags_is_usage_error(capsys):
     code, _, err = run(capsys, "classify", "--h", "3")
     assert code == 2

@@ -131,6 +131,14 @@ def test_params_errors():
         parse_params("{not json")
     with pytest.raises(FileFormatError):
         parse_params('{"h": 0, "r": 3, "alpha": 2, "ell": 1, "epsilon": 0}')
+    # JSON integers only: no float is truncated, no bool or string converted
+    for key, bad in (("h", "3.9"), ("h", "3.0"), ("ell", "true"), ("epsilon", '"1"'),
+                     ("r", "null")):
+        fields = {"h": "3", "r": "4", "alpha": "2", "ell": "1", "epsilon": "1", key: bad}
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        with pytest.raises(FileFormatError) as err:
+            parse_params(text)
+        assert key in str(err.value)
 
 
 def test_render_is_deterministic():

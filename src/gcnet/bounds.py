@@ -205,8 +205,13 @@ def middle_ub_relaxed(
     if not _evaluable(h, ell, eps, alpha, q, t, gamma=gamma):
         return _report("middle_ub_relaxed", None, checks, gamma=gamma)
     th = theta(h, ell, eps, alpha)
+    power = ell * t * (eps * t + 1)
+    if power > 1025 / log2(q):
+        # q^power > 2^1025 does not convert to a double: decided without
+        # building the integer, which can take seconds or never finish
+        return _report("middle_ub_relaxed", None, checks + [_NOT_FINITE], theta=th, gamma=gamma)
     return _report(
-        "middle_ub_relaxed", lambda: gamma * th * q ** (ell * t * (eps * t + 1)) + alpha - th,
+        "middle_ub_relaxed", lambda: gamma * th * q**power + alpha - th,
         checks, theta=th, gamma=gamma,
     )
 

@@ -124,9 +124,8 @@ def rank_of_array(arr: np.ndarray, field: FieldSpec) -> int:
     """Rank of an int16 index array over ``field``; the array is not modified."""
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0
-    work = np.ascontiguousarray(arr, dtype=np.int16).copy()
     return backend.rank_destructive(
-        work, field.add_table, field.mul_table, field.inv_table, field.neg_table
+        arr, field.add_table, field.mul_table, field.inv_table, field.neg_table
     )
 
 

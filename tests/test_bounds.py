@@ -1,6 +1,7 @@
 """Bound evaluators: exact values, validity flags, and cross-checks."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,40 @@ def test_relaxed_forms_beyond_the_double_range():
     assert pair.details["relaxed"] is None
     lll = middle_lb_lll(3, 1, 1, 2, 2, 2000)
     assert lll.value is None and "finite" in lll.failed_assumptions()
+
+
+def test_middle_ub_relaxed_decides_overflow_before_the_power():
+    def plain(h, ell, eps, alpha, q, t):
+        th = theta(h, ell, eps, alpha)
+        try:
+            val = GAMMA * th * q ** (ell * t * (eps * t + 1)) + alpha - th
+        except OverflowError:
+            return None
+        return val if math.isfinite(val) else None
+
+    # the plain formula, bit for bit, up to and across the edge of the
+    # double range: q^power crosses 2^1024 at power 1024 (q = 2) and
+    # 646 (q = 3)
+    points = [(h, ell, eps, alpha, q, t)
+              for h in range(1, 9) for ell in range(1, 4) for eps in range(4)
+              for alpha in range(2, 6) for q in (2, 3, 4, 5, 16, 257, 1024) for t in range(1, 5)]
+    points += [(2 * ell, ell, 0, 2, 2, 1) for ell in range(1015, 1031)]
+    points += [(2 * ell, ell, 0, 2, 3, 1) for ell in range(640, 652)]
+    finite = 0
+    for point in points:
+        got, want = middle_ub_relaxed(*point).value, plain(*point)
+        assert (got is None) == (want is None), point
+        if want is not None:
+            assert type(got) is float and got.hex() == want.hex(), point
+            finite += 1
+    assert finite > 1000
+    # far beyond the range the answer comes without building q^power,
+    # which takes seconds here or never finishes
+    for point in [(3, 1, 1, 2, 1024, 2000), (3, 10**400, 1, 2, 1024, 1)]:
+        start = time.perf_counter()
+        rep = middle_ub_relaxed(*point)
+        assert time.perf_counter() - start < 0.05
+        assert rep.value is None and "finite" in rep.failed_assumptions()
 
 
 def _float_value_is_finite(rep: BoundReport) -> bool:

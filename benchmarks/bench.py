@@ -109,9 +109,7 @@ def main(argv=None) -> int:
                         "numpy": env["numpy"], "cpu_count": env["nproc"]},
         "workloads": {},
     }
-    correct = True
     for w in workloads:
-        correct &= all(r["correct"] for r in runs[w]) and traced[w]["correct"]
         record["workloads"][w] = {
             "end_to_end": {
                 k: dict(spread([r["metrics"][k]["value"] for r in runs[w]]),
@@ -120,12 +118,14 @@ def main(argv=None) -> int:
             },
             "attempted": sum(r["attempted"] for r in runs[w]),
             "failed": sum(r["failed"] for r in runs[w]),
-            "correct": all(r["correct"] for r in runs[w]),
+            # the traced run's checks count too, so this is the exit code's verdict
+            "correct": all(r["correct"] for r in runs[w]) and traced[w]["correct"],
             "runs": [dict({k: r["metrics"][k]["value"] for k in END_TO_END}, seed=seed,
                           attempted=r["attempted"], failed=r["failed"])
                      for seed, r in zip(seeds, runs[w])],
             "per_layer": traced[w]["metrics"],
         }
+    correct = all(rec["correct"] for rec in record["workloads"].values())
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=2)

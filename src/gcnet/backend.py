@@ -1,16 +1,18 @@
 """The elimination kernel: Gauss-Jordan elimination driven by operation tables.
 
-Both entry points take an int16 matrix of element indices and the
-field's dense ``add``, ``mul``, ``inv`` and ``neg`` tables, so one code
-path serves every field gcnet accepts.  The elimination runs on the
-matrix's rows as Python lists (``m.tolist()``) and reads the tables
-through flat memoryviews, which copy nothing: a ``(q, q)`` table is
-read at ``a * q + b``.
+Both entry points take a matrix of element indices and the field's
+dense ``add``, ``mul``, ``inv`` and ``neg`` tables, so one code path
+serves every field gcnet accepts.  The elimination runs on the matrix's
+rows as Python lists (``m.tolist()``), so the matrix is never written,
+and reads the tables through flat memoryviews, which copy nothing: a
+``(q, q)`` table is read at ``a * q + b``.  The rref entry point
+returns the reduced rows and their pivot columns.
 
 Row operations touch only the columns from the pivot column on: every
 row's entries to the left of it are already settled.  Callers go
 through the module attributes (``backend.rank_destructive``), which
-keeps the kernel replaceable for tracing.
+keeps the kernel replaceable for tracing; perfbench's tracer wraps them
+by name, the one reason both keep an earlier in-place kernel's names.
 
 NumPy's vectorised row operations only catch up between 12 x 12 and
 24 x 24 (README, "Elimination kernel"); gcnet's matrices stay below
@@ -71,18 +73,12 @@ def rank_destructive(m, add, mul, inv, neg) -> int:
     return len(_eliminate(m.tolist(), add, mul, inv, neg, False))
 
 
-def rref_destructive(m, pivots, add, mul, inv, neg) -> int:
-    """Reduce ``m`` in place to reduced row echelon form.
-
-    Fills ``pivots`` (int16, length >= min(rows, cols)) with the pivot
-    column of each nonzero row and returns the number of pivots.
-    """
+def rref_destructive(m, add, mul, inv, neg) -> tuple[list, list[int]]:
+    """Reduced row echelon form of ``m`` as ``(rows, pivots)``: lists of
+    element indices, zero rows last, and each nonzero row's pivot column.
+    ``m`` is not written; the name is kept for the tracer's lookup."""
     rows = m.tolist()
-    cols = _eliminate(rows, add, mul, inv, neg, True)
-    if cols:  # without a pivot nothing changed
-        m[...] = rows
-        pivots[: len(cols)] = cols
-    return len(cols)
+    return rows, _eliminate(rows, add, mul, inv, neg, True)
 
 
 def backend_name() -> str:

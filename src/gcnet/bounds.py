@@ -103,12 +103,13 @@ def _evaluable(h: int, ell: int, eps: int, alpha: int = 2, q: int = 2, t: int = 
 
 def _finite(compute) -> Optional[float]:
     """The real value ``compute()`` returns, or None when it leaves the
-    double range (an ``OverflowError`` or an infinite result)."""
+    double range: an ``OverflowError``, also the one ``isfinite`` raises
+    on an int of 2**1024 or more, or an infinite result."""
     try:
         val = compute()
+        return val if isfinite(val) else None
     except OverflowError:
         return None
-    return val if isfinite(val) else None
 
 
 def _beta_or_none(alpha: int, gamma: float) -> Optional[float]:

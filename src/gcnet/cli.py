@@ -49,6 +49,7 @@ from .bounds import (
     middle_ub_relaxed,
 )
 from .combnet import (
+    ALPHABET_CAP,
     NetworkParams,
     classify,
     compute_qs,
@@ -464,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("qs", help="smallest scalar field size solving the network")
     _add_network_flags(sp)
-    sp.add_argument("--q-cap", type=int, default=64, help="largest field size to try")
+    sp.add_argument("--q-cap", type=int, default=ALPHABET_CAP, help="largest field size to try")
     sp.add_argument("--node-limit", type=_count, default=NODE_LIMIT)
     sp.set_defaults(func=_cmd_qs)
 
     sp = sub.add_parser("qv", help="smallest vector space size q^t solving the network")
     _add_network_flags(sp)
-    sp.add_argument("--qt-cap", type=int, default=64, help="largest q^t to try")
+    sp.add_argument("--qt-cap", type=int, default=ALPHABET_CAP, help="largest q^t to try")
     sp.add_argument("--node-limit", type=_count, default=NODE_LIMIT)
     sp.set_defaults(func=_cmd_qv)
 

@@ -271,6 +271,9 @@ def random_solution_search(
 # Smallest-alphabet searches.
 # ---------------------------------------------------------------------------
 
+#: Default largest q (scalar) and q^t (vector) the alphabet searches try.
+ALPHABET_CAP = 64
+
 
 def _smallest_alphabet(params: NetworkParams, candidates: Iterable[tuple[int, int, int]],
                        node_limit: int) -> tuple[Optional[int], bool]:
@@ -312,7 +315,7 @@ def _smallest_alphabet(params: NetworkParams, candidates: Iterable[tuple[int, in
 
 def compute_qs(
     params: NetworkParams,
-    q_cap: int = 64,
+    q_cap: int = ALPHABET_CAP,
     node_limit: int = NODE_LIMIT,
 ) -> tuple[Optional[int], bool]:
     """Smallest field size admitting a scalar (t = 1) solution.
@@ -330,7 +333,7 @@ def compute_qs(
 
 def compute_qv(
     params: NetworkParams,
-    qt_cap: int = 64,
+    qt_cap: int = ALPHABET_CAP,
     node_limit: int = NODE_LIMIT,
 ) -> tuple[Optional[int], bool]:
     """Smallest vector-space size q^t admitting a (q, t)-linear solution.
@@ -373,8 +376,8 @@ class GapEstimate:
 
 def estimate_gap(
     params: NetworkParams,
-    q_cap: int = 64,
-    qt_cap: int = 64,
+    q_cap: int = ALPHABET_CAP,
+    qt_cap: int = ALPHABET_CAP,
     node_limit: int = NODE_LIMIT,
 ) -> GapEstimate:
     """Compute qs and qv by brute force and report the achieved gap."""

@@ -99,15 +99,12 @@ def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> list[SubspaceQ]:
         free_cells = [
             (i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set
         ]
-        template = np.zeros((k, n), dtype=np.int16)
-        for i, p in enumerate(pivots):
-            template[i, p] = 1
+        template = [[int(j == p) for j in range(n)] for p in pivots]
         for assignment in product(range(q), repeat=len(free_cells)):
-            m = template.copy()
+            m = [row[:] for row in template]
             for (i, j), v in zip(free_cells, assignment):
-                m[i, j] = v
-            basis = tuple(tuple(int(x) for x in row) for row in m)
-            out.append(SubspaceQ._from_canonical(field, n, basis))
+                m[i][j] = v
+            out.append(SubspaceQ._from_canonical(field, n, tuple(map(tuple, m))))
     assert len(out) == total
     return out
 

@@ -3,7 +3,9 @@
 Matrices store int16 element indices in a NumPy array plus a reference
 to their field.  Products index the field's dense operation tables, and
 rank and reduced row echelon form run the table-driven elimination
-kernel in :mod:`gcnet.backend`, for every field order alike.
+kernel in :mod:`gcnet.backend`, for every field order alike.  The
+reduced form comes back as the kernel's Python row lists and pivot
+columns; neither call modifies the array it is given.
 
 Subspaces of GF(q)^n are kept in a canonical form: the unique reduced
 row echelon basis with zero rows dropped.  Equality, hashing and the
@@ -22,12 +24,13 @@ from .ffield import FieldSpec
 
 
 def _as_element_array(field: FieldSpec, data) -> np.ndarray:
-    arr = np.array(data, dtype=np.int16, copy=True)
-    if arr.ndim != 2:
-        raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-        raise ValueError(f"matrix entries out of range for GF({field.q})")
-    return arr
+    # checked before the int16 cast, which would wrap big ints and truncate floats
+    src = np.asarray(data)
+    if src.ndim != 2:
+        raise ValueError(f"matrix data must be 2-dimensional, got shape {src.shape}")
+    if src.size and (src.dtype.kind not in "iu" or src.min() < 0 or src.max() >= field.q):
+        raise ValueError(f"matrix entries must be integers in range for GF({field.q})")
+    return src.astype(np.int16)
 
 
 class MatrixQ:
@@ -85,8 +88,9 @@ class MatrixQ:
         return rank_of_array(self.data, self.field)
 
     def rref(self) -> tuple["MatrixQ", tuple[int, ...]]:
-        arr, pivots = rref_of_array(self.data, self.field)
-        return MatrixQ(self.field, arr), pivots
+        rows, pivots = rref_of_array(self.data, self.field)
+        red = np.array(rows, dtype=np.int16).reshape(self.data.shape)
+        return MatrixQ(self.field, red), pivots
 
 
 def matmul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
@@ -121,24 +125,20 @@ def stack_matrices(mats: Sequence[MatrixQ]) -> MatrixQ:
 
 
 def rank_of_array(arr: np.ndarray, field: FieldSpec) -> int:
-    """Rank of an int16 index array over ``field``; the array is not modified."""
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        return 0
+    """Rank of an index array over ``field``; the array is not modified."""
     return backend.rank_destructive(
         arr, field.add_table, field.mul_table, field.inv_table, field.neg_table
     )
 
 
-def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form of ``arr`` and its pivot columns."""
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        return np.array(arr, dtype=np.int16, copy=True), ()
-    work = np.ascontiguousarray(arr, dtype=np.int16).copy()
-    pivots = np.zeros(min(work.shape), dtype=np.int16)
-    npiv = backend.rref_destructive(
-        work, pivots, field.add_table, field.mul_table, field.inv_table, field.neg_table
+def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form of ``arr`` as ``(rows, pivots)``: one list
+    of element indices per row of ``arr``, zero rows last, and the pivot
+    column of each nonzero row.  The array is not modified."""
+    rows, pivots = backend.rref_destructive(
+        arr, field.add_table, field.mul_table, field.inv_table, field.neg_table
     )
-    return work, tuple(int(c) for c in pivots[:npiv])
+    return rows, tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +159,15 @@ class SubspaceQ:
     def __init__(self, field: FieldSpec, ambient: int, rows):
         if ambient < 0:
             raise ValueError("ambient dimension must be >= 0")
-        arr = np.array(list(rows), dtype=np.int16)
+        arr = np.array(list(rows))
         if arr.size == 0:
             arr = np.zeros((0, ambient), dtype=np.int16)
         if arr.ndim != 2 or arr.shape[1] != ambient:
             raise ValueError(f"generating rows must have length {ambient}")
-        arr = _as_element_array(field, arr)
-        red, pivots = rref_of_array(arr, field)
+        red, pivots = rref_of_array(_as_element_array(field, arr), field)
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(int(v) for v in red[i]) for i in range(len(pivots)))
+        self.basis = tuple(map(tuple, red[: len(pivots)]))
 
     @classmethod
     def from_matrix(cls, m: MatrixQ) -> "SubspaceQ":
@@ -250,8 +249,8 @@ def null_space(m: MatrixQ) -> MatrixQ:
     rows = np.zeros((len(free), m.cols), dtype=np.int16)
     for r, fc in enumerate(free):
         rows[r, fc] = 1
-        for i, pc in enumerate(pivots):
-            rows[r, pc] = f.neg(int(red[i, fc]))
+        for row, pc in zip(red, pivots):
+            rows[r, pc] = f.neg(row[fc])
     return MatrixQ(f, rows)
 
 
@@ -330,7 +329,6 @@ def solve_exact(m: MatrixQ, y: MatrixQ) -> MatrixQ:
         raise ValueError("inconsistent linear system")
     if len(pivots) < m.cols:
         raise ValueError("underdetermined linear system")
-    out = np.zeros((m.cols, y.cols), dtype=np.int16)
-    for i, p in enumerate(pivots):
-        out[p] = red[i, m.cols :]
-    return MatrixQ(m.field, out)
+    # both checks passed, so the pivots are 0..cols-1 and row i reads off x_i
+    out = np.array([row[m.cols :] for row in red[: m.cols]], dtype=np.int16)
+    return MatrixQ(m.field, out.reshape(m.cols, y.cols))

@@ -111,10 +111,10 @@ def lift(a: MatrixQ) -> SubspaceQ:
     injective: distinct matrices give distinct subspaces.
     """
     k = a.rows
-    basis = np.hstack([np.eye(k, dtype=np.int16), a.data])
-    return SubspaceQ._from_canonical(
-        a.field, k + a.cols, tuple(tuple(int(v) for v in row) for row in basis)
+    basis = tuple(
+        (0,) * i + (1,) + (0,) * (k - 1 - i) + tuple(row) for i, row in enumerate(a.data.tolist())
     )
+    return SubspaceQ._from_canonical(a.field, k + a.cols, basis)
 
 
 @dataclass(frozen=True)

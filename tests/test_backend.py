@@ -93,11 +93,36 @@ def test_rank_matches_reference(q):
 def test_rref_matches_reference(q):
     f = field_from_size(q)
     for m, want, want_pivots in cases(q):
-        got = m.copy()
-        pivots = np.zeros(min(m.shape), dtype=np.int16)
-        npiv = backend.rref_destructive(got, pivots, *tables(f))
-        assert tuple(int(c) for c in pivots[:npiv]) == want_pivots
-        assert np.array_equal(got, want)
+        before = m.copy()
+        # m is read-only: a write into it would raise
+        rows, pivots = backend.rref_destructive(m, *tables(f))
+        assert pivots == list(want_pivots)
+        assert rows == want.tolist()
+        assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_rref_of_empty_matrices(shape):
+    f = field_from_size(4)
+    m = np.zeros(shape, dtype=np.int16)
+    assert linalg.rank_of_array(m, f) == 0
+    rows, pivots = linalg.rref_of_array(m, f)
+    assert rows == m.tolist() and pivots == ()
+    red, pivots = linalg.MatrixQ(f, m).rref()
+    assert red.data.shape == shape and pivots == ()
+
+
+def test_rref_of_a_negative_stride_view():
+    f = field_from_size(4)
+    m = np.array([[1, 2, 0, 3], [0, 1, 1, 2], [2, 3, 0, 1]], dtype=np.int16)
+    m.setflags(write=False)
+    view = m[::-1, ::-1]
+    want, want_pivots = reference_rref(view, f)
+    rows, pivots = linalg.rref_of_array(view, f)
+    assert rows == want.tolist() and pivots == want_pivots
+    assert type(pivots) is tuple
+    red, pivots = linalg.MatrixQ(f, view).rref()
+    assert np.array_equal(red.data, want) and pivots == want_pivots
 
 
 def test_backend_name_is_reported():

@@ -399,6 +399,14 @@ def test_middle_ub_relaxed_decides_overflow_before_the_power():
         assert rep.value is None and "finite" in rep.failed_assumptions()
 
 
+def test_middle_ub_relaxed_at_an_int_beyond_the_double_range():
+    # an int gamma keeps the value an exact int, 2**1024 here, which
+    # isfinite cannot convert
+    rep = middle_ub_relaxed(2048, 1024, 0, 2, 2, 1, gamma=1)
+    assert rep.value is None and not rep.valid
+    assert rep.failed_assumptions() == ["finite"]
+
+
 def _float_value_is_finite(rep: BoundReport) -> bool:
     return isinstance(rep.value, (int, Fraction)) or math.isfinite(rep.value)
 

@@ -50,6 +50,20 @@ def test_matrix_construction_and_validation():
     assert m.data.flags.writeable is False
 
 
+@pytest.mark.parametrize(
+    "data", [[[65537, 0]], [[70000, 0]], [[1.9, 0.2]], [[-1, 0]], [[2, 0]]],
+    ids=["wraps-to-1", "int16-overflow", "float", "negative", "above-q"],
+)
+def test_matrix_and_subspace_reject_entries_outside_the_field(data):
+    # checked on the values given, before the int16 cast could alter them
+    with pytest.raises(ValueError):
+        MatrixQ(F2, data)
+    with pytest.raises(ValueError):
+        SubspaceQ(F2, 2, data)
+    with pytest.raises(ValueError):
+        MatrixQ(F2, np.array(data))
+
+
 def test_matmul_against_scalar_definition():
     rng = np.random.default_rng(11)
     for f in (F2, F3, F4):

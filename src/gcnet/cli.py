@@ -204,7 +204,7 @@ def _cmd_classify(args, parser) -> int:
     params = _resolve_params(args, parser)
     cls = classify(params)
     print(f"{cls.name} h={params.h} r={params.r} alpha={params.alpha} "
-          f"ell={params.ell} eps={params.epsilon} receivers={params.n_receivers}")
+          f"ell={params.ell} eps={params.epsilon} receivers={_fmt(params.n_receivers)}")
     return 0
 
 
@@ -386,7 +386,7 @@ def _cmd_oracle(args, parser) -> int:
     kind = "exact" if result.exact else "lower bound"
     print(f"B = {result.size} ({kind}), nodes={result.nodes}")
     if args.out is not None:
-        if result.code is None:
+        if result.size < args.alpha:
             print(f"no code of size >= alpha found; nothing written to {args.out}")
         else:
             _write_output(render_code(result.code, header=_header_lines(args)), args.out)
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="seeded random search for a verifying solution")
     _add_network_flags(sp)
     sp.add_argument("--q", type=int, required=True, help="field size")
-    sp.add_argument("--t", type=int, default=1, help="message length (default 1)")
+    sp.add_argument("--t", type=_count, default=1, help="message length (default 1)")
     sp.add_argument("--trials", type=_count, default=1000, help="draws to attempt")
     sp.add_argument("--seed", type=int, required=True, help="base seed")
     sp.add_argument("-o", "--out", help="write the found solution here")
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--node-limit", type=_count, default=NODE_LIMIT)
-    sp.add_argument("--target-size", type=int, default=None,
+    sp.add_argument("--target-size", type=_count, default=None,
                     help="stop early once a code of this size is found")
     sp.add_argument("-o", "--out", help="write the best code found")
     sp.set_defaults(func=_cmd_oracle)

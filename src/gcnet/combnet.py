@@ -116,9 +116,24 @@ class LinearSolution:
                 )
 
     @cached_property
-    def direct_links(self) -> list[MatrixQ]:
-        """``derive_direct_link_matrices(self)``, derived once per solution."""
-        return derive_direct_link_matrices(self)
+    def receiver_matrices(self) -> list[MatrixQ]:
+        """Each receiver's decoding system, built once per solution in
+        ``receivers()`` order: its coding matrices over its direct links."""
+        blocks = zip(self.params.receivers(), derive_direct_link_matrices(self))
+        return [stack_matrices([self.matrices[i] for i in s] + [b]) for s, b in blocks]
+
+
+def _need(sol: LinearSolution) -> int:
+    """The rank ``(h - epsilon) * t`` each receiver needs; ValueError if UNSOLVABLE."""
+    p = sol.params
+    if classify(p) is SolvabilityClass.UNSOLVABLE:
+        raise ValueError("network is unsolvable; verification is meaningless")
+    return max(0, (p.h - p.epsilon) * sol.t)
+
+
+def _stacked(sol: LinearSolution, subset: tuple[int, ...]) -> np.ndarray:
+    """The receiver's middle-node coding matrices stacked, as int16."""
+    return np.vstack([sol.matrices[i].data for i in subset])
 
 
 def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -129,14 +144,9 @@ def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]
     with the lexicographically first violating subset (0-based middle
     node indices).  Raises ValueError on UNSOLVABLE parameters.
     """
-    p = sol.params
-    if classify(p) is SolvabilityClass.UNSOLVABLE:
-        raise ValueError("network is unsolvable; verification is meaningless")
-    need = max(0, (p.h - p.epsilon) * sol.t)
-    data = [a.data for a in sol.matrices]
-    for subset in combinations(range(p.r), p.alpha):
-        stacked = np.vstack([data[i] for i in subset])
-        if rank_of_array(stacked, sol.field) < need:
+    need = _need(sol)
+    for subset in sol.params.receivers():
+        if rank_of_array(_stacked(sol, subset), sol.field) < need:
             return False, subset
     return True, None
 
@@ -190,25 +200,21 @@ def derive_direct_link_matrices(sol: LinearSolution) -> list[MatrixQ]:
     spanned, so it takes ``e_j`` iff ``e_j`` is outside ``V + span(e_0,
     ..., e_{j-1})``, iff no vector of ``V`` ends at ``j``.  Reversed,
     those ends are the pivots ``c`` of ``rref(stacked[:, ::-1])``, so
-    the skipped ``j`` are ``h*t - 1 - c``.  More than ``epsilon*t``
-    picks means rank below ``(h - epsilon) * t``: ValueError then names
+    the skipped ``j`` are ``h*t - 1 - c``.  Rank below ``(h - epsilon)
+    * t``, i.e. more than ``epsilon*t`` picks, raises ValueError naming
     the first such receiver, the witness ``verify_solution`` reports.
     UNSOLVABLE parameters raise ValueError too.
     """
     p = sol.params
-    if classify(p) is SolvabilityClass.UNSOLVABLE:
-        raise ValueError("network is unsolvable; verification is meaningless")
+    need = _need(sol)
     ht = p.h * sol.t
-    width = p.epsilon * sol.t
     out = []
-    for subset in combinations(range(p.r), p.alpha):
-        stacked = np.vstack([sol.matrices[i].data for i in subset])
-        _, pivots = rref_of_array(stacked[:, ::-1], sol.field)
-        trailing = {ht - 1 - c for c in pivots}
-        picked = [j for j in range(ht) if j not in trailing]
-        if len(picked) > width:
+    for subset in p.receivers():
+        _, pivots = rref_of_array(_stacked(sol, subset)[:, ::-1], sol.field)
+        if len(pivots) < need:
             raise ValueError(f"solution is invalid (witness subset {subset})")
-        b = np.zeros((width, ht), dtype=np.int16)
+        picked = sorted(set(range(ht)).difference(ht - 1 - c for c in pivots))
+        b = np.zeros((p.epsilon * sol.t, ht), dtype=np.int16)
         for row, j in enumerate(picked):
             b[row, j] = 1
         out.append(MatrixQ(sol.field, b))
@@ -229,15 +235,8 @@ def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:
     if messages.field != sol.field:
         raise ValueError("messages are over the wrong field")
     x = MatrixQ(sol.field, messages.data.reshape(p.h * sol.t, 1))
-    direct = sol.direct_links
-    decoded = []
-    for recv_index, subset in enumerate(combinations(range(p.r), p.alpha)):
-        blocks = [sol.matrices[i] for i in subset] + [direct[recv_index]]
-        m = stack_matrices(blocks)
-        y = m @ x
-        z = solve_exact(m, y)
-        decoded.append(MatrixQ(sol.field, z.data.reshape(p.h, sol.t)))
-    return decoded
+    return [MatrixQ(sol.field, solve_exact(m, m @ x).data.reshape(p.h, sol.t))
+            for m in sol.receiver_matrices]
 
 
 def random_solution_search(

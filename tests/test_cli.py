@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gcnet import cli, combnet
@@ -47,6 +48,20 @@ def test_params_file_with_non_integers_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: parameter h must be an integer, got 3.9\n"
+
+
+def test_classify_counts_receivers_beyond_the_str_limit(capsys):
+    code, out, err = run(capsys, "classify", "--h", "3", "--r", "100000", "--alpha", "50000",
+                         "--ell", "1", "--eps", "1")
+    assert (code, err) == (0, "")
+    count = out.rstrip("\n").rpartition("receivers=")[2]
+    assert count.isdigit() and len(count) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert count == str(NetworkParams(h=3, r=100000, alpha=50000, ell=1, epsilon=1).n_receivers)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_classify_missing_flags_is_usage_error(capsys):
@@ -166,6 +181,19 @@ def test_negative_node_limit_is_usage_error(capsys, argv):
     assert "--node-limit: must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--n", "2", "--k", "1", "--delta", "1", "--alpha", "2", "--q", "2"],
+     "--target-size"),
+    (["search", "--h", "3", "--r", "3", "--alpha", "2", "--ell", "1", "--eps", "1", "--q", "2",
+      "--seed", "1"], "--t"),
+], ids=["oracle-target-size", "search-t"])
+def test_negative_sizes_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert f"{flag}: must be >= 0, got -1" in err
+
+
 def test_simulate_derives_the_direct_links_once(tmp_path, capsys, monkeypatch):
     f2 = field_from_size(2)
     p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
@@ -186,6 +214,30 @@ def test_simulate_derives_the_direct_links_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == "OK: 5 random messages decoded at all 3 receivers (seed 3)\n"
     assert len(calls) == 1
+
+
+def test_simulate_stacks_no_system_per_round(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sol.txt"
+    assert main(["search", "--h", "4", "--r", "4", "--alpha", "3", "--ell", "1", "--eps", "1",
+                 "--q", "4", "--t", "2", "--seed", "0", "-o", str(path)]) == 0
+    capsys.readouterr()
+    calls = []
+    vstack = np.vstack
+
+    def counted(arrays, *args, **kwargs):
+        calls.append(len(arrays))
+        return vstack(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "vstack", counted)
+    counts = []
+    for rounds in ("1", "5"):
+        calls.clear()
+        code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "2",
+                           "--count", rounds)
+        assert code == 0
+        assert out == f"OK: {rounds} random messages decoded at all 4 receivers (seed 2)\n"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_search_find_verify_simulate(tmp_path, capsys):
@@ -369,12 +421,25 @@ def test_bounds_requires_some_inputs(capsys):
     code, _, err = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
                        "--alpha", "2")
     assert code == 2
+    code, out, err = run(capsys, "bounds", "--ell", "1", "--eps", "1", "--alpha", "2",
+                         "--q", "2", "--t", "1")
+    assert (code, out) == (2, "")
+    assert "error: missing --h" in err
 
 
 def test_bounds_bad_sweep_variable(capsys):
     code, _, err = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
                        "--alpha", "2", "--t", "1", "--sweep", "zeta=1:3")
     assert code == 2
+    for sweep, message in [
+        ("q", "--sweep expects VAR=RANGE"),
+        ("q=1:2:3:4", "bad range '1:2:3:4': expected start:stop[:step]"),
+        ("q=2:5:0", "range step must be positive"),
+    ]:
+        code, out, err = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
+                             "--alpha", "2", "--t", "1", "--sweep", sweep)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_gap_single_row(capsys):
@@ -402,6 +467,9 @@ def test_gap_requires_exactly_one_r_spec(capsys):
     code, _, _ = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1",
                      "--alpha", "2", "--r", "8", "--r-range", "2:4")
     assert code == 2
+    code, out, err = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1",
+                         "--alpha", "2", "--r-range", ",")
+    assert (code, out, err) == (2, "", "error: bad range ',': no values\n")
 
 
 def test_oracle_exact_value(capsys):
@@ -409,6 +477,17 @@ def test_oracle_exact_value(capsys):
                        "--alpha", "2", "--q", "2")
     assert code == 0
     assert out.startswith("B = 3 (exact)")
+
+
+def test_oracle_writes_only_codes_that_verify_accepts(tmp_path, capsys):
+    # G_2(5,1) holds no two points spanning 1 + 3 dimensions: the best code has one codeword
+    out_file = tmp_path / "best.txt"
+    code, out, _ = run(capsys, "oracle", "--n", "5", "--k", "1", "--delta", "3",
+                       "--alpha", "2", "--q", "2", "-o", str(out_file))
+    assert code == 0
+    assert out == ("B = 1 (exact), nodes=1\n"
+                   f"no code of size >= alpha found; nothing written to {out_file}\n")
+    assert not out_file.exists()
 
 
 def test_oracle_writes_code(tmp_path, capsys):

@@ -130,6 +130,17 @@ def test_direct_link_matrices_complete_decoding():
         assert stacked.rank() == p.h * 1  # decodable: full column rank
 
 
+def test_receiver_matrices_stack_each_receiver_over_its_direct_links():
+    code = covering_code_from_mrd(3, 1, 1, 2, 2)
+    p = NetworkParams(h=3, r=4, alpha=2, ell=1, epsilon=1)
+    sol = solution_from_code(code, p, 1)
+    systems = sol.receiver_matrices
+    assert sol.receiver_matrices is systems  # built once per solution
+    want = [stack_matrices([sol.matrices[i] for i in recv] + [b])
+            for recv, b in zip(p.receivers(), derive_direct_link_matrices(sol))]
+    assert systems == want
+
+
 def reference_direct_links(sol):
     """Greedy unit-vector scan: take e_j whenever it raises the rank."""
     p = sol.params

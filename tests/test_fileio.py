@@ -81,6 +81,17 @@ def test_code_truncated_block():
         parse_code("3 1 1 2 2 2\n1 0 0\n")
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("3 1 1 2 2 1\n1 0 0\n0 1 0\n", 3, "trailing content after code"),
+    ("3 1 1 2 2 1\n1 0 2\n", 2, "entries out of range for GF(2)"),
+])
+def test_code_errors_carry_line_numbers(text, line, message):
+    with pytest.raises(FileFormatError) as err:
+        parse_code(text)
+    assert err.value.line == line
+    assert str(err.value) == f"{message} (line {line})"
+
+
 def test_code_negative_count_points_at_header():
     with pytest.raises(FileFormatError) as err:
         parse_code("# comment\n2 1 1 2 2 -1\n")
@@ -110,6 +121,17 @@ def test_solution_bad_params_line():
     with pytest.raises(FileFormatError) as err:
         parse_solution("2 1 2 1 0 2 1\n1 2 2\n1 0\n")
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("2 2 2 1 0 2 1\n1 2 2\n1 0\n1 2 2\n0 1\n0 1\n", 6, "trailing content after solution"),
+    ("2 2 2 1 0 2 1\n1 2 2\n1 0\n-1 2 2\n", 4, "matrix shape must be non-negative"),
+])
+def test_solution_errors_carry_line_numbers(text, line, message):
+    with pytest.raises(FileFormatError) as err:
+        parse_solution(text)
+    assert err.value.line == line
+    assert str(err.value) == f"{message} (line {line})"
 
 
 def test_params_round_trip():

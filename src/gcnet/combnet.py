@@ -33,10 +33,11 @@ from .grasscode import NODE_LIMIT, CoveringCode, SearchResult, max_covering_code
 from .linalg import (
     MatrixQ,
     SubspaceQ,
+    left_inverse,
+    product_of_arrays,
     random_matrix,
     rank_of_array,
     rref_of_array,
-    solve_exact,
     stack_matrices,
 )
 
@@ -116,11 +117,18 @@ class LinearSolution:
                 )
 
     @cached_property
-    def receiver_matrices(self) -> list[MatrixQ]:
-        """Each receiver's decoding system, built once per solution in
-        ``receivers()`` order: its coding matrices over its direct links."""
+    def decoder_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each receiver's decoding system, its coding matrices over its
+        direct links, and that system's left inverse, built once per
+        solution: int16 stacks of shapes ``(R, w, h*t)`` and ``(R, h*t, w)``
+        in ``receivers()`` order, with ``w = (alpha*ell + epsilon) * t``."""
         blocks = zip(self.params.receivers(), derive_direct_link_matrices(self))
-        return [stack_matrices([self.matrices[i] for i in s] + [b]) for s, b in blocks]
+        systems = [stack_matrices([self.matrices[i] for i in s] + [b]) for s, b in blocks]
+        plan = (np.stack([m.data for m in systems]),
+                np.stack([left_inverse(m).data for m in systems]))
+        for arr in plan:
+            arr.setflags(write=False)
+        return plan
 
 
 def _need(sol: LinearSolution) -> int:
@@ -224,19 +232,23 @@ def derive_direct_link_matrices(sol: LinearSolution) -> list[MatrixQ]:
 def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:
     """Encode, transmit and decode at every receiver.
 
-    ``messages`` is an ``(h, t)`` matrix (row i = message i).  Returns
-    the per-receiver decoded message matrices; each must equal the
-    input when the solution verifies.  Raises ValueError on a singular
-    receiver system, which signals an invalid solution.
+    ``messages`` is an ``(h, t)`` matrix (row i = message i).  A round is
+    two products over all receivers at once: each receiver's system times
+    the message, then its left inverse times what it received.  Returns
+    the per-receiver decoded message matrices in ``receivers()`` order;
+    each must equal the input when the solution verifies.  Raises
+    ValueError, naming the first receiver that cannot decode, when the
+    solution is invalid.
     """
     p = sol.params
     if (messages.rows, messages.cols) != (p.h, sol.t):
         raise ValueError(f"messages must be {p.h}x{sol.t}")
     if messages.field != sol.field:
         raise ValueError("messages are over the wrong field")
-    x = MatrixQ(sol.field, messages.data.reshape(p.h * sol.t, 1))
-    return [MatrixQ(sol.field, solve_exact(m, m @ x).data.reshape(p.h, sol.t))
-            for m in sol.receiver_matrices]
+    systems, decoders = sol.decoder_plan
+    received = product_of_arrays(systems, messages.data.reshape(p.h * sol.t, 1), sol.field)
+    decoded = product_of_arrays(decoders, received, sol.field)
+    return [MatrixQ(sol.field, d.reshape(p.h, sol.t)) for d in decoded]
 
 
 def random_solution_search(

@@ -115,8 +115,11 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     Scans every size-``alpha`` sub-multiset, with each codeword read as its
     first equal codeword in ``_Spans``.  On failure returns the witness with
     the smallest achieved dimension, ties going to the lexicographically
-    first index tuple.  Raises ValueError when the code has fewer than
-    ``alpha`` codewords or when ``delta + k`` exceeds the ambient dimension.
+    first index tuple.  When all codewords have one dimension d with
+    d + 1 >= delta + k, only ``alpha`` copies of one codeword can fail, so
+    the groups of equal codewords decide in O(size) with no scan.  Raises
+    ValueError when the code has fewer than ``alpha`` codewords or when
+    ``delta + k`` exceeds the ambient dimension.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
@@ -125,6 +128,18 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
     first: dict[SubspaceQ, int] = {}
     rep = [first.setdefault(c, i) for i, c in enumerate(code.codewords)]
+    dims = {c.dim for c in code.codewords}
+    d = min(dims)
+    if len(dims) == 1 and d + 1 >= need:
+        # distinct codewords of one dimension d span at least d + 1 >= need,
+        # so only alpha copies of one codeword can fall short, spanning d
+        copies: dict[int, list[int]] = {}
+        for i, r in enumerate(rep):
+            copies.setdefault(r, []).append(i)
+        sels = [tuple(g[: code.alpha]) for g in copies.values() if len(g) >= code.alpha]
+        if d >= need or not sels:
+            return True, None
+        return False, CoverWitness(indices=min(sels), achieved_dim=d, required_dim=need)
     spans = _Spans(code.codewords, code.field, need)
     worst: Optional[CoverWitness] = None
     for sel in combinations(range(code.size), code.alpha):

@@ -99,12 +99,21 @@ def matmul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
         raise ValueError("matrix product requires matching fields")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    f = a.field
-    out = np.zeros((a.rows, b.cols), dtype=np.int16)
-    for k in range(a.cols):
-        prod = f.mul_table[a.data[:, k][:, None], b.data[k, :][None, :]]
-        out = f.add_table[out, prod]
-    return MatrixQ(f, out)
+    return MatrixQ(a.field, product_of_arrays(a.data, b.data, a.field))
+
+
+def product_of_arrays(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Product ``(..., m, k) @ (..., k, n)`` of index arrays over ``field``,
+    leading axes broadcast as in ``np.matmul``: a fold over ``k`` through
+    the field's ``mul`` and ``add`` tables, so every field order alike."""
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.int16)
+    for k in range(a.shape[-1]):
+        prod = field.mul_table[a[..., :, k, None], b[..., None, k, :]]
+        out = field.add_table[out, prod]
+    return out
 
 
 def stack_matrices(mats: Sequence[MatrixQ]) -> MatrixQ:
@@ -311,8 +320,23 @@ def count_rank_matrices(m: int, n: int, s: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving (used by the receiver simulation).
+# Left inverses and exact solving (the receivers' decoders).
 # ---------------------------------------------------------------------------
+
+
+def left_inverse(m: MatrixQ) -> MatrixQ:
+    """The ``cols x rows`` matrix ``D`` with ``D @ m = I``, from one
+    reduction of ``[m | I]``.
+
+    Raises ValueError if ``m`` has rank below its column count.
+    """
+    aug = np.hstack([m.data, np.eye(m.rows, dtype=np.int16)])
+    red, pivots = rref_of_array(aug, m.field)
+    if pivots[: m.cols] != tuple(range(m.cols)):
+        raise ValueError("matrix has rank below its column count; no left inverse")
+    # each reduced row is E @ [m | I] = [E m | E], and row i < cols has E m = e_i
+    out = np.array([row[m.cols :] for row in red[: m.cols]], dtype=np.int16)
+    return MatrixQ(m.field, out.reshape(m.cols, m.rows))
 
 
 def solve_exact(m: MatrixQ, y: MatrixQ) -> MatrixQ:
@@ -323,12 +347,7 @@ def solve_exact(m: MatrixQ, y: MatrixQ) -> MatrixQ:
     """
     if m.field != y.field or m.rows != y.rows:
         raise ValueError("coefficient matrix and right-hand side do not conform")
-    aug = np.hstack([m.data, y.data])
-    red, pivots = rref_of_array(aug, m.field)
-    if any(p >= m.cols for p in pivots):
+    x = left_inverse(m) @ y
+    if m @ x != y:
         raise ValueError("inconsistent linear system")
-    if len(pivots) < m.cols:
-        raise ValueError("underdetermined linear system")
-    # both checks passed, so the pivots are 0..cols-1 and row i reads off x_i
-    out = np.array([row[m.cols :] for row in red[: m.cols]], dtype=np.int16)
-    return MatrixQ(m.field, out.reshape(m.cols, y.cols))
+    return x

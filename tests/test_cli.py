@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import inspect
+import itertools
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from gcnet import cli, combnet
+from gcnet import backend, cli, combnet
 from gcnet.bounds import gamma_exact, middle_ub_exact, middle_ub_relaxed
 from gcnet.cli import build_parser, main
 from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
@@ -229,6 +230,30 @@ def test_simulate_stacks_no_system_per_round(tmp_path, capsys, monkeypatch):
         return vstack(arrays, *args, **kwargs)
 
     monkeypatch.setattr(np, "vstack", counted)
+    counts = []
+    for rounds in ("1", "5"):
+        calls.clear()
+        code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "2",
+                           "--count", rounds)
+        assert code == 0
+        assert out == f"OK: {rounds} random messages decoded at all 4 receivers (seed 2)\n"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_simulate_reduces_each_receiver_once_per_solution(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sol.txt"
+    assert main(["search", "--h", "4", "--r", "4", "--alpha", "3", "--ell", "1", "--eps", "1",
+                 "--q", "4", "--t", "2", "--seed", "0", "-o", str(path)]) == 0
+    capsys.readouterr()
+    calls = []
+    rref = backend.rref_destructive
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(backend, "rref_destructive", counted)
     counts = []
     for rounds in ("1", "5"):
         calls.clear()
@@ -502,6 +527,21 @@ def test_oracle_writes_code(tmp_path, capsys):
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_verify_code_of_distinct_codewords_scans_no_pairs(tmp_path):
+    # the planes rowspace [I | A] over all 2x2 matrices A over GF(16): 65 536
+    # distinct planes of GF(16)^4, so any two span at least 3 dimensions;
+    # the 2.1e9 pairs are never visited
+    lines = ["4 2 1 2 16 65536"]
+    for a, b, c, d in itertools.product(range(16), repeat=4):
+        lines += [f"1 0 {a} {b}", f"0 1 {c} {d}"]
+    path = tmp_path / "planes.code"
+    path.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "gcnet", "verify", "--code", str(path)],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "OK: every 2 of 65536 codewords span >= 3\n"
 
 
 def test_module_entry_point():

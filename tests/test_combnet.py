@@ -134,11 +134,15 @@ def test_receiver_matrices_stack_each_receiver_over_its_direct_links():
     code = covering_code_from_mrd(3, 1, 1, 2, 2)
     p = NetworkParams(h=3, r=4, alpha=2, ell=1, epsilon=1)
     sol = solution_from_code(code, p, 1)
-    systems = sol.receiver_matrices
-    assert sol.receiver_matrices is systems  # built once per solution
+    plan = sol.decoder_plan
+    assert sol.decoder_plan is plan  # built once per solution
+    systems, decoders = plan
     want = [stack_matrices([sol.matrices[i] for i in recv] + [b])
             for recv, b in zip(p.receivers(), derive_direct_link_matrices(sol))]
-    assert systems == want
+    assert [MatrixQ(sol.field, m) for m in systems] == want
+    ident = MatrixQ.identity(sol.field, p.h * sol.t)
+    assert all(MatrixQ(sol.field, d) @ m == ident for d, m in zip(decoders, want))
+    assert not systems.flags.writeable and not decoders.flags.writeable
 
 
 def reference_direct_links(sol):

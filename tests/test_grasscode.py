@@ -136,6 +136,32 @@ def test_is_covering_code_matches_per_subset_reference(q, alpha):
     assert seen >= {"fails", "repeat", "below k", "nested"}
 
 
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_repeated_codewords_of_one_dimension_match_the_scan(q, alpha):
+    # all codewords of one dimension d with d + 1 >= delta + k: the groups
+    # of equal codewords decide, and must agree with the per-subset scan
+    field = field_from_size(q)
+    rng = np.random.default_rng(100 * q + alpha)
+    seen = set()
+    for d, delta in [(2, 1), (2, 0), (1, 0)]:
+        pool = enumerate_grassmannian(4, d, field)
+        for _ in range(15):
+            picks = rng.choice(len(pool), size=3, replace=False)
+            words = tuple(pool[picks[j]] for j in rng.integers(0, 3, size=rng.integers(alpha, 9)))
+            code = CoveringCode(field=field, n=4, k=2, delta=delta, alpha=alpha, codewords=words)
+            verdict = is_covering_code(code)
+            assert verdict == reference_worst_witness(code)
+            if not verdict[0]:
+                seen.add(("fails", d))
+                if verdict[1].indices[0] > 0:
+                    seen.add("witness after the first codeword")
+            elif len(set(words)) < len(words):
+                seen.add(("repeats pass", delta))
+    assert seen >= {("fails", 2), ("fails", 1), ("repeats pass", 0),
+                    "witness after the first codeword"}
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
     """Shapes of the rank_of_array calls grasscode makes."""

@@ -13,7 +13,9 @@ from gcnet.linalg import (
     dual,
     gaussian_binomial,
     intersection_dim,
+    left_inverse,
     null_space,
+    product_of_arrays,
     random_matrix,
     solve_exact,
     span_dim,
@@ -80,6 +82,30 @@ def test_matmul_against_scalar_definition():
         MatrixQ(F2, [[1, 0]]) @ MatrixQ(F2, [[1, 0]])
     with pytest.raises(ValueError):
         MatrixQ(F2, [[1]]) @ MatrixQ(F3, [[1]])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 257, 1024])
+def test_product_of_arrays_is_matmul_per_slice(q):
+    f = field_from_size(q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, size=(5, 3, 4)).astype(np.int16)
+    b = rng.integers(0, q, size=(5, 4, 2)).astype(np.int16)
+    b2 = rng.integers(0, q, size=(4, 2)).astype(np.int16)
+    stacked = product_of_arrays(a, b, f)
+    broadcast = product_of_arrays(a, b2, f)
+    assert stacked.shape == broadcast.shape == (5, 3, 2)
+    for s in range(5):
+        m = MatrixQ(f, a[s])
+        assert np.array_equal(stacked[s], (m @ MatrixQ(f, b[s])).data)
+        assert np.array_equal(broadcast[s], (m @ MatrixQ(f, b2)).data)
+        for i in range(3):
+            for j in range(2):
+                acc = 0
+                for k in range(4):
+                    acc = f.add(acc, f.mul(int(a[s, i, k]), int(b[s, k, j])))
+                assert stacked[s, i, j] == acc
+    with pytest.raises(ValueError):
+        product_of_arrays(a, a, f)
 
 
 def test_matmul_big_field():
@@ -262,6 +288,26 @@ def test_solve_exact_rejects_bad_systems():
     y_ok = MatrixQ(F2, [[1], [1]])
     with pytest.raises(ValueError):
         solve_exact(a, y_ok)  # rank-deficient: x not unique
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 257, 1024])
+def test_left_inverse_of_full_column_rank(q):
+    f = field_from_size(q)
+    rng = np.random.default_rng(23 + q)
+    for rows, cols in [(3, 3), (5, 3), (12, 12), (7, 1), (4, 0)]:
+        for _ in range(4):
+            while True:
+                m = random_matrix(f, rows, cols, rng)
+                if m.rank() == cols:
+                    break
+            d = left_inverse(m)
+            assert (d.rows, d.cols) == (cols, rows)
+            assert d @ m == MatrixQ.identity(f, cols)
+    deficient = MatrixQ(f, [[1, 1], [2 % q, 2 % q], [0, 0]])
+    with pytest.raises(ValueError):
+        left_inverse(deficient)
+    with pytest.raises(ValueError):
+        left_inverse(random_matrix(f, 2, 3, rng))  # wide: rank below cols
 
 
 def test_random_matrix_determinism():

@@ -18,6 +18,10 @@ Every field carries dense NumPy lookup tables for addition,
 multiplication, negation and inversion, built once at creation; scalar
 operations and the matrix kernels index these tables directly.  At the
 largest order, 1024, the two ``(q, q)`` int16 tables take 4 MiB.
+These tables are the program's one field arithmetic.  The polynomial
+helpers (``_poly_*``) serve only the modulus search; an extension
+GF(q^m) over GF(q) is handled as linear algebra over GF(q), through the
+companion matrix of its modulus (:func:`gcnet.rankmetric.gabidulin_code`).
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ def prime_powers(limit: int) -> list[int]:
 # ``base`` is any object with scalar ``add``, ``sub`` and ``mul`` methods
 # and a ``q`` attribute; coefficients are base-field indices and
 # polynomials are lists ordered by ascending degree.  These helpers serve
-# both the construction of prime-power fields over GF(p) and extension
-# towers GF(q^m) over GF(q).
+# only the modulus search: of a prime-power field over GF(p), and of the
+# extension GF(q^m) whose companion matrix builds a Gabidulin code over
+# GF(q) (:mod:`gcnet.rankmetric`).
 # ---------------------------------------------------------------------------
 
 
@@ -93,19 +98,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], base) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = base.add(out[i + j], base.mul(ai, bj))
-    return _poly_trim(out)
 
 
 def _poly_mod(a: Sequence[int], mod: Sequence[int], base) -> list[int]:
@@ -156,42 +148,7 @@ def _smallest_irreducible(degree: int, base) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _Field:
-    """Scalar operations common to :class:`FieldSpec` and
-    :class:`ExtensionField`, built on the ``q``, ``add``, ``neg``, ``mul``
-    and ``inv`` each of them defines."""
-
-    q: int
-
-    def check(self, a: int) -> int:
-        """Validate an element index and return it as a plain int."""
-        a = int(a)
-        if not 0 <= a < self.q:
-            raise ValueError(f"element {a} out of range for GF({self.q})")
-        return a
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def pow(self, a: int, e: int) -> int:
-        """Raise ``a`` to an integer power (negative allowed for ``a != 0``)."""
-        a = self.check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
-
-class FieldSpec(_Field):
+class FieldSpec:
     """A concrete finite field GF(p^m) with a pinned reducing modulus.
 
     Parameters
@@ -312,11 +269,21 @@ class FieldSpec(_Field):
 
     # -- scalar operations ---------------------------------------------------
 
+    def check(self, a: int) -> int:
+        """Validate an element index and return it as a plain int."""
+        a = int(a)
+        if not 0 <= a < self.q:
+            raise ValueError(f"element {a} out of range for GF({self.q})")
+        return a
+
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[self.check(a), self.check(b)])
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[self.check(a)])
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[self.check(a), self.check(b)])
@@ -326,6 +293,23 @@ class FieldSpec(_Field):
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
         return int(self.inv_table[a])
+
+    def pow(self, a: int, e: int) -> int:
+        """Raise ``a`` to an integer power (negative allowed for ``a != 0``)."""
+        a = self.check(a)
+        if e < 0:
+            a = self.inv(a)
+            e = -e
+        if a == 0:
+            return 1 if e == 0 else 0
+        e %= self.q - 1
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
     # -- descriptors ---------------------------------------------------------
 
@@ -404,71 +388,3 @@ def field_from_descriptor(text: str) -> FieldSpec:
     except ValueError:
         raise ValueError(f"bad field descriptor {text!r}") from None
     return field_from_size(q)
-
-
-class ExtensionField(_Field):
-    """GF(q^degree) built as a polynomial tower over an existing field.
-
-    Elements are integer indices in ``[0, q**degree)`` encoding
-    coefficient vectors over the base field in base ``q``.  The reducing
-    modulus is again the lexicographically smallest monic irreducible,
-    found with the same trial-division search as for prime fields, so the
-    tower is fully determined by ``(base, degree)``.
-
-    No dense tables are built; this class exists for rank-metric
-    constructions where only a few thousand scalar operations are needed.
-    """
-
-    def __init__(self, base: FieldSpec, degree: int):
-        if degree < 1:
-            raise ValueError(f"extension degree must be >= 1, got {degree}")
-        self.base = base
-        self.degree = degree
-        self.q = base.q**degree
-        if degree == 1:
-            self.modulus = (0, 1)
-        else:
-            self.modulus = _smallest_irreducible(degree, base)
-
-    def to_coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-field coefficient vector, ascending degree, length ``degree``."""
-        a = self.check(a)
-        qb = self.base.q
-        return tuple((a // qb**i) % qb for i in range(self.degree))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.degree:
-            raise ValueError("coefficient vector longer than the extension degree")
-        qb = self.base.q
-        return sum(self.base.check(c) * qb**i for i, c in enumerate(coeffs))
-
-    def basis_element(self, i: int) -> int:
-        """The power-basis element ``x**i`` for ``0 <= i < degree``."""
-        if not 0 <= i < self.degree:
-            raise ValueError(f"basis index {i} out of range")
-        return self.base.q**i
-
-    def add(self, a: int, b: int) -> int:
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        return self.from_coeffs([self.base.add(x, y) for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        return self.from_coeffs([self.base.neg(x) for x in self.to_coeffs(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.to_coeffs(a), self.to_coeffs(b), self.base)
-        rem = _poly_mod(prod, self.modulus, self.base)
-        return self.from_coeffs(rem)
-
-    def inv(self, a: int) -> int:
-        a = self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
-        return self.pow(a, self.q - 2)
-
-    def frobenius(self, a: int) -> int:
-        """The base-field Frobenius map ``a -> a**q_base``."""
-        return self.pow(a, self.base.q)
-
-    def __repr__(self) -> str:
-        return f"ExtensionField(GF({self.base.q})^{self.degree})"

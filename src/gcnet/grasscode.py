@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ffield import FieldSpec
-from .linalg import SubspaceQ, gaussian_binomial, rank_of_array
+from .linalg import SubspaceQ, gaussian_binomial, power_exceeds, rank_of_array
 
 #: Refuse to enumerate Grassmannians larger than this.
 ENUMERATION_LIMIT = 10**6
@@ -89,10 +89,15 @@ def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> list[SubspaceQ]:
     """
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    total = gaussian_binomial(n, k, field.q)
+    q = field.q
+    # |G_q(n, k)| >= q^(k(n-k)) refuses a large one before its exact count
+    if power_exceeds(q, k * (n - k), ENUMERATION_LIMIT):
+        raise ValueError(
+            f"Grassmannian has at least {q}^{k * (n - k)} elements, above the cap {ENUMERATION_LIMIT}"
+        )
+    total = gaussian_binomial(n, k, q)
     if total > ENUMERATION_LIMIT:
         raise ValueError(f"Grassmannian has {total} elements, above the cap {ENUMERATION_LIMIT}")
-    q = field.q
     out: list[SubspaceQ] = []
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)

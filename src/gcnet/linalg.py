@@ -249,25 +249,37 @@ def span_dim(subspaces: Iterable[SubspaceQ]) -> int:
     return rank_of_array(stacked, f)
 
 
+def _null_rows(red: Sequence[Sequence[int]], pivots: Sequence[int], n: int, field: FieldSpec) -> np.ndarray:
+    """Rows spanning ``{x : red @ x^T = 0}`` for reduced echelon rows
+    ``red`` of length ``n`` whose leading rows have the given pivot
+    columns: one row per free column, 1 there and minus that column's
+    entries at the pivots."""
+    pivot_set = set(pivots)
+    rows = []
+    for fc in range(n):
+        if fc not in pivot_set:
+            row = [0] * n
+            row[fc] = 1
+            for r, pc in zip(red, pivots):
+                row[pc] = field.neg_table[r[fc]]
+            rows.append(row)
+    return np.array(rows, dtype=np.int16).reshape(len(rows), n)
+
+
 def null_space(m: MatrixQ) -> MatrixQ:
     """A basis of ``{x : m @ x^T = 0}`` as rows of a ``(cols - rank) x cols`` matrix."""
-    f = m.field
-    red, pivots = rref_of_array(m.data, f)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    rows = np.zeros((len(free), m.cols), dtype=np.int16)
-    for r, fc in enumerate(free):
-        rows[r, fc] = 1
-        for row, pc in zip(red, pivots):
-            rows[r, pc] = f.neg(row[fc])
-    return MatrixQ(f, rows)
+    red, pivots = rref_of_array(m.data, m.field)
+    return MatrixQ(m.field, _null_rows(red, pivots, m.cols, m.field))
 
 
 def dual(s: SubspaceQ) -> SubspaceQ:
-    """Orthogonal complement under the standard bilinear form."""
-    if s.dim == 0:
-        return SubspaceQ(s.field, s.ambient, np.eye(s.ambient, dtype=np.int16))
-    return SubspaceQ.from_matrix(null_space(s.basis_matrix()))
+    """Orthogonal complement under the standard bilinear form.
+
+    The canonical basis is already reduced, so its pivots are read off
+    (the first 1 of each row) and only the null rows are reduced."""
+    pivots = [row.index(1) for row in s.basis]
+    red, pivots = rref_of_array(_null_rows(s.basis, pivots, s.ambient, s.field), s.field)
+    return SubspaceQ._from_canonical(s.field, s.ambient, tuple(map(tuple, red[: len(pivots)])))
 
 
 def intersection_dim(s: SubspaceQ, t: SubspaceQ) -> int:
@@ -283,6 +295,13 @@ def random_matrix(field: FieldSpec, rows: int, cols: int, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 # Exact combinatorial counts.
 # ---------------------------------------------------------------------------
+
+
+def power_exceeds(q: int, e: int, cap: int) -> bool:
+    """Whether ``q**e > cap`` for ``q >= 2``, without building ``q**e``:
+    past ``cap.bit_length()`` the exponent is capped, since ``2**e``
+    already exceeds ``cap`` there."""
+    return q ** min(e, cap.bit_length()) > cap
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -7,7 +7,10 @@ evaluations at linearly independent points of an extension field,
 expanded to matrices over the base field.  Such a code on ``m x n``
 matrices (``m >= n``) with q-degree bound ``k_g = n - delta + 1`` has
 ``q^(m k_g)`` codewords and minimum rank distance exactly ``delta``;
-the transposed orientation covers ``m < n``.
+the transposed orientation covers ``m < n``.  The code is GF(q)-linear
+in the base-q digits of the coefficients, so it is built as one product
+``digits @ G`` over GF(q), with ``G`` read off the companion matrix of
+the extension's modulus.
 
 Lifting prepends an identity block, turning an ``k x (n-k)`` matrix
 into a k-dimensional subspace of GF(q)^n; distinct codewords at rank
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import ExtensionField, FieldSpec, field_from_size
+from .ffield import FieldSpec, _smallest_irreducible, field_from_size
 from .grasscode import CoveringCode
-from .linalg import MatrixQ, SubspaceQ, dual, rank_of_array
+from .linalg import MatrixQ, SubspaceQ, dual, power_exceeds, product_of_arrays, rank_of_array
 
 #: Refuse to materialize rank-metric codes larger than this.
 CARDINALITY_LIMIT = 2**16
@@ -68,31 +71,28 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
     transposed = m < n
     rows, cols = (n, m) if transposed else (m, n)
     kg = cols - delta + 1
-    size = q ** (rows * kg)
-    if size > CARDINALITY_LIMIT:
-        raise ValueError(f"code size {size} exceeds the cap {CARDINALITY_LIMIT}")
+    digits = rows * kg
+    if power_exceeds(q, digits, CARDINALITY_LIMIT):
+        raise ValueError(f"code size {q}^{digits} exceeds the cap {CARDINALITY_LIMIT}")
+    size = q**digits
 
-    ext = ExtensionField(base, rows)
-    big = ext.q
-    # frobenius powers of the evaluation points: frob[i][j] = x_j ** (q**i)
-    points = [ext.basis_element(j) for j in range(cols)]
-    frob = [points]
-    for _ in range(1, kg):
-        frob.append([ext.frobenius(v) for v in frob[-1]])
-
-    codewords = []
-    for idx in range(size):
-        coeffs = [(idx // big**i) % big for i in range(kg)]
-        mat = np.zeros((rows, cols), dtype=np.int16)
-        for j in range(cols):
-            acc = 0
-            for i in range(kg):
-                if coeffs[i]:
-                    acc = ext.add(acc, ext.mul(coeffs[i], frob[i][j]))
-            mat[:, j] = ext.to_coeffs(acc)
-        if transposed:
-            mat = mat.T
-        codewords.append(MatrixQ(base, mat))
+    # GF(q^rows) in the power basis 1, x, ..., x^(rows-1): c multiplies
+    # by x, and column a of the Frobenius matrix phi is (x^a)^q = (c^q)^a e_0
+    modulus = (0, 1) if rows == 1 else _smallest_irreducible(rows, base)
+    c = np.eye(rows, k=-1, dtype=np.int16)
+    c[:, -1] = base.neg_table[list(modulus[:rows])]
+    phi = _powers(_powers(c, q + 1, base)[-1], rows, base)[:, :, 0].T
+    # message digit i*rows + l is coefficient l of the polynomial's
+    # coefficient a_i, so it adds x^l * x_j^(q^i) to column j: its
+    # generator row is c^l phi^i[:, :cols], read row-major
+    gen = product_of_arrays(
+        _powers(c, rows, base)[None], _powers(phi, kg, base)[:, None, :, :cols], base
+    ).reshape(digits, rows * cols)
+    msg = np.arange(size)[:, None] // q ** np.arange(digits) % q
+    words = product_of_arrays(msg.astype(np.int16), gen, base).reshape(size, rows, cols)
+    if transposed:
+        words = words.transpose(0, 2, 1)
+    codewords = [MatrixQ(base, w) for w in words]
 
     code = RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=tuple(codewords))
     if size <= VERIFY_LIMIT:
@@ -102,6 +102,14 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
                 f"construction bug: minimum nonzero rank {min(ranks)} != delta {delta}"
             )
     return code
+
+
+def _powers(a: np.ndarray, count: int, field: FieldSpec) -> np.ndarray:
+    """The stack ``[I, a, ..., a^(count-1)]`` of a square index array over ``field``."""
+    out = [np.eye(len(a), dtype=np.int16)]
+    for _ in range(1, count):
+        out.append(product_of_arrays(a, out[-1], field))
+    return np.array(out)
 
 
 def lift(a: MatrixQ) -> SubspaceQ:

@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
+import hashlib
 import inspect
 import itertools
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +90,46 @@ def test_construct_to_stdout_parses(capsys):
                        "--alpha", "2", "--q", "2")
     assert code == 0
     assert parse_code(out).size == 4
+
+
+# md5 of ``construct`` stdout per (n, k, delta, alpha, q), pinned when each
+# codeword was still evaluated one extension-field product at a time
+CONSTRUCT_DIGESTS = {
+    (4, 2, 1, 3, 2): "cf17faa8aaf82dc56ee5c322a21143a4",
+    (6, 3, 2, 2, 2): "2e2caa99a2fbf81aec060b930b042d40",
+    (4, 2, 2, 3, 4): "e2d7f9e35d518cba6359a375ddecc675",
+    (2, 1, 1, 3, 16): "13d7653be9d9c07766f43b3c471990aa",
+    (5, 2, 1, 2, 3): "999eeee977819758d207060046cd9491",
+    (5, 3, 1, 2, 3): "302bcdd776b32c8ec45cee4f25e4f080",  # transposed
+    (4, 2, 2, 2, 9): "3db8a56c464da34d64dc5b68bf141d54",
+    (2, 1, 1, 2, 257): "273d91fd0241f430f3d03f81f9fcfc1a",
+    (6, 3, 1, 2, 2): "a312b77be3e4ca0e6a710d00ba5b7e54",
+    (6, 2, 2, 2, 2): "f011e309795d2fcff203b2e5cbe47a26",
+}
+
+
+@pytest.mark.parametrize("point", list(CONSTRUCT_DIGESTS), ids=str)
+def test_construct_output_is_pinned(capsys, point):
+    argv = [v for flag, x in zip(("--n", "--k", "--delta", "--alpha", "--q"), point)
+            for v in (flag, str(x))]
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[point]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("construct --n 20000 --k 10000 --q 3", "code size 3^100000000 exceeds the cap 65536"),
+    ("construct --n 6000 --k 3000 --q 2", "code size 2^9000000 exceeds the cap 65536"),
+    ("oracle --n 4000 --k 2000 --q 3",
+     "Grassmannian has at least 3^4000000 elements, above the cap 1000000"),
+    ("oracle --n 300 --k 150 --q 2",
+     "Grassmannian has at least 2^22500 elements, above the cap 1000000"),
+], ids=["construct-q3", "construct-q2", "oracle-q3", "oracle-q2"])
+def test_over_cap_sizes_are_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split(), "--delta", "1", "--alpha", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_garbage_is_parse_error(tmp_path, capsys):

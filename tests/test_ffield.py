@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from gcnet.ffield import (
-    ExtensionField,
     ORDER_LIMIT,
     FieldSpec,
     _poly_mod,
-    _poly_mul,
+    _poly_trim,
+    _smallest_irreducible,
     factor_prime_power,
     field_create,
     field_from_descriptor,
@@ -19,6 +19,7 @@ from gcnet.ffield import (
     is_prime_power,
     prime_powers,
 )
+from gcnet.rankmetric import gabidulin_code
 
 
 def test_prime_predicates():
@@ -91,6 +92,20 @@ def test_coeff_round_trip():
         coeffs = f.to_coeffs(a)
         assert len(coeffs) == 3
         assert f.from_coeffs(coeffs) == a
+
+
+def _poly_mul(a, b, base):
+    """Product of coefficient lists (ascending degree) over ``base``."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] = base.add(out[i + j], base.mul(ai, bj))
+    return _poly_trim(out)
 
 
 def poly_mul_reference(f, a, b):
@@ -172,45 +187,6 @@ def test_field_identity_is_cached():
     assert field_from_size(4) != field_from_size(9)
 
 
-def test_extension_field_round_trip():
-    base = field_from_size(4)
-    ext = ExtensionField(base, 3)
-    assert ext.q == 64
-    for a in (0, 1, 5, 17, 63):
-        coeffs = ext.to_coeffs(a)
-        assert len(coeffs) == 3
-        assert ext.from_coeffs(coeffs) == a
-    # power basis: basis_element(i) has a single coefficient at slot i
-    for i in range(3):
-        coeffs = ext.to_coeffs(ext.basis_element(i))
-        assert coeffs[i] == 1
-        assert sum(coeffs) == 1
-
-
-def test_extension_field_axioms_sampled():
-    base = field_from_size(3)
-    ext = ExtensionField(base, 2)
-    els = list(range(ext.q))
-    for a in els:
-        if a != 0:
-            assert ext.mul(a, ext.inv(a)) == 1
-        assert ext.add(a, ext.neg(a)) == 0
-    for a in els:
-        for b in els:
-            assert ext.mul(a, b) == ext.mul(b, a)
-
-
-def test_frobenius_is_additive_and_fixes_base():
-    base = field_from_size(2)
-    ext = ExtensionField(base, 4)
-    for a in range(16):
-        for b in range(16):
-            assert ext.frobenius(ext.add(a, b)) == ext.add(ext.frobenius(a), ext.frobenius(b))
-    # base subfield elements are exactly the fixed points counted over GF(q)
-    fixed = [a for a in range(16) if ext.frobenius(a) == a]
-    assert len(fixed) == 2
-
-
 def test_field_cache_is_bounded_and_equal_after_eviction():
     kept = field_from_size(2)
     orders = prime_powers(64)
@@ -221,3 +197,56 @@ def test_field_cache_is_bounded_and_equal_after_eviction():
     rebuilt = field_from_size(2)
     assert rebuilt is not kept
     assert rebuilt == kept and hash(rebuilt) == hash(kept)
+
+
+def gabidulin_reference(q, m, n, delta):
+    """The codewords of ``gabidulin_code(q, m, n, delta)``, each evaluated
+    as a linearized polynomial in the tower GF(q)[x]/(modulus), one
+    extension-field product at a time."""
+    base = field_from_size(q)
+    rows, cols = max(m, n), min(m, n)
+    kg = cols - delta + 1
+    modulus = (0, 1) if rows == 1 else _smallest_irreducible(rows, base)
+
+    def pad(c):
+        return list(c) + [0] * (rows - len(c))
+
+    def mul(a, b):
+        return pad(_poly_mod(_poly_mul(_poly_trim(list(a)), _poly_trim(list(b)), base), modulus, base))
+
+    def power(a, e):
+        out = pad([1])
+        for _ in range(e):
+            out = mul(out, a)
+        return out
+
+    # frob[i][j] = x_j ** (q**i) for the evaluation points x_j = x**j
+    frob = [[power(pad([0] * j + [1]), q**i) for j in range(cols)] for i in range(kg)]
+    words = []
+    for idx in range(q ** (rows * kg)):
+        digits = [idx // q**e % q for e in range(rows * kg)]
+        word = np.zeros((rows, cols), dtype=np.int16)
+        for j in range(cols):
+            acc = pad([])
+            for i in range(kg):
+                term = mul(digits[i * rows:(i + 1) * rows], frob[i][j])
+                acc = [base.add(u, v) for u, v in zip(acc, term)]
+            word[:, j] = acc
+        words.append(word.T if m < n else word)
+    return words
+
+
+@pytest.mark.parametrize("q,m,n,delta", [
+    (2, 3, 3, 2),
+    (2, 4, 2, 1),
+    (3, 2, 3, 2),  # transposed
+    (4, 2, 2, 1),  # a tower over GF(4)
+    (9, 2, 1, 1),
+    (5, 1, 2, 1),
+])
+def test_gabidulin_code_matches_polynomial_evaluation(q, m, n, delta):
+    code = gabidulin_code(q, m, n, delta)
+    expected = gabidulin_reference(q, m, n, delta)
+    assert len(code.codewords) == len(expected)
+    for word, ref in zip(code.codewords, expected):
+        assert np.array_equal(word.data, ref)

@@ -39,9 +39,12 @@ def test_enumeration_count_matches_q_binomial(n, k, q):
 
 
 def test_enumeration_cap():
-    # G_2(10, 5) has 109 221 651 elements, above ENUMERATION_LIMIT
-    with pytest.raises(ValueError):
+    # G_2(10, 5) has 109 221 651 >= 2^25 elements, refused by the bound alone
+    with pytest.raises(ValueError, match=r"at least 2\^25 elements, above the cap 1000000"):
         enumerate_grassmannian(10, 5, F2)
+    # G_2(20, 1) has 2^20 - 1 elements, over the cap although 2^19 is not
+    with pytest.raises(ValueError, match="has 1048575 elements, above the cap 1000000"):
+        enumerate_grassmannian(20, 1, F2)
 
 
 def one_dim(field, vec):

@@ -15,6 +15,7 @@ from gcnet.linalg import (
     intersection_dim,
     left_inverse,
     null_space,
+    power_exceeds,
     product_of_arrays,
     random_matrix,
     solve_exact,
@@ -161,6 +162,13 @@ def test_gaussian_binomial_values():
     for n in range(7):
         for k in range(n + 1):
             assert gaussian_binomial(n, k, 3) == gaussian_binomial(n, n - k, 3)
+
+
+def test_power_exceeds_matches_the_power():
+    for q in (2, 3, 16, 257):
+        for e in range(60):
+            for cap in (1, 8, 65536, 10**6):
+                assert power_exceeds(q, e, cap) == (q**e > cap)
 
 
 def test_gaussian_binomial_counts_subspaces():

@@ -265,8 +265,12 @@ def _cmd_search(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     sol = parse_solution(_read_text(args.solution))
-    ok, witness = verify_solution(sol)
-    if not ok:
+    try:
+        sol.decoder_plan  # one reduction per receiver decides validity too
+    except ValueError:
+        ok, witness = verify_solution(sol)  # names the witness; UNSOLVABLE re-raises
+        if ok:
+            raise
         print(_receiver_failure(witness))
         return 1
     p = sol.params

@@ -33,12 +33,10 @@ from .grasscode import NODE_LIMIT, CoveringCode, SearchResult, max_covering_code
 from .linalg import (
     MatrixQ,
     SubspaceQ,
-    left_inverse,
     product_of_arrays,
     random_matrix,
     rank_of_array,
     rref_of_array,
-    stack_matrices,
 )
 
 
@@ -119,13 +117,15 @@ class LinearSolution:
     @cached_property
     def decoder_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """Each receiver's decoding system, its coding matrices over its
-        direct links, and that system's left inverse, built once per
-        solution: int16 stacks of shapes ``(R, w, h*t)`` and ``(R, h*t, w)``
-        in ``receivers()`` order, with ``w = (alpha*ell + epsilon) * t``."""
-        blocks = zip(self.params.receivers(), derive_direct_link_matrices(self))
-        systems = [stack_matrices([self.matrices[i] for i in s] + [b]) for s, b in blocks]
-        plan = (np.stack([m.data for m in systems]),
-                np.stack([left_inverse(m).data for m in systems]))
+        direct links, and a left inverse of that system, from one
+        reduction per receiver, once per solution: int16 stacks of shapes
+        ``(R, w, h*t)`` and ``(R, h*t, w)`` in ``receivers()`` order, with
+        ``w = (alpha*ell + epsilon) * t``.  Raises as ``_receiver_decoders``."""
+        systems, decoders = [], []
+        for a, b, d in _receiver_decoders(self):
+            systems.append(np.vstack([a, b]))
+            decoders.append(d)
+        plan = (np.stack(systems), np.stack(decoders))
         for arr in plan:
             arr.setflags(write=False)
         return plan
@@ -173,15 +173,11 @@ def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> Lin
         raise ValueError(f"code parameters {got} do not match the network's {want}")
     if code.size != p.r:
         raise ValueError(f"need exactly r={p.r} codewords, got {code.size}")
-    field = code.field
-    mats = []
-    for c in code.codewords:
-        rows = c.basis_array()
-        if rows.shape[0] < p.ell * t:
-            pad = np.zeros((p.ell * t - rows.shape[0], p.h * t), dtype=np.int16)
-            rows = np.vstack([rows, pad])
-        mats.append(MatrixQ(field, rows))
-    return LinearSolution(params=p, field=field, t=t, matrices=tuple(mats))
+    mats = np.zeros((p.r, p.ell * t, p.h * t), dtype=np.int16)
+    for m, c in zip(mats, code.codewords):
+        m[: c.dim] = c.basis_array()
+    return LinearSolution(params=p, field=code.field, t=t,
+                          matrices=tuple(MatrixQ(code.field, m) for m in mats))
 
 
 def code_from_solution(sol: LinearSolution) -> CoveringCode:
@@ -197,36 +193,55 @@ def code_from_solution(sol: LinearSolution) -> CoveringCode:
     )
 
 
-def derive_direct_link_matrices(sol: LinearSolution) -> list[MatrixQ]:
-    """Direct-link coding matrices, one per receiver, from one echelon pass.
+def _receiver_decoders(sol: LinearSolution):
+    """Per receiver, in ``receivers()`` order, ``(A, B, D)`` from one
+    reduction: ``A`` its stacked coding matrices (``a x n``, with
+    ``a = alpha*ell*t`` and ``n = h*t``), ``B`` its direct links
+    (``e x n``, ``e = epsilon*t``) and ``D`` with ``D @ [A; B] = I``.
 
-    For a receiver with row space ``V`` the rows of ``B_i`` are the unit
-    vectors ``e_j``, in index order, at each ``j`` where no vector of
-    ``V`` has its last nonzero entry, then zero rows up to shape
-    ``(epsilon*t, h*t)``.  These are the picks of a greedy scan taking
-    ``e_j`` whenever it raises the rank: each skipped ``e_i`` is already
-    spanned, so it takes ``e_j`` iff ``e_j`` is outside ``V + span(e_0,
-    ..., e_{j-1})``, iff no vector of ``V`` ends at ``j``.  Reversed,
-    those ends are the pivots ``c`` of ``rref(stacked[:, ::-1])``, so
-    the skipped ``j`` are ``h*t - 1 - c``.  Rank below ``(h - epsilon)
-    * t``, i.e. more than ``epsilon*t`` picks, raises ValueError naming
-    the first such receiver, the witness ``verify_solution`` reports.
-    UNSOLVABLE parameters raise ValueError too.
+    ``B`` holds, in index order and then zero rows, the ``e_j`` at each
+    ``j`` where no vector of ``V = rowspace(A)`` ends (has its last
+    nonzero entry): the picks of a greedy scan taking ``e_j`` whenever it
+    raises the rank, as it skips ``e_j`` iff ``e_j`` is in ``V + span(e_0,
+    ..., e_{j-1})``, iff some vector of ``V`` ends at ``j``.  Reversed,
+    the ends are the pivots ``c < n`` of ``rref([A[:, ::-1] | I_a])``:
+    ``ends = n - 1 - c``.  Fewer than ``(h - epsilon) * t`` of them raises
+    ValueError naming the first such receiver, the witness
+    ``verify_solution`` reports; so do UNSOLVABLE parameters.
+
+    Pivot row ``i`` is ``[E_i A reversed | E_i]`` for the row operations
+    ``E_i``; it is 1 at its own end and 0 at the others, so it reads
+    ``x[ends_i] + sum_j R_i[n-1-picked_j] x[picked_j] = E_i A x``.  Link
+    ``j`` carries ``x[picked_j]``, so row ``ends_i`` of ``D`` is ``E_i``
+    and then ``-R_i[n-1-picked_j]``, and row ``picked_j`` is 1 at ``a + j``.
     """
     p = sol.params
     need = _need(sol)
-    ht = p.h * sol.t
-    out = []
+    n, a_rows, e = p.h * sol.t, p.alpha * p.ell * sol.t, p.epsilon * sol.t
+    ident = np.eye(a_rows, dtype=np.int16)
     for subset in p.receivers():
-        _, pivots = rref_of_array(_stacked(sol, subset)[:, ::-1], sol.field)
-        if len(pivots) < need:
+        a = _stacked(sol, subset)
+        red, pivots = rref_of_array(np.hstack([a[:, ::-1], ident]), sol.field)
+        rho = sum(c < n for c in pivots)
+        if rho < need:
             raise ValueError(f"solution is invalid (witness subset {subset})")
-        picked = sorted(set(range(ht)).difference(ht - 1 - c for c in pivots))
-        b = np.zeros((p.epsilon * sol.t, ht), dtype=np.int16)
-        for row, j in enumerate(picked):
-            b[row, j] = 1
-        out.append(MatrixQ(sol.field, b))
-    return out
+        ends = n - 1 - np.array(pivots[:rho], dtype=np.intp)
+        picked = np.array(sorted(set(range(n)).difference(ends)), dtype=np.intp)
+        links = np.arange(len(picked))
+        b = np.zeros((e, n), dtype=np.int16)
+        b[links, picked] = 1
+        d = np.zeros((n, a_rows + e), dtype=np.int16)
+        d[picked, a_rows + links] = 1
+        red = np.array(red, dtype=np.int16)[:rho]
+        d[ends, :a_rows] = red[:, n:]
+        d[ends[:, None], a_rows + links] = sol.field.neg_table[red[:, n - 1 - picked]]
+        yield a, b, d
+
+
+def derive_direct_link_matrices(sol: LinearSolution) -> list[MatrixQ]:
+    """Each receiver's ``(epsilon*t, h*t)`` direct-link matrix, in
+    ``receivers()`` order; raises as ``_receiver_decoders`` does."""
+    return [MatrixQ(sol.field, b) for _, b, _ in _receiver_decoders(sol)]
 
 
 def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:
@@ -234,7 +249,7 @@ def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:
 
     ``messages`` is an ``(h, t)`` matrix (row i = message i).  A round is
     two products over all receivers at once: each receiver's system times
-    the message, then its left inverse times what it received.  Returns
+    the message, then its decoder times what it received.  Returns
     the per-receiver decoded message matrices in ``receivers()`` order;
     each must equal the input when the solution verifies.  Raises
     ValueError, naming the first receiver that cannot decode, when the

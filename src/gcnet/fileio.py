@@ -17,6 +17,7 @@ number, which the CLI reports verbatim.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Iterable, Optional
 
@@ -69,8 +70,8 @@ class _LineReader:
         return True
 
 
-def _format_rows(data) -> list[str]:
-    return [" ".join(str(int(v)) for v in row) for row in data]
+def _format_rows(rows) -> list[str]:
+    return [" ".join(map(str, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +79,12 @@ def _format_rows(data) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_lines(m: MatrixQ) -> list[str]:
+    return [f"{m.rows} {m.cols} {m.field.q}"] + _format_rows(m.data.tolist())
+
+
 def render_matrix(m: MatrixQ, header: Iterable[str] = ()) -> str:
-    lines = [f"# {h}" for h in header]
-    lines.append(f"{m.rows} {m.cols} {m.field.q}")
-    lines.extend(_format_rows(m.data))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"# {h}" for h in header] + _matrix_lines(m)) + "\n"
 
 
 def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
@@ -122,10 +124,9 @@ def render_code(code: CoveringCode, header: Iterable[str] = ()) -> str:
     lines = [f"# {h}" for h in header]
     lines.append(f"{code.n} {code.k} {code.delta} {code.alpha} {code.field.q} {code.size}")
     for c in code.codewords:
-        basis = c.basis_array()
-        if basis.shape[0] < code.k:
+        if c.dim < code.k:
             raise ValueError("cannot serialize a codeword with dim < k losslessly")
-        lines.extend(_format_rows(basis))
+        lines.extend(_format_rows(c.basis))
     return "\n".join(lines) + "\n"
 
 
@@ -175,8 +176,7 @@ def render_solution(sol: LinearSolution, header: Iterable[str] = ()) -> str:
     lines = [f"# {h}" for h in header]
     lines.append(f"{p.h} {p.r} {p.alpha} {p.ell} {p.epsilon} {sol.field.q} {sol.t}")
     for a in sol.matrices:
-        lines.append(f"{a.rows} {a.cols} {a.field.q}")
-        lines.extend(_format_rows(a.data))
+        lines.extend(_matrix_lines(a))
     return "\n".join(lines) + "\n"
 
 
@@ -209,20 +209,7 @@ def parse_solution(text: str) -> LinearSolution:
 
 
 def render_params(params: NetworkParams) -> str:
-    return (
-        json.dumps(
-            {
-                "h": params.h,
-                "r": params.r,
-                "alpha": params.alpha,
-                "ell": params.ell,
-                "epsilon": params.epsilon,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    return json.dumps(dataclasses.asdict(params), indent=2, sort_keys=True) + "\n"
 
 
 def parse_params(text: str) -> NetworkParams:

@@ -196,9 +196,7 @@ class SubspaceQ:
         return len(self.basis)
 
     def basis_matrix(self) -> MatrixQ:
-        if not self.basis:
-            return MatrixQ.zeros(self.field, 0, self.ambient)
-        return MatrixQ(self.field, self.basis)
+        return MatrixQ(self.field, self.basis_array())
 
     def basis_array(self) -> np.ndarray:
         """Canonical basis as an int16 array of shape ``(dim, ambient)``."""
@@ -339,34 +337,25 @@ def count_rank_matrices(m: int, n: int, s: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Left inverses and exact solving (the receivers' decoders).
+# Exact solving.
 # ---------------------------------------------------------------------------
 
 
-def left_inverse(m: MatrixQ) -> MatrixQ:
-    """The ``cols x rows`` matrix ``D`` with ``D @ m = I``, from one
-    reduction of ``[m | I]``.
-
-    Raises ValueError if ``m`` has rank below its column count.
-    """
-    aug = np.hstack([m.data, np.eye(m.rows, dtype=np.int16)])
-    red, pivots = rref_of_array(aug, m.field)
-    if pivots[: m.cols] != tuple(range(m.cols)):
-        raise ValueError("matrix has rank below its column count; no left inverse")
-    # each reduced row is E @ [m | I] = [E m | E], and row i < cols has E m = e_i
-    out = np.array([row[m.cols :] for row in red[: m.cols]], dtype=np.int16)
-    return MatrixQ(m.field, out.reshape(m.cols, m.rows))
-
-
 def solve_exact(m: MatrixQ, y: MatrixQ) -> MatrixQ:
-    """Solve ``m @ x = y`` when the solution is unique.
+    """Solve ``m @ x = y`` when the solution is unique, from one
+    reduction of ``[m | y]``.
 
     Raises ValueError if the system is inconsistent or the coefficient
     matrix has rank below its column count.
     """
     if m.field != y.field or m.rows != y.rows:
         raise ValueError("coefficient matrix and right-hand side do not conform")
-    x = left_inverse(m) @ y
-    if m @ x != y:
+    red, pivots = rref_of_array(np.hstack([m.data, y.data]), m.field)
+    # a pivot right of m's columns is a row 0 = nonzero
+    if pivots and pivots[-1] >= m.cols:
         raise ValueError("inconsistent linear system")
-    return x
+    if len(pivots) < m.cols:
+        raise ValueError("matrix has rank below its column count; the solution is not unique")
+    # with pivots 0..cols-1, reduced row i reads x_i = its right block
+    x = np.array([row[m.cols :] for row in red[: m.cols]], dtype=np.int16)
+    return MatrixQ(m.field, x.reshape(m.cols, y.cols))

@@ -8,9 +8,9 @@ expanded to matrices over the base field.  Such a code on ``m x n``
 matrices (``m >= n``) with q-degree bound ``k_g = n - delta + 1`` has
 ``q^(m k_g)`` codewords and minimum rank distance exactly ``delta``;
 the transposed orientation covers ``m < n``.  The code is GF(q)-linear
-in the base-q digits of the coefficients, so it is built as one product
-``digits @ G`` over GF(q), with ``G`` read off the companion matrix of
-the extension's modulus.
+in the base-q digits of the coefficients, so it is ``digits @ G`` over
+GF(q), with ``G`` read off the companion matrix of the extension's
+modulus, and it is expanded one digit at a time.
 
 Lifting prepends an identity block, turning an ``k x (n-k)`` matrix
 into a k-dimensional subspace of GF(q)^n; distinct codewords at rank
@@ -88,8 +88,13 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
     gen = product_of_arrays(
         _powers(c, rows, base)[None], _powers(phi, kg, base)[:, None, :, :cols], base
     ).reshape(digits, rows * cols)
-    msg = np.arange(size)[:, None] // q ** np.arange(digits) % q
-    words = product_of_arrays(msg.astype(np.int16), gen, base).reshape(size, rows, cols)
+    # codeword idx + d*q^i = codeword idx + d * generator row i, for every
+    # idx below q^i: expand one digit at a time, the new digit on top
+    words = np.zeros((1, rows * cols), dtype=np.int16)
+    for g in gen:
+        multiples = base.mul_table[np.arange(q)[:, None], g]
+        words = base.add_table[words[None], multiples[:, None]].reshape(-1, rows * cols)
+    words = words.reshape(size, rows, cols)
     if transposed:
         words = words.transpose(0, 2, 1)
     codewords = [MatrixQ(base, w) for w in words]

@@ -183,10 +183,19 @@ def test_simulate_invalid_solution_fails_like_verify(tmp_path, capsys):
     path.write_text(render_solution(sol))
     code, verify_out, _ = run(capsys, "verify", "--solution", str(path))
     assert code == 1
+    for count in ("100", "0"):
+        code, out, err = run(capsys, "simulate", "--solution", str(path), "--seed", "9",
+                             "--count", count)
+        assert code == 1
+        assert out == verify_out == "FAIL: receiver at middle nodes 1,2 cannot decode\n"
+        assert err == ""
+    # h > alpha*ell + eps: no solution exists, so there is nothing to check
+    unsolvable = LinearSolution(params=NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=0),
+                                field=f2, t=1, matrices=(MatrixQ(f2, [[1, 0, 0]]),) * 3)
+    path.write_text(render_solution(unsolvable))
     code, out, err = run(capsys, "simulate", "--solution", str(path), "--seed", "9")
-    assert code == 1
-    assert out == verify_out == "FAIL: receiver at middle nodes 1,2 cannot decode\n"
-    assert err == ""
+    assert (code, out) == (2, "")
+    assert err == "error: network is unsolvable; verification is meaningless\n"
 
 
 def test_simulate_negative_count_is_usage_error(tmp_path, capsys):
@@ -237,28 +246,6 @@ def test_negative_sizes_are_usage_errors(capsys, argv, flag):
     assert f"{flag}: must be >= 0, got -1" in err
 
 
-def test_simulate_derives_the_direct_links_once(tmp_path, capsys, monkeypatch):
-    f2 = field_from_size(2)
-    p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
-    sol = LinearSolution(params=p, field=f2, t=1, matrices=(
-        MatrixQ(f2, [[1, 0, 0]]), MatrixQ(f2, [[0, 1, 0]]), MatrixQ(f2, [[1, 1, 0]])))
-    path = tmp_path / "sol.txt"
-    path.write_text(render_solution(sol))
-    calls = []
-    derive = combnet.derive_direct_link_matrices
-
-    def counted(s):
-        calls.append(s)
-        return derive(s)
-
-    monkeypatch.setattr(combnet, "derive_direct_link_matrices", counted)
-    code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "3",
-                       "--count", "5")
-    assert code == 0
-    assert out == "OK: 5 random messages decoded at all 3 receivers (seed 3)\n"
-    assert len(calls) == 1
-
-
 def test_simulate_stacks_no_system_per_round(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sol.txt"
     assert main(["search", "--h", "4", "--r", "4", "--alpha", "3", "--ell", "1", "--eps", "1",
@@ -289,22 +276,22 @@ def test_simulate_reduces_each_receiver_once_per_solution(tmp_path, capsys, monk
                  "--q", "4", "--t", "2", "--seed", "0", "-o", str(path)]) == 0
     capsys.readouterr()
     calls = []
-    rref = backend.rref_destructive
+    for name in ("rref_destructive", "rank_destructive"):
+        kernel = getattr(backend, name)
 
-    def counted(*args):
-        calls.append(args)
-        return rref(*args)
+        def counted(*args, name=name, kernel=kernel):
+            calls.append(name)
+            return kernel(*args)
 
-    monkeypatch.setattr(backend, "rref_destructive", counted)
-    counts = []
-    for rounds in ("1", "5"):
+        monkeypatch.setattr(backend, name, counted)
+    for rounds in ("0", "5"):
         calls.clear()
         code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "2",
                            "--count", rounds)
         assert code == 0
         assert out == f"OK: {rounds} random messages decoded at all 4 receivers (seed 2)\n"
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        # one reduction per receiver (C(4, 3) of them), no rank pass
+        assert calls == ["rref_destructive"] * 4
 
 
 def test_search_find_verify_simulate(tmp_path, capsys):

@@ -198,7 +198,13 @@ def test_direct_links_match_greedy_reference(q, t):
             sol = LinearSolution(params=p, field=field, t=t, matrices=tuple(mats))
             if not verify_solution(sol)[0]:
                 continue
-            assert derive_direct_link_matrices(sol) == reference_direct_links(sol)
+            links = reference_direct_links(sol)
+            assert derive_direct_link_matrices(sol) == links
+            systems, decoders = sol.decoder_plan
+            ident = MatrixQ.identity(field, p.h * t)
+            for recv, b, m, d in zip(p.receivers(), links, systems, decoders):
+                assert MatrixQ(field, m) == stack_matrices([sol.matrices[i] for i in recv] + [b])
+                assert MatrixQ(field, d) @ MatrixQ(field, m) == ident
             receivers += p.n_receivers
     assert receivers >= 20
 

@@ -13,7 +13,6 @@ from gcnet.linalg import (
     dual,
     gaussian_binomial,
     intersection_dim,
-    left_inverse,
     null_space,
     power_exceeds,
     product_of_arrays,
@@ -299,23 +298,25 @@ def test_solve_exact_rejects_bad_systems():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 257, 1024])
-def test_left_inverse_of_full_column_rank(q):
+def test_solve_exact_over_every_field_size(q):
     f = field_from_size(q)
     rng = np.random.default_rng(23 + q)
-    for rows, cols in [(3, 3), (5, 3), (12, 12), (7, 1), (4, 0)]:
+    for rows, cols in [(12, 12), (7, 1), (4, 0)]:
         for _ in range(4):
             while True:
                 m = random_matrix(f, rows, cols, rng)
                 if m.rank() == cols:
                     break
-            d = left_inverse(m)
-            assert (d.rows, d.cols) == (cols, rows)
-            assert d @ m == MatrixQ.identity(f, cols)
+            x = random_matrix(f, cols, 2, rng)
+            assert solve_exact(m, m @ x) == x
     deficient = MatrixQ(f, [[1, 1], [2 % q, 2 % q], [0, 0]])
-    with pytest.raises(ValueError):
-        left_inverse(deficient)
-    with pytest.raises(ValueError):
-        left_inverse(random_matrix(f, 2, 3, rng))  # wide: rank below cols
+    with pytest.raises(ValueError, match="rank below"):
+        solve_exact(deficient, deficient @ MatrixQ(f, [[1], [0]]))
+    wide = random_matrix(f, 2, 3, rng)
+    with pytest.raises(ValueError, match="rank below"):
+        solve_exact(wide, wide @ random_matrix(f, 3, 1, rng))
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_exact(deficient, MatrixQ(f, [[0], [0], [1]]))
 
 
 def test_random_matrix_determinism():

@@ -268,9 +268,7 @@ def _cmd_simulate(args, parser) -> int:
     try:
         sol.decoder_plan  # one reduction per receiver decides validity too
     except ValueError:
-        ok, witness = verify_solution(sol)  # names the witness; UNSOLVABLE re-raises
-        if ok:
-            raise
+        _, witness = verify_solution(sol)  # names the witness; UNSOLVABLE re-raises
         print(_receiver_failure(witness))
         return 1
     p = sol.params

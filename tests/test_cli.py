@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from gcnet import backend, cli, combnet
+from gcnet import backend, cli
 from gcnet.bounds import gamma_exact, middle_ub_exact, middle_ub_relaxed
 from gcnet.cli import build_parser, main
 from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap

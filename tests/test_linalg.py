@@ -301,7 +301,7 @@ def test_solve_exact_rejects_bad_systems():
 def test_solve_exact_over_every_field_size(q):
     f = field_from_size(q)
     rng = np.random.default_rng(23 + q)
-    for rows, cols in [(12, 12), (7, 1), (4, 0)]:
+    for rows, cols in [(3, 3), (5, 3), (12, 12), (7, 1), (4, 0)]:
         for _ in range(4):
             while True:
                 m = random_matrix(f, rows, cols, rng)

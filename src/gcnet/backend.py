@@ -1,12 +1,13 @@
 """The elimination kernel: Gauss-Jordan elimination driven by operation tables.
 
 Both entry points take a matrix of element indices and the field's
-dense ``add``, ``mul``, ``inv`` and ``neg`` tables, so one code path
-serves every field gcnet accepts.  The elimination runs on the matrix's
-rows as Python lists (``m.tolist()``), so the matrix is never written,
-and reads the tables through flat memoryviews, which copy nothing: a
-``(q, q)`` table is read at ``a * q + b``.  The rref entry point
-returns the reduced rows and their pivot columns.
+``inv``, ``neg``, ``add`` and ``mul`` tables as the flat int16
+memoryviews each :class:`~gcnet.ffield.FieldSpec` builds once
+(``FieldSpec.kernel_views``), so one code path serves every field gcnet
+accepts; a ``(q, q)`` table is read at ``a * q + b``, and ``q`` is the
+length of ``inv``.  The elimination runs on the matrix's rows as Python
+lists (``m.tolist()``), so the matrix is never written.  The rref entry
+point returns the reduced rows and their pivot columns.
 
 Row operations touch only the columns from the pivot column on: every
 row's entries to the left of it are already settled.  Callers go
@@ -22,12 +23,7 @@ that, so there is no size switch.
 from __future__ import annotations
 
 
-def _flat(table) -> memoryview:
-    """A zero-copy, one-dimensional view of a C-contiguous int16 table."""
-    return memoryview(table).cast("B").cast("h")
-
-
-def _eliminate(rows: list, add, mul, inv, neg, reduce: bool) -> list[int]:
+def _eliminate(rows: list, inv, neg, add, mul, reduce: bool) -> list[int]:
     """Bring ``rows`` (equal-length lists of element indices) to echelon
     form in place over the field of the given tables, and return the
     pivot columns.
@@ -36,7 +32,6 @@ def _eliminate(rows: list, add, mul, inv, neg, reduce: bool) -> list[int]:
     1 and cleared above as well as below.  Otherwise pivots keep their
     value and only the rows below are cleared, which is all a rank needs.
     """
-    add, mul, inv, neg = _flat(add), _flat(mul), _flat(inv), _flat(neg)
     q = len(inv)
     nrows = len(rows)
     pivots = []
@@ -68,17 +63,17 @@ def _eliminate(rows: list, add, mul, inv, neg, reduce: bool) -> list[int]:
     return pivots
 
 
-def rank_destructive(m, add, mul, inv, neg) -> int:
+def rank_destructive(m, inv, neg, add, mul) -> int:
     """Rank of ``m`` over the table-described field; ``m`` is left unchanged."""
-    return len(_eliminate(m.tolist(), add, mul, inv, neg, False))
+    return len(_eliminate(m.tolist(), inv, neg, add, mul, False))
 
 
-def rref_destructive(m, add, mul, inv, neg) -> tuple[list, list[int]]:
+def rref_destructive(m, inv, neg, add, mul) -> tuple[list, list[int]]:
     """Reduced row echelon form of ``m`` as ``(rows, pivots)``: lists of
     element indices, zero rows last, and each nonzero row's pivot column.
     ``m`` is not written; the name is kept for the tracer's lookup."""
     rows = m.tolist()
-    return rows, _eliminate(rows, add, mul, inv, neg, True)
+    return rows, _eliminate(rows, inv, neg, add, mul, True)
 
 
 def backend_name() -> str:

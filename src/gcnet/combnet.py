@@ -30,14 +30,7 @@ import numpy as np
 
 from .ffield import ORDER_LIMIT, FieldSpec, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, SearchResult, max_covering_code
-from .linalg import (
-    MatrixQ,
-    SubspaceQ,
-    product_of_arrays,
-    random_matrix,
-    rank_of_array,
-    rref_of_array,
-)
+from .linalg import MatrixQ, SubspaceQ, product_of_arrays, rank_of_array, rref_of_array
 
 
 class SolvabilityClass(enum.Enum):
@@ -131,17 +124,23 @@ class LinearSolution:
         return plan
 
 
-def _need(sol: LinearSolution) -> int:
+def _need(params: NetworkParams, t: int) -> int:
     """The rank ``(h - epsilon) * t`` each receiver needs; ValueError if UNSOLVABLE."""
-    p = sol.params
-    if classify(p) is SolvabilityClass.UNSOLVABLE:
+    if classify(params) is SolvabilityClass.UNSOLVABLE:
         raise ValueError("network is unsolvable; verification is meaningless")
-    return max(0, (p.h - p.epsilon) * sol.t)
+    return max(0, (params.h - params.epsilon) * t)
 
 
-def _stacked(sol: LinearSolution, subset: tuple[int, ...]) -> np.ndarray:
-    """The receiver's middle-node coding matrices stacked, as int16."""
-    return np.vstack([sol.matrices[i].data for i in subset])
+def _first_failing_receiver(coding: np.ndarray, params: NetworkParams, t: int,
+                            field: FieldSpec) -> Optional[tuple[int, ...]]:
+    """The first receiver, in ``receivers()`` order, whose coding matrices
+    (its rows on axis 0 of the ``(r, ell*t, h*t)`` stack ``coding``) have
+    rank below ``(h - epsilon) * t``, or None; ValueError if UNSOLVABLE."""
+    need, width = _need(params, t), params.h * t
+    for subset in params.receivers():
+        if rank_of_array(coding[list(subset)].reshape(-1, width), field) < need:
+            return subset
+    return None
 
 
 def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -152,11 +151,9 @@ def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]
     with the lexicographically first violating subset (0-based middle
     node indices).  Raises ValueError on UNSOLVABLE parameters.
     """
-    need = _need(sol)
-    for subset in sol.params.receivers():
-        if rank_of_array(_stacked(sol, subset), sol.field) < need:
-            return False, subset
-    return True, None
+    coding = np.stack([a.data for a in sol.matrices])
+    witness = _first_failing_receiver(coding, sol.params, sol.t, sol.field)
+    return witness is None, witness
 
 
 def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> LinearSolution:
@@ -216,11 +213,12 @@ def _receiver_decoders(sol: LinearSolution):
     and then ``-R_i[n-1-picked_j]``, and row ``picked_j`` is 1 at ``a + j``.
     """
     p = sol.params
-    need = _need(sol)
+    need = _need(p, sol.t)
     n, a_rows, e = p.h * sol.t, p.alpha * p.ell * sol.t, p.epsilon * sol.t
     ident = np.eye(a_rows, dtype=np.int16)
+    coding = np.stack([m.data for m in sol.matrices])
     for subset in p.receivers():
-        a = _stacked(sol, subset)
+        a = coding[list(subset)].reshape(a_rows, n)
         red, pivots = rref_of_array(np.hstack([a[:, ::-1], ident]), sol.field)
         rho = sum(c < n for c in pivots)
         if rho < need:
@@ -276,7 +274,8 @@ def random_solution_search(
     """Draw i.i.d. uniform coding matrices until a draw verifies.
 
     Each trial uses its own generator derived from ``(seed, trial)``,
-    so the result is reproducible and independent of scheduling.
+    so the result is reproducible and independent of scheduling.  A
+    trial is one ``(r, ell*t, h*t)`` draw, wrapped only if it verifies.
     Returns the first verifying solution, or None after ``trials``
     draws (absence is an outcome, not an error).
     """
@@ -285,11 +284,10 @@ def random_solution_search(
     p = params
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-        mats = tuple(random_matrix(field, p.ell * t, p.h * t, rng) for _ in range(p.r))
-        sol = LinearSolution(params=p, field=field, t=t, matrices=mats)
-        ok, _ = verify_solution(sol)
-        if ok:
-            return sol
+        coding = rng.integers(0, field.q, size=(p.r, p.ell * t, p.h * t), dtype=np.int64)
+        if _first_failing_receiver(coding, p, t, field) is None:
+            return LinearSolution(params=p, field=field, t=t,
+                                  matrices=tuple(MatrixQ(field, a) for a in coding))
     return None
 
 

@@ -51,6 +51,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_exceeds(q: int, e: int, cap: int) -> bool:
+    """Whether ``q**e > cap`` for ``q >= 2``, without building ``q**e``:
+    past ``cap.bit_length()`` the exponent is capped, since ``2**e``
+    already exceeds ``cap`` there."""
+    return q ** min(e, cap.bit_length()) > cap
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Decompose ``q = p**m`` with ``p`` prime, or raise ValueError."""
     if q < 2:
@@ -169,19 +176,24 @@ class FieldSpec:
         Dense ``(q, q)`` int16 operation tables.
     neg_table, inv_table : numpy.ndarray
         Dense ``(q,)`` int16 tables; ``inv_table[0]`` is unused.
+    kernel_views : tuple[memoryview, ...]
+        The ``inv``, ``neg``, ``add`` and ``mul`` tables as flat int16
+        views, which copy nothing, for :mod:`gcnet.backend`.
 
     Use :func:`field_create` rather than calling this constructor in a
     loop; creation builds tables and is cached there.
     """
 
     def __init__(self, p: int, m: int):
+        # bounded work first: neither the primality test nor p**m runs on a large order
+        if p >= 2 and m >= 1 and power_exceeds(p, m, ORDER_LIMIT):
+            order = p if m == 1 else f"{p}^{m}"
+            raise ValueError(f"field order {order} exceeds the supported limit {ORDER_LIMIT}")
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
         q = p**m
-        if q > ORDER_LIMIT:
-            raise ValueError(f"field order {q} exceeds the supported limit {ORDER_LIMIT}")
         self.p = p
         self.m = m
         self.q = q
@@ -247,8 +259,10 @@ class FieldSpec:
         self.mul_table = np.ascontiguousarray(mul, dtype=np.int16)
         self.neg_table = np.ascontiguousarray(neg, dtype=np.int16)
         self.inv_table = np.ascontiguousarray(inv, dtype=np.int16)
-        for t in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
+        tables = (self.inv_table, self.neg_table, self.add_table, self.mul_table)
+        for t in tables:
             t.setflags(write=False)
+        self.kernel_views = tuple(memoryview(t).cast("B").cast("h") for t in tables)
 
     # -- element codec -----------------------------------------------------
 
@@ -364,7 +378,10 @@ def field_create(p: int, m: int = 1) -> FieldSpec:
 
 
 def field_from_size(q: int) -> FieldSpec:
-    """Create GF(q) from its order, factoring ``q`` as a prime power."""
+    """Create GF(q) from its order, refusing ``q > ORDER_LIMIT`` before
+    factoring ``q`` as a prime power, which trial-divides up to ``q``."""
+    if q > ORDER_LIMIT:
+        raise ValueError(f"field order {q} exceeds the supported limit {ORDER_LIMIT}")
     p, m = factor_prime_power(q)
     return field_create(p, m)
 

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ffield import FieldSpec
-from .linalg import SubspaceQ, gaussian_binomial, power_exceeds, rank_of_array
+from .ffield import FieldSpec, power_exceeds
+from .linalg import SubspaceQ, gaussian_binomial, rank_of_array
 
 #: Refuse to enumerate Grassmannians larger than this.
 ENUMERATION_LIMIT = 10**6

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import backend
-from .ffield import FieldSpec
+from .ffield import FieldSpec, power_exceeds  # noqa: F401  (re-exported)
 
 
 def _as_element_array(field: FieldSpec, data) -> np.ndarray:
@@ -135,18 +135,14 @@ def stack_matrices(mats: Sequence[MatrixQ]) -> MatrixQ:
 
 def rank_of_array(arr: np.ndarray, field: FieldSpec) -> int:
     """Rank of an index array over ``field``; the array is not modified."""
-    return backend.rank_destructive(
-        arr, field.add_table, field.mul_table, field.inv_table, field.neg_table
-    )
+    return backend.rank_destructive(arr, *field.kernel_views)
 
 
 def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[list[list[int]], tuple[int, ...]]:
     """Reduced row echelon form of ``arr`` as ``(rows, pivots)``: one list
     of element indices per row of ``arr``, zero rows last, and the pivot
     column of each nonzero row.  The array is not modified."""
-    rows, pivots = backend.rref_destructive(
-        arr, field.add_table, field.mul_table, field.inv_table, field.neg_table
-    )
+    rows, pivots = backend.rref_destructive(arr, *field.kernel_views)
     return rows, tuple(pivots)
 
 
@@ -293,13 +289,6 @@ def random_matrix(field: FieldSpec, rows: int, cols: int, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 # Exact combinatorial counts.
 # ---------------------------------------------------------------------------
-
-
-def power_exceeds(q: int, e: int, cap: int) -> bool:
-    """Whether ``q**e > cap`` for ``q >= 2``, without building ``q**e``:
-    past ``cap.bit_length()`` the exponent is capped, since ``2**e``
-    already exceeds ``cap`` there."""
-    return q ** min(e, cap.bit_length()) > cap
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FieldSpec, _smallest_irreducible, field_from_size
+from .ffield import FieldSpec, _smallest_irreducible, field_from_size, power_exceeds
 from .grasscode import CoveringCode
-from .linalg import MatrixQ, SubspaceQ, dual, power_exceeds, product_of_arrays, rank_of_array
+from .linalg import MatrixQ, SubspaceQ, dual, product_of_arrays, rank_of_array
 
 #: Refuse to materialize rank-metric codes larger than this.
 CARDINALITY_LIMIT = 2**16

@@ -260,6 +260,25 @@ def test_random_search_is_deterministic():
     assert a == b
 
 
+def test_random_search_wraps_only_the_draw_that_verifies(monkeypatch):
+    # seed 1 passes at its fourth trial; a rejected draw stays one array
+    p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
+    assert random_solution_search(p, F2, t=1, trials=1, seed=1) is None
+    built = {"MatrixQ": 0, "LinearSolution": 0}
+
+    def counting(cls, init):
+        def wrapper(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, init.__name__, wrapper)
+
+    counting(MatrixQ, MatrixQ.__init__)
+    counting(LinearSolution, LinearSolution.__post_init__)
+    sol = random_solution_search(p, F2, t=1, trials=1000, seed=1)
+    assert built == {"MatrixQ": 3, "LinearSolution": 1}
+    assert verify_solution(sol) == (True, None)
+
+
 def test_random_search_zero_trials():
     p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
     assert random_solution_search(p, F11, t=1, trials=0, seed=0) is None

@@ -1,5 +1,6 @@
 """Finite field construction and arithmetic."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -170,6 +171,30 @@ def test_order_and_argument_errors():
         f.check(-1)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+@pytest.mark.parametrize("make,order", [
+    (lambda: field_from_size(10**30 + 57), "1000000000000000000000000000057"),
+    (lambda: field_from_size(2000), "2000"),  # not a prime power either
+    (lambda: field_create(10**30 + 57), "1000000000000000000000000000057"),
+    (lambda: field_create(2, 10**9), "2^1000000000"),
+    (lambda: field_from_descriptor("3^7"), "3^7"),
+], ids=["size-prime", "size-composite", "create-prime", "create-power", "descriptor"])
+def test_orders_above_the_limit_are_refused_before_factoring(make, order):
+    # neither trial division nor p**m runs on such an order
+    message = f"field order {order} exceeds the supported limit 1024"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_kernel_views_are_zero_copy_flat_tables():
+    f = field_from_size(9)
+    inv, neg, add, mul = f.kernel_views
+    assert [len(v) for v in f.kernel_views] == [9, 9, 81, 81]
+    assert all(v.readonly and v.format == "h" for v in f.kernel_views)
+    assert add[4 * 9 + 7] == f.add(4, 7) and mul[4 * 9 + 7] == f.mul(4, 7)
+    assert inv[5] == f.inv(5) and neg[5] == f.neg(5)
+    assert np.shares_memory(np.asarray(mul), f.mul_table)
 
 
 def test_descriptor_round_trip():

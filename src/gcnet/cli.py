@@ -387,6 +387,7 @@ def _cmd_oracle(args, parser) -> int:
     )
     kind = "exact" if result.exact else "lower bound"
     print(f"B = {result.size} ({kind}), nodes={result.nodes}")
+    print(f"certified_by={result.certified_by}", file=sys.stderr)
     if args.out is not None:
         if result.size < args.alpha:
             print(f"no code of size >= alpha found; nothing written to {args.out}")

@@ -13,8 +13,9 @@ Solutions correspond exactly to covering subspace codes: the row spaces
 of valid ``A_i`` form a code in G_q(h*t, ell*t) in which every ``alpha``
 codewords span at least ``(h - epsilon) * t`` dimensions, and back.
 ``compute_qs`` / ``compute_qv`` ride that bridge in one loop, deciding
-solvability per (q, t) with the exhaustive covering-code search and
-reporting honestly when a decision hit its node budget.
+solvability per (q, t) with the certified upper bound ``proven_upper``
+or else the exhaustive covering-code search, and reporting honestly when
+a decision hit its node budget.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .ffield import ORDER_LIMIT, FieldSpec, field_from_size, prime_powers
-from .grasscode import NODE_LIMIT, CoveringCode, SearchResult, max_covering_code
+from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
 from .linalg import MatrixQ, SubspaceQ, product_of_arrays, rank_of_array, rref_of_array
 
 
@@ -307,13 +308,16 @@ def _smallest_alphabet(params: NetworkParams, candidates: Iterable[tuple[int, in
     decision at a strictly smaller value was inconclusive.
 
     A (q, t)-linear solution exists iff G_q(h*t, ell*t) holds a covering
-    code of size r with the network's ``code_params(t)``.  Each decision
-    is a ``max_covering_code`` search with target r: a code of size r is
-    a conclusive yes, a finished tree a conclusive no, and a spent node
-    budget or a Grassmannian above ``ENUMERATION_LIMIT`` inconclusive.
-    Each of the r codewords of a code costs one search node, so with
-    ``node_limit < r`` no decision can say yes and the answer is
-    ``(None, False)`` before any search.
+    code of size r with the network's ``code_params(t)``.  A
+    ``proven_upper`` below r is a conclusive no, reached before the field
+    is built (a Grassmannian above ``BOUND_LIMIT`` gets no bound).
+    Otherwise the decision is a ``max_covering_code`` search
+    with target r: a code of size r is a conclusive yes, a certified
+    maximum below r a conclusive no, and a spent node budget or a
+    Grassmannian above ``ENUMERATION_LIMIT`` inconclusive.  Each of the r
+    codewords of a code costs one search node, so with ``node_limit < r``
+    no decision can say yes and the answer is ``(None, False)`` before
+    any bound or search.
     """
     cls = classify(params)
     if cls is SolvabilityClass.UNSOLVABLE:
@@ -324,15 +328,21 @@ def _smallest_alphabet(params: NetworkParams, candidates: Iterable[tuple[int, in
         return None, False
     first_inconclusive = None
     for value, q, t in candidates:
+        code_params = params.code_params(t)
+        try:
+            if proven_upper(*code_params, q)[0] < params.r:
+                continue
+        except ValueError:  # the Grassmannian is above BOUND_LIMIT
+            pass
         field = field_from_size(q)
         try:
-            res = max_covering_code(*params.code_params(t), field,
+            res = max_covering_code(*code_params, field,
                                     node_limit=node_limit, target_size=params.r)
         except ValueError:  # the Grassmannian is above ENUMERATION_LIMIT
-            res = SearchResult(size=0, code=None, exact=False)
-        if res.size >= params.r:
+            res = None
+        if res is not None and res.size >= params.r:
             return value, first_inconclusive is None or first_inconclusive >= value
-        if not res.exact and first_inconclusive is None:
+        if (res is None or not res.exact) and first_inconclusive is None:
             first_inconclusive = value
     return None, False
 
@@ -404,7 +414,7 @@ def estimate_gap(
     qt_cap: int = ALPHABET_CAP,
     node_limit: int = NODE_LIMIT,
 ) -> GapEstimate:
-    """Compute qs and qv by brute force and report the achieved gap."""
+    """Compute qs and qv and report the achieved gap."""
     qs, qs_exact = compute_qs(params, q_cap, node_limit)
     qv, qv_exact = compute_qv(params, qt_cap, node_limit)
     return GapEstimate(

@@ -10,12 +10,14 @@ The module provides deterministic enumeration of Grassmannians, a
 verifier that reports the worst witness on failure, and an exhaustive
 branch-and-bound search for the maximum code size at small parameters;
 both read spans from one memo.  The search is exact-or-flagged: it either
-completes with a certified maximum or stops at a node budget and says so.
+certifies its maximum, by finishing its tree or by meeting the rigorous
+upper bound ``proven_upper``, or stops at a node budget and says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
@@ -26,6 +28,10 @@ from .linalg import SubspaceQ, gaussian_binomial, rank_of_array
 
 #: Refuse to enumerate Grassmannians larger than this.
 ENUMERATION_LIMIT = 10**6
+
+#: Refuse to bound codes in Grassmannians with q^(k(n-k)) above this, so
+#: that ``proven_upper``'s recursion stays within milliseconds.
+BOUND_LIMIT = 2**1024
 
 #: Default node budget of the exhaustive search, for ``oracle`` and for
 #: each ``qs``/``qv`` decision alike.
@@ -177,14 +183,119 @@ class _Spans(dict):
         return got
 
 
+def _cap_upper(n: int, q: int) -> Optional[tuple[int, str]]:
+    """The largest cap of PG(n-1, q), a point set with no three collinear,
+    where a classical theorem gives it: q+2 (q even) or q+1 (q odd) in
+    PG(2, q) (Bose 1947); q^2+1 in PG(3, q) for q > 2 (Bose 1947, Qvist
+    1952); 20 in PG(4, 3) (Pellegrino 1970); 2^(n-1) over GF(2), where a
+    cap is a set S of nonzero vectors with no s + s' in S, so S and x + S
+    are disjoint for x in S and 2|S| <= 2^n.  None elsewhere."""
+    if n == 3:
+        return (q + 2 if q % 2 == 0 else q + 1), "arc"
+    if n == 4 and q > 2:
+        return q * q + 1, "ovoid"
+    if (n, q) == (5, 3):
+        return 20, "pellegrino"
+    if q == 2:
+        return 2 ** (n - 1), "binary-cap"
+    return None
+
+
+def _least_upper(n: int, k: int, delta: int, alpha: int, q: int,
+                 point: int, plane: int) -> tuple[int, str]:
+    """``proven_upper`` at one (n, k), given its bounds ``point`` on
+    M(n-1, k-1) and ``plane`` on M(n-1, k); both are read only when
+    ``1 <= k`` and ``delta + k <= n``, where they exist."""
+    if k == 0 or delta + k > n or alpha * k < delta + k:
+        return alpha - 1, "empty"
+    points = gaussian_binomial(n, 1, q)
+    found = [((alpha - 1) * gaussian_binomial(n, k, q), "multiplicity")]
+    if alpha == 2 and delta == k:
+        found.append((points // gaussian_binomial(k, 1, q), "partial-spread"))
+        if k >= 2 and n % k == 1:
+            found.append(((q**n - q ** (k + 1)) // (q**k - 1) + 1, "beutelspacher"))
+    if (k, delta, alpha) == (1, 2, 3):
+        cap = _cap_upper(n, q)
+        if cap is not None:
+            found.append(cap)
+    found.append((points * point // gaussian_binomial(k, 1, q), "johnson-point"))
+    found.append((points * plane // gaussian_binomial(n - k, 1, q), "johnson-hyperplane"))
+    return min(found, key=lambda f: f[0])
+
+
+@lru_cache(maxsize=None)
+def proven_upper(n: int, k: int, delta: int, alpha: int, q: int) -> tuple[int, str]:
+    """A rigorous upper bound on M, the largest size of a covering code
+    (n, k, delta, alpha) over GF(q), and the name of its source: the
+    least of the bounds below that apply, the first listed on a tie.
+
+    Write [j] = (q^j - 1)/(q - 1) for the number of points of GF(q)^j.
+    Every bound holds for multisets at every alpha:
+
+    - ``empty``: M = alpha - 1 when k = 0, delta + k > n or
+      alpha * k < delta + k, since then no alpha codewords span
+      delta + k, while alpha - 1 copies of one subspace have no
+      alpha-selection at all;
+    - ``multiplicity``: alpha copies of one codeword span k < delta + k,
+      so each of the |G_q(n, k)| subspaces repeats at most alpha - 1
+      times;
+    - ``partial-spread`` (alpha = 2, delta = k): codewords meet pairwise
+      in 0, so their point sets are disjoint and M <= floor([n] / [k]);
+      ``beutelspacher``: for k >= 2 and n = 1 mod k the largest partial
+      spread has exactly (q^n - q^(k+1)) / (q^k - 1) + 1 members
+      (Beutelspacher 1975);
+    - caps (k = 1, delta = 2, alpha = 3): a repeated point makes every
+      third codeword fall short, so a code of 3 or more points is a cap,
+      bounded by ``_cap_upper`` where a theorem gives its largest size;
+    - ``johnson-point``, M <= floor([n] * M(n-1, k-1) / [k]): for a
+      point P, the codewords through P, read in GF(q)^n / P, form an
+      (n-1, k-1, delta, alpha) code, since alpha of them span
+      dim(U_1 + ... + U_alpha) - 1 >= delta + (k-1).  Each codeword
+      holds [k] points, so counting (P, U) with P in U gives
+      M * [k] = sum over the [n] points of |C_P| <= [n] * M(n-1, k-1);
+    - ``johnson-hyperplane``, M <= floor([n] * M(n-1, k) / [n-k]): the
+      codewords inside a hyperplane H form an (n-1, k, delta, alpha)
+      code of H, with the same spans.  Each codeword lies in [n-k] of
+      the [n] hyperplanes, so M * [n-k] <= [n] * M(n-1, k).
+
+    The two recursions are the q-Johnson bounds (Xia-Fu, "Johnson type
+    bounds on constant dimension codes", Des. Codes Cryptogr. 2009;
+    Etzion-Vardy, "Error-correcting codes in projective space", IEEE
+    T-IT 2011).  They read the least bound at (n-1, k-1) and (n-1, k),
+    so the spread and cap values bound the larger codes built on them.
+    The table of M(k' + d', k') for k' <= k, d' <= n - k is filled from
+    the bases up, with no call stack.  Raises ValueError unless
+    0 <= k <= n, delta >= 1, alpha >= 2 and q >= 2, and when
+    q^(k(n-k)) exceeds ``BOUND_LIMIT``, read at call time.
+    """
+    if not 0 <= k <= n or delta < 1 or alpha < 2 or q < 2:
+        raise ValueError(f"need 0 <= k <= n, delta >= 1, alpha >= 2 and q >= 2, "
+                         f"got n={n}, k={k}, delta={delta}, alpha={alpha}, q={q}")
+    if power_exceeds(q, k * (n - k), BOUND_LIMIT):
+        raise ValueError(f"Grassmannian has at least {q}^{k * (n - k)} elements, "
+                         f"above the bound cap 2^{BOUND_LIMIT.bit_length() - 1}")
+    table: dict[tuple[int, int], tuple[int, str]] = {}
+    for kk in range(k + 1):
+        for dd in range(n - k + 1):
+            point = table.get((kk - 1, dd), (0, ""))[0]
+            plane = table.get((kk, dd - 1), (0, ""))[0]
+            table[kk, dd] = _least_upper(kk + dd, kk, delta, alpha, q, point, plane)
+    return table[k, n - k]
+
+
 @dataclass
 class SearchResult:
-    """Outcome of the exhaustive maximum-size search."""
+    """Outcome of the exhaustive maximum-size search.  ``certified_by``
+    says why it stopped: ``exhausted`` (the tree finished),
+    ``bound:<source>`` (``size`` met ``proven_upper``), ``budget`` (the
+    node budget ran out) or ``target`` (a code of ``target_size`` was
+    found).  ``exact`` holds for the first two."""
 
     size: int
     code: Optional[CoveringCode]
     exact: bool
     nodes: int = 0
+    certified_by: str = "exhausted"
 
 
 def max_covering_code(
@@ -227,13 +338,19 @@ def max_covering_code(
     image of the same size that contains index 0, and index 0 comes
     first in non-decreasing order.
 
+    The search stops with ``exact=True`` as soon as ``best`` meets
+    ``proven_upper``: no code is larger.  ``best`` is replaced only on a
+    strict increase, so this is the code the finished tree returns.
+
     ``nodes`` counts the extensions tried from filtered lists, the root
-    pick of index 0 included.  If it exceeds ``node_limit`` the best
-    code found so far is returned with ``exact=False``.
+    pick of index 0 included, up to that stop.  If it exceeds
+    ``node_limit`` the best code found so far is returned with
+    ``exact=False``.
 
     ``target_size`` stops the search once a valid code of that size is
-    found; the result is then a decision witness, not a maximum, and
-    ``exact`` is False.
+    found; unless that size meets the bound, the result is then a
+    decision witness, not a maximum, and ``exact`` is False.
+    ``certified_by`` names the stop (see ``SearchResult``).
 
     Requires ``1 <= delta`` and ``delta + k <= n``; with ``delta == 0``
     every multiset is a covering code and no maximum exists.  The
@@ -247,13 +364,13 @@ def max_covering_code(
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
     candidates = enumerate_grassmannian(n, k, field)
+    upper, source = proven_upper(n, k, delta, alpha, field.q)
     need = delta + k
     spans = _Spans(candidates, field, need)
 
     best: list[int] = []
     nodes = 0
-    exhausted = False
-    reached_target = False
+    certified_by = "exhausted"
     chosen: list[int] = []
     # per level: filtered candidates, (alpha-2)-prefixes, next position
     frames = [[list(range(len(candidates))), set(combinations(chosen, alpha - 2)), 0]]
@@ -270,21 +387,25 @@ def max_covering_code(
         frame[2] = pos + 1
         nodes += 1
         if nodes > node_limit:
-            exhausted = True
+            certified_by = "budget"
             break
         x = cands[pos]
-        heads = [s + (x,) for s in prefixes]
-        kept = [y for y in cands[pos:] if all(spans[h + (y,)] == need for h in heads)]
         chosen.append(x)
         if len(chosen) > len(best):
             best = list(chosen)
-            if target_size is not None and len(best) >= target_size:
-                reached_target = True
+            if len(best) >= upper:
+                certified_by = "bound:" + source
                 break
+            if target_size is not None and len(best) >= target_size:
+                certified_by = "target"
+                break
+        # a node that ends the search filters nothing
+        heads = [s + (x,) for s in prefixes]
+        kept = [y for y in cands[pos:] if all(spans[h + (y,)] == need for h in heads)]
         # chosen is non-decreasing, so each tuple here is sorted
         frames.append([kept, set(combinations(chosen, alpha - 2)), 0])
 
-    exact = not exhausted and not reached_target
+    exact = certified_by == "exhausted" or certified_by.startswith("bound:")
     code = None
     if best:
         code = CoveringCode(
@@ -295,4 +416,5 @@ def max_covering_code(
             alpha=alpha,
             codewords=tuple(candidates[i] for i in best),
         )
-    return SearchResult(size=len(best), code=code, exact=exact, nodes=nodes)
+    return SearchResult(size=len(best), code=code, exact=exact, nodes=nodes,
+                        certified_by=certified_by)

@@ -117,6 +117,31 @@ def test_construct_output_is_pinned(capsys, point):
     assert hashlib.md5(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[point]
 
 
+#: ``oracle -o`` file md5 (pinned before the search stopped at its bound),
+#: stdout and stderr at the benchmark's six oracle points.
+ORACLE_OUTPUTS = {
+    (4, 2, 1, 2, 2): ("41c805eda6a2d07d04917075de7f4bed", 35, 35, "bound:multiplicity"),
+    (4, 2, 2, 2, 2): ("8c219246a453fa5eb023ebc3c3096a08", 5, 5, "bound:partial-spread"),
+    (3, 1, 1, 3, 3): ("67a5a312668d501b33f8b484a6535f84", 26, 26, "bound:multiplicity"),
+    (3, 1, 1, 2, 7): ("140b51195559ea7c87fcba26bc9eea91", 57, 57, "bound:multiplicity"),
+    (3, 1, 1, 3, 4): ("2621de695895c5fc1eb6d44ada0c4770", 42, 42, "bound:multiplicity"),
+    (4, 1, 2, 3, 2): ("02e4ad6bf3c6a5a9d247c5070ae08719", 8, 9, "bound:binary-cap"),
+}
+
+
+@pytest.mark.parametrize("point", list(ORACLE_OUTPUTS), ids=str)
+def test_oracle_output_is_pinned(tmp_path, capsys, point):
+    digest, size, nodes, certified_by = ORACLE_OUTPUTS[point]
+    argv = [v for flag, x in zip(("--n", "--k", "--delta", "--alpha", "--q"), point)
+            for v in (flag, str(x))]
+    path = tmp_path / "best.txt"
+    code, out, err = run(capsys, "oracle", *argv, "-o", str(path))
+    assert code == 0
+    assert out == f"B = {size} (exact), nodes={nodes}\n"
+    assert err == f"certified_by={certified_by}\n"
+    assert hashlib.md5(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,message", [
     ("construct --n 20000 --k 10000 --q 3", "code size 3^100000000 exceeds the cap 65536"),
     ("construct --n 6000 --k 3000 --q 2", "code size 2^9000000 exceeds the cap 65536"),
@@ -402,6 +427,14 @@ def test_qs_cap_miss_exits_one(capsys):
                        "--ell", "1", "--eps", "0", "--q-cap", "4")
     assert code == 1
     assert "none" in out
+
+
+def test_qs_decided_by_the_bound_is_exact(capsys):
+    # caps of PG(3, q) have at most 2^3 (q = 2) or q^2 + 1 points, so
+    # q < 4 cannot carry 11 codewords, and q = 4 does
+    code, out, _ = run(capsys, "qs", "--h", "4", "--r", "11", "--alpha", "3", "--ell", "1",
+                       "--eps", "1", "--q-cap", "16", "--node-limit", "200000")
+    assert (code, out) == (0, "qs = 4 (exact)\n")
 
 
 def test_qv_budget_below_r_answers_none_at_once(capsys):

@@ -1,6 +1,7 @@
 """Networks, solutions, verification, search, and qs/qv decisions."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -313,22 +314,30 @@ def test_compute_qv_values():
     assert compute_qv(NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)) == (2, True)
 
 
+#: Nine points of PG(2, q), every five of them spanning the plane: the
+#: bound allows 9 at q = 2, where the search refutes it in 482 nodes, and
+#: the search finds 9 at q = 3 in 266 nodes.
+NINE_POINTS = NetworkParams(h=3, r=9, alpha=5, ell=1, epsilon=0)
+
+
 def test_compute_qs_inexact_after_an_inconclusive_decision():
-    # five points of PG(2, q), no three collinear: none at q = 2 or 3
-    # (refuted in 18 and 128 nodes), found at q = 4 in 6 nodes
-    p = NetworkParams(h=3, r=5, alpha=3, ell=1, epsilon=0)
-    assert compute_qs(p, node_limit=6) == (4, False)
-    assert compute_qs(p, node_limit=20) == (4, False)
-    assert compute_qs(p, node_limit=128) == (4, True)
+    assert compute_qs(NINE_POINTS, node_limit=300) == (3, False)
+    assert compute_qs(NINE_POINTS, node_limit=481) == (3, False)
+    assert compute_qs(NINE_POINTS, node_limit=482) == (3, True)
+
+
+def test_compute_qs_is_exact_where_the_bound_refutes():
+    # five points of PG(2, q), no three collinear: an arc of PG(2, q) has
+    # at most q + 2 points, so q = 2 and 3 need no search, and q = 4
+    # finds one in 6 nodes
+    assert compute_qs(NetworkParams(h=3, r=5, alpha=3, ell=1, epsilon=0),
+                      node_limit=6) == (4, True)
 
 
 def test_compute_qv_inexact_after_an_inconclusive_decision():
-    # six lines pairwise spanning everything: q^t = 4 is refuted at
-    # (4, 1) in 5 nodes and at (2, 2) in 29 (a spread of GF(2)^4 has 5
-    # planes); (5, 1) succeeds in 6 nodes
-    p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
-    assert compute_qv(p, qt_cap=8, node_limit=6) == (5, False)
-    assert compute_qv(p, qt_cap=8, node_limit=29) == (5, True)
+    # q^t = 2 and 3 come before any t = 2 candidate
+    assert compute_qv(NINE_POINTS, qt_cap=8, node_limit=300) == (3, False)
+    assert compute_qv(NINE_POINTS, qt_cap=8, node_limit=482) == (3, True)
 
 
 def test_code_params_matches_code_from_solution():
@@ -360,34 +369,61 @@ def test_budget_below_r_makes_no_search(monkeypatch):
     assert compute_qs(NetworkParams(h=3, r=8, alpha=2, ell=1, epsilon=1),
                       node_limit=7) == (None, False)
     assert calls == []
-    assert compute_qv(NetworkParams(h=2, r=4, alpha=2, ell=1, epsilon=0),
-                      qt_cap=8, node_limit=4) == (3, True)
+    assert compute_qv(NINE_POINTS, qt_cap=8, node_limit=482) == (3, True)
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("search", ["qs", "qv"])
 def test_candidates_stop_at_the_field_order_limit(monkeypatch, search):
-    # 20 pairwise independent points need q >= 19, so with fields capped
-    # at 16 the search runs out of candidates without a larger field; the
-    # small enumeration limit leaves the big Grassmannians of qv undecided
+    # 18 points of PG(2, q), no three collinear: the arc bound q + 2
+    # refutes every q < 16 with no field built, and the search needs 19
+    # nodes to reach the hyperoval of PG(2, 16), so with fields capped at
+    # 16 and a budget of 18 the search runs out of candidates without a
+    # larger field; the small enumeration limit leaves the big
+    # Grassmannians of qv undecided
     monkeypatch.setattr(combnet, "ORDER_LIMIT", 16)
     monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 400)
     orders = count_calls(monkeypatch, combnet, "field_from_size")
-    p = NetworkParams(h=2, r=20, alpha=2, ell=1, epsilon=0)
+    p = NetworkParams(h=3, r=18, alpha=3, ell=1, epsilon=0)
     if search == "qs":
-        assert compute_qs(p, q_cap=1100, node_limit=20) == (None, False)
+        assert compute_qs(p, q_cap=1100, node_limit=18) == (None, False)
     else:
-        assert compute_qv(p, qt_cap=32, node_limit=20) == (None, False)
+        assert compute_qv(p, qt_cap=32, node_limit=18) == (None, False)
     assert max(q for (q,) in orders) == 16
 
 
 def test_grassmannian_above_the_enumeration_limit_is_inconclusive(monkeypatch):
-    # q^t = 4 at (2, 2) needs G_2(4, 2), 35 planes: above a limit of 30
-    # it cannot be refuted, so q^t = 5 is only an upper bound
-    p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
-    assert compute_qv(p, qt_cap=8) == (5, True)
+    # seven points of PG(2, q), no three collinear: the arc bound refutes
+    # q < 7, and the search finds one at q = 7 in G_7(3, 1), 57 points
+    p = NetworkParams(h=3, r=7, alpha=3, ell=1, epsilon=0)
+    monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 100)
+    assert compute_qs(p, q_cap=8) == (7, True)
+    # q^t = 4 at (2, 2) needs G_2(6, 2), 651 lines, where the bound allows
+    # 8: above the limit it cannot be refuted, so q^t = 7 is only an upper
+    # bound
+    assert compute_qv(p, qt_cap=8) == (7, False)
+
+
+def test_the_bound_refutes_without_a_field_or_a_search(monkeypatch):
+    # a line of GF(q)^2 has q + 1 points, below 2000 at every q <= 1024
+    fields = count_calls(monkeypatch, combnet, "field_from_size")
+    searches = count_calls(monkeypatch, combnet, "max_covering_code")
+    start = time.perf_counter()
+    assert compute_qs(NetworkParams(h=2, r=2000, alpha=2, ell=1, epsilon=0),
+                      q_cap=1024) == (None, False)
+    assert time.perf_counter() - start < 1
+    assert fields == searches == []
+    # q^t = 4 at (2, 2), 35 planes above a limit of 30, is refuted by the
+    # spread bound 5 before any enumeration, so q^t = 5 stays exact
     monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 30)
-    assert compute_qv(p, qt_cap=8) == (5, False)
+    assert compute_qv(NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0),
+                      qt_cap=8) == (5, True)
+
+
+def test_grassmannians_above_both_caps_get_no_bound_and_no_search():
+    start = time.perf_counter()
+    assert compute_qs(NetworkParams(h=5000, r=3, alpha=2, ell=1, epsilon=4998)) == (None, False)
+    assert time.perf_counter() - start < 1
 
 
 def test_compute_qv_trivial():

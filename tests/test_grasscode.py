@@ -14,6 +14,7 @@ from gcnet.grasscode import (
     enumerate_grassmannian,
     is_covering_code,
     max_covering_code,
+    proven_upper,
 )
 from gcnet.linalg import SubspaceQ, gaussian_binomial, random_matrix, rank_of_array, span_dim
 from gcnet.rankmetric import covering_code_from_mrd
@@ -226,9 +227,25 @@ def test_max_code_exactness_flags():
     starved = max_covering_code(3, 1, 1, 2, F2, node_limit=3)
     assert not starved.exact
     assert starved.size <= 7
+    assert starved.certified_by == "budget"
     early = max_covering_code(3, 1, 1, 2, F2, target_size=2)
     assert early.size == 2
     assert not early.exact
+    assert early.certified_by == "target"
+
+
+def test_max_code_names_what_certified_it():
+    # the five planes of a spread of GF(2)^4 meet the spread bound
+    spread = max_covering_code(4, 2, 2, 2, F2)
+    assert (spread.size, spread.exact, spread.certified_by) == (5, True, "bound:partial-spread")
+    # eight points of PG(2, 2), every five spanning the plane, fall short
+    # of the bound 9: only the finished tree certifies them
+    points = max_covering_code(3, 1, 2, 5, F2)
+    assert proven_upper(3, 1, 2, 5, 2) == (9, "johnson-hyperplane")
+    assert (points.size, points.exact, points.certified_by) == (8, True, "exhausted")
+    # a target that is also the bound certifies the maximum
+    both = max_covering_code(4, 2, 2, 2, F2, target_size=5)
+    assert (both.exact, both.certified_by) == (True, "bound:partial-spread")
 
 
 def test_max_code_found_code_verifies():
@@ -283,6 +300,7 @@ def test_max_code_matches_unpruned_reference(n, k, delta, alpha, q):
     result = max_covering_code(n, k, delta, alpha, field)
     assert result.exact
     assert result.size == unpruned_max(n, k, delta, alpha, field)
+    assert proven_upper(n, k, delta, alpha, q)[0] >= result.size
     # the first codeword is fixed to candidate 0
     assert result.code.codewords[0] == enumerate_grassmannian(n, k, field)[0]
     if result.size >= alpha:
@@ -292,6 +310,80 @@ def test_max_code_matches_unpruned_reference(n, k, delta, alpha, q):
 def test_max_code_node_counts():
     # the five planes of a spread of GF(2)^4, found in few extensions
     assert max_covering_code(4, 2, 2, 2, F2).nodes <= 100
+
+
+#: Points whose search finishes in about 1 s with no bound to stop it,
+#: covering the empty, multiplicity, spread, cap and hyperplane sources.
+BOUND_GRID = [
+    (2, 1, 1, 2, 2), (3, 1, 1, 3, 3), (4, 2, 1, 2, 2), (3, 2, 1, 3, 2),
+    (3, 1, 2, 2, 2), (5, 1, 3, 2, 2),
+    (3, 1, 2, 3, 2), (3, 1, 2, 3, 3), (3, 1, 2, 3, 4), (3, 1, 2, 3, 5),
+    (4, 1, 2, 3, 2), (5, 1, 2, 3, 2),
+    (4, 2, 2, 2, 2), (4, 2, 2, 2, 3),
+    (3, 1, 2, 4, 2), (3, 1, 2, 4, 3), (4, 1, 2, 4, 2), (4, 1, 3, 4, 2),
+    (3, 1, 2, 5, 2), (4, 1, 3, 5, 2), (3, 1, 2, 6, 2),
+]
+
+
+@pytest.mark.parametrize("point", BOUND_GRID, ids=str)
+def test_proven_upper_holds_where_the_search_finishes(monkeypatch, point):
+    n, k, delta, alpha, q = point
+    field = field_from_size(q)
+    upper = proven_upper(*point)
+    stopped = max_covering_code(n, k, delta, alpha, field)
+    # with no bound to stop it, the search runs to the end of its tree
+    monkeypatch.setattr(grasscode, "proven_upper", lambda *p: (float("inf"), "none"))
+    full = max_covering_code(n, k, delta, alpha, field)
+    assert (full.exact, full.certified_by) == (True, "exhausted")
+    assert upper[0] >= full.size
+    # the best code is replaced only by a larger one, so the search that
+    # meets the bound stops with the code the finished tree returns
+    assert stopped.exact and stopped.code == full.code
+    assert stopped.nodes <= full.nodes
+
+
+#: Sizes of codes the search has found, each a lower bound on the maximum
+#: (exact where the search or the bound certifies it): the suite's
+#: pinned maxima, the benchmark's oracle points and larger searches.
+FOUND_SIZES = {
+    (2, 1, 1, 2, 2): 3, (3, 1, 1, 2, 2): 7, (2, 1, 1, 2, 3): 4, (3, 1, 2, 2, 2): 1,
+    (2, 1, 1, 3, 2): 6, (5, 1, 3, 2, 2): 1, (3, 1, 1, 2, 7): 57, (4, 2, 1, 2, 2): 35,
+    (4, 2, 2, 2, 2): 5, (3, 1, 1, 3, 3): 26, (3, 1, 1, 3, 4): 42, (4, 1, 2, 3, 2): 8,
+    (4, 2, 2, 3, 2): 10, (5, 2, 1, 2, 3): 1210, (5, 2, 2, 2, 2): 9, (6, 2, 2, 2, 2): 21,
+    (8, 2, 2, 2, 2): 85, (4, 2, 2, 2, 3): 10, (4, 2, 2, 2, 4): 17, (4, 2, 2, 3, 3): 20,
+    (4, 2, 2, 3, 4): 34, (5, 2, 3, 3, 2): 8, (4, 1, 2, 3, 3): 10, (4, 1, 2, 3, 4): 17,
+    (5, 1, 2, 3, 3): 20, (4, 2, 1, 3, 4): 714, (5, 2, 1, 2, 4): 5797,
+}
+
+
+def test_proven_upper_is_at_least_every_found_size():
+    for point, size in FOUND_SIZES.items():
+        assert proven_upper(*point)[0] >= size, point
+
+
+@pytest.mark.parametrize("point,upper", [
+    ((6, 2, 2, 2, 2), (21, "partial-spread")),
+    ((5, 2, 2, 2, 2), (9, "beutelspacher")),
+    ((4, 1, 2, 3, 2), (8, "binary-cap")),
+    ((4, 1, 2, 3, 4), (17, "ovoid")),
+    ((5, 1, 2, 3, 3), (20, "pellegrino")),
+    ((3, 1, 2, 3, 7), (8, "arc")),
+    ((2, 1, 1, 2, 1024), (1025, "multiplicity")),
+    ((5, 2, 3, 3, 2), (8, "johnson-hyperplane")),
+    ((6, 3, 2, 2, 2), (81, "johnson-point")),
+    ((3, 1, 2, 2, 2), (1, "empty")),
+], ids=str)
+def test_proven_upper_values(point, upper):
+    assert proven_upper(*point) == upper
+
+
+def test_proven_upper_domain_errors():
+    for point in [(3, 4, 1, 2, 2), (3, 1, 0, 2, 2), (3, 1, 1, 1, 2), (3, 1, 1, 2, 1)]:
+        with pytest.raises(ValueError):
+            proven_upper(*point)
+    # a recursion over 2 x 5000 big-integer entries is refused at once
+    with pytest.raises(ValueError, match=r"at least 64\^4999 elements, above the bound cap 2\^1024"):
+        proven_upper(5000, 1, 1, 2, 64)
 
 
 def test_max_code_certifies_alpha_three_planes():

@@ -278,8 +278,11 @@ def random_solution_search(
     so the result is reproducible and independent of scheduling.  A
     trial is one ``(r, ell*t, h*t)`` draw, wrapped only if it verifies.
     Returns the first verifying solution, or None after ``trials``
-    draws (absence is an outcome, not an error).
+    draws (absence is an outcome, not an error).  Raises ValueError for
+    a blocklength ``t`` below 1, before any draw.
     """
+    if t < 1:
+        raise ValueError("blocklength t must be >= 1")
     if classify(params) is not SolvabilityClass.NONTRIVIAL:
         raise ValueError("random search expects a NONTRIVIAL network")
     p = params

@@ -8,8 +8,10 @@ ordered tuples; repeated codewords are legal and meaningful.
 
 The module provides deterministic enumeration of Grassmannians, a
 verifier that reports the worst witness on failure, and an exhaustive
-branch-and-bound search for the maximum code size at small parameters;
-both read spans from one memo.  The search is exact-or-flagged: it either
+branch-and-bound search for the maximum code size at small parameters.
+Both decide by one rule where it applies: two distinct subspaces of
+dimension ``need - 1`` or more span ``need = delta + k``.  Every other
+span comes from one memo.  The search is exact-or-flagged: it either
 certifies its maximum, by finishing its tree or by meeting the rigorous
 upper bound ``proven_upper``, or stops at a node budget and says so.
 """
@@ -121,65 +123,60 @@ def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> list[SubspaceQ]:
 
 
 def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
-    """Exhaustively verify the covering property.
+    """Verify the covering property over every size-``alpha`` sub-multiset.
 
-    Scans every size-``alpha`` sub-multiset, with each codeword read as its
-    first equal codeword in ``_Spans``.  On failure returns the witness with
-    the smallest achieved dimension, ties going to the lexicographically
-    first index tuple.  When all codewords have one dimension d with
-    d + 1 >= delta + k, only ``alpha`` copies of one codeword can fail, so
-    the groups of equal codewords decide in O(size) with no scan.  Raises
-    ValueError when the code has fewer than ``alpha`` codewords or when
-    ``delta + k`` exceeds the ambient dimension.
+    By the module's rule a selection can fall short only as ``alpha``
+    copies of one codeword of dimension ``need - 1``, read off the groups
+    of equal codewords, or by holding a codeword of lower dimension (every
+    selection at delta >= 2), read from ``_Spans`` with each codeword named
+    by its first equal one.  The witness is the least (achieved dimension,
+    index tuple).  Raises ValueError when the code has fewer than
+    ``alpha`` codewords or when ``need`` exceeds the ambient dimension.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
     need = code.delta + code.k
     if need > code.n:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
+    words, alpha = code.codewords, code.alpha
     first: dict[SubspaceQ, int] = {}
-    rep = [first.setdefault(c, i) for i, c in enumerate(code.codewords)]
-    dims = {c.dim for c in code.codewords}
-    d = min(dims)
-    if len(dims) == 1 and d + 1 >= need:
-        # distinct codewords of one dimension d span at least d + 1 >= need,
-        # so only alpha copies of one codeword can fall short, spanning d
-        copies: dict[int, list[int]] = {}
-        for i, r in enumerate(rep):
-            copies.setdefault(r, []).append(i)
-        sels = [tuple(g[: code.alpha]) for g in copies.values() if len(g) >= code.alpha]
-        if d >= need or not sels:
-            return True, None
-        return False, CoverWitness(indices=min(sels), achieved_dim=d, required_dim=need)
-    spans = _Spans(code.codewords, code.field, need)
-    worst: Optional[CoverWitness] = None
-    for sel in combinations(range(code.size), code.alpha):
-        got = spans[tuple(sorted({rep[i] for i in sel}))]
-        if got < need and (worst is None or got < worst.achieved_dim):
-            worst = CoverWitness(indices=sel, achieved_dim=got, required_dim=need)
-    return (worst is None), worst
+    rep = [first.setdefault(c, i) for i, c in enumerate(words)]
+    copies: dict[int, list[int]] = {}
+    for i, r in enumerate(rep):
+        copies.setdefault(r, []).append(i)
+    # (achieved, indices) of the worst selection; (need, ()) while none falls short
+    worst = min([(need, ())] + [(need - 1, tuple(g[:alpha])) for r, g in copies.items()
+                                if len(g) >= alpha and words[r].dim == need - 1])
+    low = [c.dim < need - 1 for c in words]
+    spans = _Spans(words, code.field) if any(low) else None
+    for j in (j for j in range(code.size) if low[j]):
+        # the selections whose first low codeword is j
+        rest = [i for i in range(code.size) if i > j or (i < j and not low[i])]
+        for sel in combinations(rest, alpha - 1):
+            sel = tuple(sorted(sel + (j,)))
+            got = spans[tuple(sorted({rep[i] for i in sel}))]
+            if got < need:
+                worst = min(worst, (got, sel))
+    if worst[0] == need:
+        return True, None
+    return False, CoverWitness(indices=worst[1], achieved_dim=worst[0], required_dim=need)
 
 
 class _Spans(dict):
-    """Memo of ``min(span, need)`` keyed by sorted tuples of indices that
-    name pairwise distinct subspaces, valued from the distinct indices.  One
-    index spans its own dimension, and several of one dimension d span at
-    least d + 1; neither answer needs a rank call or is stored.
-    """
+    """Memo of span dimensions keyed by sorted index tuples.  A key with
+    one distinct index spans that subspace's dimension, with no rank
+    call; any other key is one memoised rank call on its distinct indices."""
 
-    def __init__(self, subspaces: Sequence[SubspaceQ], field: FieldSpec, need: int):
+    def __init__(self, subspaces: Sequence[SubspaceQ], field: FieldSpec):
         super().__init__()
         self.arrays = [c.basis_array() for c in subspaces]
         self.field = field
-        self.need = need
 
     def __missing__(self, key: tuple[int, ...]) -> int:
         rows = [self.arrays[i] for i in set(key)]
         if len(rows) == 1:
-            return min(rows[0].shape[0], self.need)
-        if rows[0].shape[0] + 1 >= self.need and len({a.shape[0] for a in rows}) == 1:
-            return self.need
-        got = self[key] = min(rank_of_array(np.vstack(rows), self.field), self.need)
+            return rows[0].shape[0]
+        got = self[key] = rank_of_array(np.vstack(rows), self.field)
         return got
 
 
@@ -319,8 +316,8 @@ def max_covering_code(
     codewords chosen before ``x``; the other sub-multisets were checked
     on the way down.  Adding codewords never repairs a violated
     selection, so dropping a candidate is sound.  Spans come from a
-    ``_Spans`` memo keyed by the sorted index tuple; at alpha = 2 and
-    delta = 1 every pair of distinct candidates passes with no rank call.
+    ``_Spans`` memo, except at delta = 1, where by the module's rule only
+    ``x`` drops, once ``chosen`` holds ``alpha - 1`` copies of it.
 
     Alpha copies of one codeword span only ``k < k + delta``, so a
     candidate contributes at most ``alpha - 1`` picks, and a branch with
@@ -366,17 +363,17 @@ def max_covering_code(
     candidates = enumerate_grassmannian(n, k, field)
     upper, source = proven_upper(n, k, delta, alpha, field.q)
     need = delta + k
-    spans = _Spans(candidates, field, need)
+    spans = _Spans(candidates, field)
 
     best: list[int] = []
     nodes = 0
     certified_by = "exhausted"
     chosen: list[int] = []
-    # per level: filtered candidates, (alpha-2)-prefixes, next position
-    frames = [[list(range(len(candidates))), set(combinations(chosen, alpha - 2)), 0]]
+    # per level: filtered candidates, next position
+    frames = [[list(range(len(candidates))), 0]]
     while frames:
         frame = frames[-1]
-        cands, prefixes, pos = frame
+        cands, pos = frame
         # the root tries index 0 only (see the docstring)
         end = len(cands) if chosen else 1
         if pos == end or len(chosen) + (alpha - 1) * (len(cands) - pos) <= len(best):
@@ -384,7 +381,7 @@ def max_covering_code(
             if chosen:
                 chosen.pop()
             continue
-        frame[2] = pos + 1
+        frame[1] = pos + 1
         nodes += 1
         if nodes > node_limit:
             certified_by = "budget"
@@ -400,10 +397,13 @@ def max_covering_code(
                 certified_by = "target"
                 break
         # a node that ends the search filters nothing
-        heads = [s + (x,) for s in prefixes]
-        kept = [y for y in cands[pos:] if all(spans[h + (y,)] == need for h in heads)]
-        # chosen is non-decreasing, so each tuple here is sorted
-        frames.append([kept, set(combinations(chosen, alpha - 2)), 0])
+        if delta == 1:
+            kept = cands[pos + 1:] if chosen.count(x) == alpha - 1 else cands[pos:]
+        else:
+            # chosen is non-decreasing, so each key here is sorted
+            heads = [s + (x,) for s in set(combinations(chosen[:-1], alpha - 2))]
+            kept = [y for y in cands[pos:] if all(spans[h + (y,)] >= need for h in heads)]
+        frames.append([kept, 0])
 
     exact = certified_by == "exhausted" or certified_by.startswith("bound:")
     code = None

@@ -118,7 +118,8 @@ def test_construct_output_is_pinned(capsys, point):
 
 
 #: ``oracle -o`` file md5 (pinned before the search stopped at its bound),
-#: stdout and stderr at the benchmark's six oracle points.
+#: stdout and stderr at the benchmark's six oracle points, and at a
+#: delta = 1 point of 714 codewords, pinned before its search read no span.
 ORACLE_OUTPUTS = {
     (4, 2, 1, 2, 2): ("41c805eda6a2d07d04917075de7f4bed", 35, 35, "bound:multiplicity"),
     (4, 2, 2, 2, 2): ("8c219246a453fa5eb023ebc3c3096a08", 5, 5, "bound:partial-spread"),
@@ -126,6 +127,7 @@ ORACLE_OUTPUTS = {
     (3, 1, 1, 2, 7): ("140b51195559ea7c87fcba26bc9eea91", 57, 57, "bound:multiplicity"),
     (3, 1, 1, 3, 4): ("2621de695895c5fc1eb6d44ada0c4770", 42, 42, "bound:multiplicity"),
     (4, 1, 2, 3, 2): ("02e4ad6bf3c6a5a9d247c5070ae08719", 8, 9, "bound:binary-cap"),
+    (4, 2, 1, 3, 4): ("7c58ddf93730579c909e714a9d99843f", 714, 714, "bound:multiplicity"),
 }
 
 
@@ -135,7 +137,9 @@ def test_oracle_output_is_pinned(tmp_path, capsys, point):
     argv = [v for flag, x in zip(("--n", "--k", "--delta", "--alpha", "--q"), point)
             for v in (flag, str(x))]
     path = tmp_path / "best.txt"
+    start = time.perf_counter()
     code, out, err = run(capsys, "oracle", *argv, "-o", str(path))
+    assert time.perf_counter() - start < 2
     assert code == 0
     assert out == f"B = {size} (exact), nodes={nodes}\n"
     assert err == f"certified_by={certified_by}\n"
@@ -263,6 +267,12 @@ def test_simulate_negative_count_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "--count: must be >= 0, got -3" in err
+
+
+def test_search_zero_blocklength_is_refused_before_drawing(capsys):
+    code, out, err = run(capsys, "search", "--h", "3", "--r", "4", "--alpha", "2",
+                         "--ell", "1", "--eps", "1", "--q", "2", "--t", "0", "--seed", "1")
+    assert (code, out, err) == (2, "", "error: blocklength t must be >= 1\n")
 
 
 def test_search_negative_trials_is_usage_error(capsys):

@@ -2,11 +2,12 @@
 
 import sys
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from gcnet import grasscode
+from gcnet import backend, grasscode
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import (
     CoverWitness,
@@ -16,7 +17,7 @@ from gcnet.grasscode import (
     max_covering_code,
     proven_upper,
 )
-from gcnet.linalg import SubspaceQ, gaussian_binomial, random_matrix, rank_of_array, span_dim
+from gcnet.linalg import SubspaceQ, gaussian_binomial, random_matrix, span_dim
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -82,62 +83,76 @@ def test_is_covering_code_domain_errors():
 
 
 def reference_worst_witness(code):
-    """The per-subset loop is_covering_code ran before the span memo: one
-    rank call per size-alpha index tuple, keeping the smallest dimension
-    and, among equals, the first tuple."""
+    """Brute force: every size-alpha index tuple read with span_dim,
+    keeping the least (achieved_dim, indices) among those that fall
+    short."""
     need = code.delta + code.k
-    arrays = [c.basis_array() for c in code.codewords]
-    worst = None
-    for sel in combinations(range(code.size), code.alpha):
-        got = rank_of_array(np.vstack([arrays[i] for i in sel]), code.field)
-        if got < need and (worst is None or got < worst.achieved_dim):
-            worst = CoverWitness(indices=sel, achieved_dim=got, required_dim=need)
-    return (worst is None), worst
+    spans = [(span_dim([code.codewords[i] for i in sel]), sel)
+             for sel in combinations(range(code.size), code.alpha)]
+    short = [(got, sel) for got, sel in spans if got < need]
+    if not short:
+        return True, None
+    got, sel = min(short)
+    return False, CoverWitness(indices=sel, achieved_dim=got, required_dim=need)
 
 
 def random_code(rng, field, alpha):
-    """A code of 4-7 codewords of dimension at most k.  Each codeword is
-    either a fresh random span (often below k) or the span of random
-    combinations of an earlier codeword's basis, which gives the same
-    subspace under another basis or a subspace nested inside it."""
+    """A code of alpha to alpha + 4 codewords of dimension at most k in
+    GF(q)^n, n <= 5.  Each codeword is a fresh random span (often below
+    k), the zero subspace, or the span of random combinations of an
+    earlier codeword's basis, which gives the same subspace under another
+    basis or a subspace nested inside it.  A third of the codes hold only
+    fresh spans of k rows, which often pass."""
     n = int(rng.integers(2, 6))
     k = int(rng.integers(1, n))
     delta = int(rng.integers(1, n - k + 1))
+    zero = np.zeros((1, n), dtype=np.int64)
+    fresh_only = rng.random() < 1 / 3
     words = []
-    for _ in range(int(rng.integers(4, 8))):
-        if words and rng.random() < 0.5:
+    for _ in range(int(rng.integers(alpha, alpha + 5))):
+        pick = 1 if fresh_only else rng.random()
+        if words and pick < 0.4:
             src = words[int(rng.integers(len(words)))]
-            if src.dim == 0:
-                rows = np.zeros((1, n), dtype=np.int64)
-            else:
+            rows = zero
+            if src.dim:
                 mix = random_matrix(field, int(rng.integers(1, src.dim + 2)), src.dim, rng)
                 rows = (mix @ src.basis_matrix()).data
+        elif pick < 0.5:
+            rows = zero
         else:
-            rows = random_matrix(field, int(rng.integers(1, k + 1)), n, rng).data
+            rows = random_matrix(field, k if fresh_only else int(rng.integers(1, k + 1)), n, rng).data
         words.append(SubspaceQ(field, n, rows))
     return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=tuple(words))
 
 
 @pytest.mark.parametrize("alpha", [2, 3, 4])
-@pytest.mark.parametrize("q", [2, 3, 4, 257])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 257])
 def test_is_covering_code_matches_per_subset_reference(q, alpha):
     field = field_from_size(q)
     rng = np.random.default_rng(1000 * q + alpha)
     seen = set()
-    for _ in range(40):
+    for _ in range(60):
         code = random_code(rng, field, alpha)
         verdict = is_covering_code(code)
         assert verdict == reference_worst_witness(code)
         words = code.codewords
-        if not verdict[0]:
-            seen.add("fails")
+        dims = [c.dim for c in words]
+        need = code.delta + code.k
+        seen.add("passes" if verdict[0] else "fails")
         if len(set(words)) < len(words):
             seen.add("repeat")
-        if min(c.dim for c in words) < code.k:
+        if min(dims) < code.k:
             seen.add("below k")
+        if 0 in dims:
+            seen.add("dimension 0")
+        if need - 1 in dims and min(dims) < need - 1:
+            seen.add("mixed around need - 1")
+        if code.delta >= 2:
+            seen.add("delta >= 2")
         if any(a.dim < b.dim and span_dim([a, b]) == b.dim for a in words for b in words):
             seen.add("nested")
-    assert seen >= {"fails", "repeat", "below k", "nested"}
+    assert seen >= {"passes", "fails", "repeat", "below k", "dimension 0",
+                    "mixed around need - 1", "delta >= 2", "nested"}
 
 
 @pytest.mark.parametrize("alpha", [2, 3])
@@ -168,14 +183,15 @@ def test_repeated_codewords_of_one_dimension_match_the_scan(q, alpha):
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """Shapes of the rank_of_array calls grasscode makes."""
+    """The matrices handed to the rank kernel, as lists of rows."""
     calls = []
+    kernel = backend.rank_destructive
 
-    def counting(arr, field):
-        calls.append(arr.shape)
-        return rank_of_array(arr, field)
+    def counting(m, *views):
+        calls.append(m.tolist())
+        return kernel(m, *views)
 
-    monkeypatch.setattr(grasscode, "rank_of_array", counting)
+    monkeypatch.setattr(backend, "rank_destructive", counting)
     return calls
 
 
@@ -185,11 +201,43 @@ def test_delta_one_pairs_need_no_rank_call(rank_calls):
     assert rank_calls == []
 
 
+@pytest.mark.parametrize("point,size", [
+    ((4, 2, 1, 2, 2), 35), ((3, 1, 1, 3, 3), 26), ((3, 1, 1, 3, 4), 42), ((4, 2, 1, 3, 4), 714),
+], ids=str)
+def test_delta_one_search_reads_no_span(rank_calls, point, size):
+    # two distinct k-subspaces span k + 1, so only copies of one fall short
+    n, k, delta, alpha, q = point
+    result = max_covering_code(n, k, delta, alpha, field_from_size(q))
+    assert (result.size, result.exact, rank_calls) == (size, True, [])
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_delta_one_verifier_ranks_only_selections_with_the_lower_codeword(rank_calls, alpha):
+    # planes of GF(3)^4 with repeats, and one line: two distinct planes
+    # span 3 = delta + k, so every selection without the line is decided
+    # by the groups of equal planes
+    field = field_from_size(3)
+    planes = enumerate_grassmannian(4, 2, field)
+    rng = np.random.default_rng(alpha)
+    line = one_dim(field, [1, 1, 0, 2])
+    for place in (0, 3, 7):
+        words = [planes[i] for i in rng.integers(0, 6, size=7)]
+        words.insert(place, line)
+        code = CoveringCode(field=field, n=4, k=2, delta=1, alpha=alpha, codewords=tuple(words))
+        rank_calls.clear()
+        verdict = is_covering_code(code)
+        assert 0 < len(rank_calls) <= comb(code.size - 1, alpha - 1)
+        assert all(list(line.basis[0]) in rows for rows in rank_calls)
+        assert verdict == reference_worst_witness(code)
+
+
 def test_verifier_shares_spans_between_repeated_codewords(rank_calls):
     # each lifted-MRD dual appears alpha - 1 = 2 times
-    assert is_covering_code(covering_code_from_mrd(4, 2, 1, 3, 2)) == (True, None)
+    codes = [covering_code_from_mrd(4, 2, 1, 3, 2), covering_code_from_mrd(4, 2, 2, 3, 4)]
+    rank_calls.clear()
+    assert is_covering_code(codes[0]) == (True, None)
     assert rank_calls == []
-    assert is_covering_code(covering_code_from_mrd(4, 2, 2, 3, 4)) == (True, None)
+    assert is_covering_code(codes[1]) == (True, None)
     assert 0 < len(rank_calls) <= 800
 
 

@@ -148,7 +148,7 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     worst = min([(need, ())] + [(need - 1, tuple(g[:alpha])) for r, g in copies.items()
                                 if len(g) >= alpha and words[r].dim == need - 1])
     low = [c.dim < need - 1 for c in words]
-    spans = _Spans(words, code.field) if any(low) else None
+    spans = _Spans(words, code.field)
     for j in (j for j in range(code.size) if low[j]):
         # the selections whose first low codeword is j
         rest = [i for i in range(code.size) if i > j or (i < j and not low[i])]
@@ -163,20 +163,25 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
 
 
 class _Spans(dict):
-    """Memo of span dimensions keyed by sorted index tuples.  A key with
-    one distinct index spans that subspace's dimension, with no rank
-    call; any other key is one memoised rank call on its distinct indices."""
+    """Memo of span dimensions keyed by sorted tuples of indices into the
+    subspaces it keeps.  A key with one distinct index spans that
+    subspace's dimension, with no rank call; any other key is one
+    memoised rank call on its distinct indices' canonical rows, stacked
+    when the key is first read, so the memo costs nothing to build."""
 
     def __init__(self, subspaces: Sequence[SubspaceQ], field: FieldSpec):
         super().__init__()
-        self.arrays = [c.basis_array() for c in subspaces]
+        self.subspaces = subspaces
         self.field = field
 
     def __missing__(self, key: tuple[int, ...]) -> int:
-        rows = [self.arrays[i] for i in set(key)]
-        if len(rows) == 1:
-            return rows[0].shape[0]
-        got = self[key] = rank_of_array(np.vstack(rows), self.field)
+        picked = [self.subspaces[i] for i in set(key)]
+        if len(picked) == 1:
+            return picked[0].dim
+        rows = [row for s in picked for row in s.basis]
+        # shaped by the ambient n, so that no rows still make n columns
+        stack = np.array(rows, dtype=np.int16).reshape(len(rows), picked[0].ambient)
+        got = self[key] = rank_of_array(stack, self.field)
         return got
 
 
@@ -307,21 +312,22 @@ def max_covering_code(
     """Exhaustive search for the largest covering code, exact or flagged.
 
     Explores multisets of Grassmannian elements in non-decreasing index
-    order, depth first.  Each level carries a filtered candidate list:
-    the candidates ``y`` (at or after the last pick) such that adding
-    ``y`` keeps every size-``alpha`` sub-multiset spanning at least
-    ``delta + k``.  Picking ``x`` from that list keeps a later ``y``
-    (``x`` itself included) only if every ``S + (x, y)`` spans enough,
-    with ``S`` running over the size-``(alpha-2)`` sub-multisets of the
-    codewords chosen before ``x``; the other sub-multisets were checked
-    on the way down.  Adding codewords never repairs a violated
-    selection, so dropping a candidate is sound.  Spans come from a
-    ``_Spans`` memo, except at delta = 1, where by the module's rule only
-    ``x`` drops, once ``chosen`` holds ``alpha - 1`` copies of it.
+    order, depth first.  A level is a position in a candidate list: the
+    candidates ``y`` (at or after the last pick) such that adding ``y``
+    keeps every size-``alpha`` sub-multiset spanning at least
+    ``delta + k``.  At delta >= 2 picking ``x`` gives the level below its
+    own list, keeping a later ``y`` (``x`` itself included) only if every
+    ``S + (x, y)`` spans enough by the ``_Spans`` memo, with ``S``
+    running over the size-``(alpha-2)`` sub-multisets of the codewords
+    chosen before ``x``; the others were checked on the way down.  Adding
+    codewords never repairs a violated selection, so dropping a candidate
+    is sound.  At delta = 1, by the module's rule, only ``x`` drops, once
+    the last ``alpha - 1`` picks are all ``x``: the level below reads its
+    parent's list, from ``x`` or the next candidate, copying nothing.
 
     Alpha copies of one codeword span only ``k < k + delta``, so a
     candidate contributes at most ``alpha - 1`` picks, and a branch with
-    ``|chosen| + (alpha-1) * |filtered[pos:]| <= best`` is cut.
+    ``|chosen| + (alpha-1) * |cands[pos:]| <= best`` is cut.
 
     The first codeword is fixed to index 0.  This loses no code: every
     ``g`` in GL(n, q) maps k-subspaces to k-subspaces bijectively and
@@ -339,10 +345,10 @@ def max_covering_code(
     ``proven_upper``: no code is larger.  ``best`` is replaced only on a
     strict increase, so this is the code the finished tree returns.
 
-    ``nodes`` counts the extensions tried from filtered lists, the root
-    pick of index 0 included, up to that stop.  If it exceeds
-    ``node_limit`` the best code found so far is returned with
-    ``exact=False``.
+    ``nodes`` counts the extensions tried, the root pick of index 0
+    included, up to that stop.  An extension past ``node_limit`` is not
+    tried: the search stops at ``nodes == node_limit`` and returns the
+    best code found so far with ``exact=False``.
 
     ``target_size`` stops the search once a valid code of that size is
     found; unless that size meets the bound, the result is then a
@@ -369,8 +375,8 @@ def max_covering_code(
     nodes = 0
     certified_by = "exhausted"
     chosen: list[int] = []
-    # per level: filtered candidates, next position
-    frames = [[list(range(len(candidates))), 0]]
+    # per level: its candidate list, next position
+    frames = [[range(len(candidates)), 0]]
     while frames:
         frame = frames[-1]
         cands, pos = frame
@@ -382,10 +388,10 @@ def max_covering_code(
                 chosen.pop()
             continue
         frame[1] = pos + 1
-        nodes += 1
-        if nodes > node_limit:
+        if nodes == node_limit:
             certified_by = "budget"
             break
+        nodes += 1
         x = cands[pos]
         chosen.append(x)
         if len(chosen) > len(best):
@@ -398,23 +404,17 @@ def max_covering_code(
                 break
         # a node that ends the search filters nothing
         if delta == 1:
-            kept = cands[pos + 1:] if chosen.count(x) == alpha - 1 else cands[pos:]
+            # chosen is non-decreasing, so this reads its last alpha - 1 picks
+            full = len(chosen) >= alpha - 1 and chosen[1 - alpha] == x
+            frames.append([cands, pos + 1 if full else pos])
         else:
             # chosen is non-decreasing, so each key here is sorted
             heads = [s + (x,) for s in set(combinations(chosen[:-1], alpha - 2))]
             kept = [y for y in cands[pos:] if all(spans[h + (y,)] >= need for h in heads)]
-        frames.append([kept, 0])
+            frames.append([kept, 0])
 
     exact = certified_by == "exhausted" or certified_by.startswith("bound:")
-    code = None
-    if best:
-        code = CoveringCode(
-            field=field,
-            n=n,
-            k=k,
-            delta=delta,
-            alpha=alpha,
-            codewords=tuple(candidates[i] for i in best),
-        )
+    code = CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha,
+                        codewords=tuple(candidates[i] for i in best)) if best else None
     return SearchResult(size=len(best), code=code, exact=exact, nodes=nodes,
                         certified_by=certified_by)

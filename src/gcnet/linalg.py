@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import backend
-from .ffield import FieldSpec, power_exceeds  # noqa: F401  (re-exported)
+from .ffield import FieldSpec
 
 
 def _as_element_array(field: FieldSpec, data) -> np.ndarray:

@@ -296,6 +296,16 @@ def test_negative_node_limit_is_usage_error(capsys, argv):
     assert "--node-limit: must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("limit,out", [
+    ("5", "B = 5 (lower bound), nodes=5\n"),
+    ("0", "B = 0 (lower bound), nodes=0\n"),
+])
+def test_oracle_budget_stop_counts_only_the_nodes_tried(capsys, limit, out):
+    # the extension the budget refuses is not counted
+    assert run(capsys, "oracle", "--n", "4", "--k", "2", "--delta", "2", "--alpha", "2",
+               "--q", "3", "--node-limit", limit) == (0, out, "certified_by=budget\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["oracle", "--n", "2", "--k", "1", "--delta", "1", "--alpha", "2", "--q", "2"],
      "--target-size"),

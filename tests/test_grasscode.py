@@ -1,6 +1,7 @@
 """Covering Grassmannian codes: enumeration, verification, exhaustive search."""
 
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -231,6 +232,47 @@ def test_delta_one_verifier_ranks_only_selections_with_the_lower_codeword(rank_c
         assert verdict == reference_worst_witness(code)
 
 
+def _stacks_n_columns(calls, n):
+    return all(rows and all(len(row) == n for row in rows) for rows in calls)
+
+
+def test_memo_hands_the_kernel_rows_by_n_columns(rank_calls):
+    # the tracer reads each matrix's shape as (rows, cols); a code mixing
+    # the zero subspace, a line and planes makes the memo stack all three
+    field = field_from_size(3)
+    planes = enumerate_grassmannian(4, 2, field)
+    words = (SubspaceQ(field, 4, []), one_dim(field, [1, 2, 0, 1]), planes[0], planes[5], planes[9])
+    code = CoveringCode(field=field, n=4, k=2, delta=2, alpha=3, codewords=words)
+    assert is_covering_code(code) == reference_worst_witness(code)
+    assert rank_calls and _stacks_n_columns(rank_calls, 4)
+    rank_calls.clear()
+    assert max_covering_code(4, 1, 2, 3, F2).size == 8
+    assert rank_calls and _stacks_n_columns(rank_calls, 4)
+
+
+def test_delta_one_search_stays_small(monkeypatch):
+    # a level reads its parent's list, so the dive through 2850 planes
+    # holds no copy per level and builds no basis array
+    field = field_from_size(7)
+    calls = []
+    basis_array = SubspaceQ.basis_array
+
+    def counting(self):
+        calls.append(self)
+        return basis_array(self)
+
+    monkeypatch.setattr(SubspaceQ, "basis_array", counting)
+    tracemalloc.start()
+    try:
+        result = max_covering_code(4, 2, 1, 2, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.size, result.nodes, result.certified_by) == (2850, 2850, "bound:multiplicity")
+    assert peak < 4 * 2**20
+    assert calls == []
+
+
 def test_verifier_shares_spans_between_repeated_codewords(rank_calls):
     # each lifted-MRD dual appears alpha - 1 = 2 times
     codes = [covering_code_from_mrd(4, 2, 1, 3, 2), covering_code_from_mrd(4, 2, 2, 3, 4)]
@@ -280,6 +322,14 @@ def test_max_code_exactness_flags():
     assert early.size == 2
     assert not early.exact
     assert early.certified_by == "target"
+
+
+@pytest.mark.parametrize("limit,certified_by", [(482, "exhausted"), (481, "budget")])
+def test_max_code_budget_counts_only_the_nodes_tried(limit, certified_by):
+    # the tree of (3,1,2,5,2) finishes in 482 nodes: a budget of exactly
+    # that many lets it finish, one fewer stops at the limit
+    result = max_covering_code(3, 1, 2, 5, F2, node_limit=limit)
+    assert (result.nodes, result.certified_by) == (limit, certified_by)
 
 
 def test_max_code_names_what_certified_it():

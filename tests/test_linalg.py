@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gcnet.ffield import field_from_size
+from gcnet.ffield import field_from_size, power_exceeds
 from gcnet.linalg import (
     MatrixQ,
     SubspaceQ,
@@ -14,7 +14,6 @@ from gcnet.linalg import (
     gaussian_binomial,
     intersection_dim,
     null_space,
-    power_exceeds,
     product_of_arrays,
     random_matrix,
     solve_exact,

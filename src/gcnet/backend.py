@@ -1,26 +1,40 @@
 """The elimination kernel: Gauss-Jordan elimination driven by operation tables.
 
-Both entry points take a matrix of element indices and the field's
-``inv``, ``neg``, ``add`` and ``mul`` tables as the flat int16
-memoryviews each :class:`~gcnet.ffield.FieldSpec` builds once
-(``FieldSpec.kernel_views``), so one code path serves every field gcnet
-accepts; a ``(q, q)`` table is read at ``a * q + b``, and ``q`` is the
-length of ``inv``.  The elimination runs on the matrix's rows as Python
-lists (``m.tolist()``), so the matrix is never written.  The rref entry
-point returns the reduced rows and their pivot columns.
+There are two paths, chosen by what the caller holds, with no size
+switch and no option:
+
+- a single matrix runs a Python loop over its rows as lists
+  (``rank_destructive``, ``rref_destructive``).  The search's span memo
+  and every rref pay per call, and NumPy's vectorised row operations only
+  catch up between 12 x 12 and 24 x 24 (README, "Elimination kernel"),
+  above every matrix gcnet reduces;
+- a stack of same-shape matrices runs ``rank_stack``: one NumPy pass
+  over the batch axis per column, so NumPy's per-call cost is paid once
+  per column for the whole stack rather than once per matrix.
+
+Every entry point takes element indices and the field's ``inv``,
+``neg``, ``add`` and ``mul`` tables as the flat int16 memoryviews each
+:class:`~gcnet.ffield.FieldSpec` builds once (``FieldSpec.kernel_views``),
+so one code path serves every field gcnet accepts; a ``(q, q)`` table is
+read at ``a * q + b``, and ``q`` is the length of ``inv``.  No entry
+point writes the array it is given.  The rref entry point returns the
+reduced rows and their pivot columns.
 
 Row operations touch only the columns from the pivot column on: every
 row's entries to the left of it are already settled.  Callers go
 through the module attributes (``backend.rank_destructive``), which
-keeps the kernel replaceable for tracing; perfbench's tracer wraps them
-by name, the one reason both keep an earlier in-place kernel's names.
-
-NumPy's vectorised row operations only catch up between 12 x 12 and
-24 x 24 (README, "Elimination kernel"); gcnet's matrices stay below
-that, so there is no size switch.
+keeps the kernel replaceable for tracing; perfbench's tracer wraps the
+single-matrix entry points by name, the one reason both keep an earlier
+in-place kernel's names.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+#: Most entries ``rank_stack`` eliminates at once: a larger stack runs in
+#: slices of its batch axis, which bounds the kernel's scratch memory.
+STACK_ENTRIES = 1 << 14
 
 
 def _eliminate(rows: list, inv, neg, add, mul, reduce: bool) -> list[int]:
@@ -74,6 +88,55 @@ def rref_destructive(m, inv, neg, add, mul) -> tuple[list, list[int]]:
     ``m`` is not written; the name is kept for the tracer's lookup."""
     rows = m.tolist()
     return rows, _eliminate(rows, inv, neg, add, mul, True)
+
+
+def rank_stack(stack, inv, neg, add, mul) -> np.ndarray:
+    """Ranks of the matrices of a ``(B, R, C)`` stack of element indices
+    over the table-described field, as a length-``B`` intp array; the
+    stack is not written.
+
+    Gaussian elimination over the whole stack at once, on its shorter
+    side (a matrix and its transpose share their rank), in slices of at
+    most ``STACK_ENTRIES`` entries.  At each column every matrix takes
+    its first nonzero row as the pivot and subtracts ``f / pivot`` times
+    it from each row whose entry there is ``f``; this clears the column
+    and zeroes the pivot row itself, leaving the rows that have not been
+    pivots.  A matrix whose column is zero takes row 0 with ``f = 0``
+    everywhere, so its rows stay as they are.  The last column is only
+    checked for a pivot.  The tables are read through zero-copy views,
+    and the index arithmetic ``a * q + b`` runs in one reused intp
+    buffer, since int16 overflows above q = 181.
+    """
+    inv, neg, add, mul = (np.asarray(t) for t in (inv, neg, add, mul))
+    q = np.intp(len(inv))
+    if stack.shape[2] > stack.shape[1]:
+        stack = stack.transpose(0, 2, 1)
+    count, nrows, ncols = stack.shape
+    ranks = np.zeros(count, dtype=np.intp)
+    if not stack.size:
+        return ranks
+    step = max(1, STACK_ENTRIES // (nrows * ncols))
+    buffer = np.empty(min(count, step) * nrows * ncols, dtype=np.intp)
+    for start in range(0, count, step):
+        m = stack[start:start + step].astype(np.int16)
+        found = ranks[start:start + step]
+        batch = np.arange(len(m))
+        for col in range(ncols - 1):
+            lead = m[:, :, col]
+            prow = m[batch, (lead != 0).argmax(axis=1), col:]
+            found += prow[:, 0] != 0
+            # -(f / pivot) for each row's entry f in this column
+            coef = neg.take(mul.take((inv.take(prow[:, 0]) * q)[:, None] + lead))
+            tail = m[:, :, col + 1:]
+            at = buffer[:tail.size].reshape(tail.shape)
+            np.add((coef * q)[:, :, None], prow[:, None, 1:], out=at)
+            product = mul.take(at)
+            np.multiply(tail, q, out=at)
+            at += product
+            # every index is in range; "clip" lets take write into the view unbuffered
+            add.take(at, out=tail, mode="clip")
+        found += m[:, :, -1].any(axis=1)
+    return ranks
 
 
 def backend_name() -> str:

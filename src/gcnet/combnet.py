@@ -31,7 +31,8 @@ import numpy as np
 
 from .ffield import ORDER_LIMIT, FieldSpec, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
-from .linalg import MatrixQ, SubspaceQ, product_of_arrays, rank_of_array, rref_of_array
+from .linalg import (RANK_CHUNK, MatrixQ, SubspaceQ, product_of_arrays, ranks_of_stack,
+                     rref_of_array)
 
 
 class SolvabilityClass(enum.Enum):
@@ -132,16 +133,14 @@ def _need(params: NetworkParams, t: int) -> int:
     return max(0, (params.h - params.epsilon) * t)
 
 
-def _first_failing_receiver(coding: np.ndarray, params: NetworkParams, t: int,
-                            field: FieldSpec) -> Optional[tuple[int, ...]]:
-    """The first receiver, in ``receivers()`` order, whose coding matrices
-    (its rows on axis 0 of the ``(r, ell*t, h*t)`` stack ``coding``) have
-    rank below ``(h - epsilon) * t``, or None; ValueError if UNSOLVABLE."""
-    need, width = _need(params, t), params.h * t
-    for subset in params.receivers():
-        if rank_of_array(coding[list(subset)].reshape(-1, width), field) < need:
-            return subset
-    return None
+def _receiver_ranks(codings: np.ndarray, subsets: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Rank of each receiver in ``subsets`` (an ``(N, alpha)`` array of
+    middle nodes) under each of the ``(r, ell*t, h*t)`` coding stacks in
+    ``codings``: a ``(T, N)`` array from one batched pass over the
+    receivers' stacked coding matrices."""
+    stack = codings[:, subsets]
+    flat = stack.reshape(stack.shape[0] * stack.shape[1], -1, stack.shape[-1])
+    return ranks_of_stack(flat, field).reshape(stack.shape[:2])
 
 
 def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -150,11 +149,16 @@ def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]
     Returns ``(True, None)`` if for each alpha-subset the stacked matrix
     has rank at least ``(h - epsilon) * t``, else ``(False, subset)``
     with the lexicographically first violating subset (0-based middle
-    node indices).  Raises ValueError on UNSOLVABLE parameters.
+    node indices).  The receivers are ranked as one stack.  Raises
+    ValueError on UNSOLVABLE parameters.
     """
+    need = _need(sol.params, sol.t)
     coding = np.stack([a.data for a in sol.matrices])
-    witness = _first_failing_receiver(coding, sol.params, sol.t, sol.field)
-    return witness is None, witness
+    subsets = np.array(sol.params.receivers(), dtype=np.intp)
+    short = np.flatnonzero(_receiver_ranks(coding[None], subsets, sol.field)[0] < need)
+    if short.size:
+        return False, tuple(subsets[short[0]].tolist())
+    return True, None
 
 
 def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> LinearSolution:
@@ -276,22 +280,35 @@ def random_solution_search(
 
     Each trial uses its own generator derived from ``(seed, trial)``,
     so the result is reproducible and independent of scheduling.  A
-    trial is one ``(r, ell*t, h*t)`` draw, wrapped only if it verifies.
-    Returns the first verifying solution, or None after ``trials``
-    draws (absence is an outcome, not an error).  Raises ValueError for
-    a blocklength ``t`` below 1, before any draw.
+    trial is one ``(r, ell*t, h*t)`` draw.  Trials are checked in blocks
+    of doubling size (1, 2, 4, ...), each block's receivers ranked as
+    one stack of at most ``RANK_CHUNK`` matrices (one trial at least),
+    and no block draws past ``trials``; the first verifying trial in
+    order is wrapped and returned.  Returns None after ``trials`` draws
+    (absence is an outcome, not an error).  Raises ValueError for a
+    blocklength ``t`` below 1, before any draw.
     """
     if t < 1:
         raise ValueError("blocklength t must be >= 1")
     if classify(params) is not SolvabilityClass.NONTRIVIAL:
         raise ValueError("random search expects a NONTRIVIAL network")
     p = params
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-        coding = rng.integers(0, field.q, size=(p.r, p.ell * t, p.h * t), dtype=np.int64)
-        if _first_failing_receiver(coding, p, t, field) is None:
+    need = _need(p, t)
+    subsets = np.array(p.receivers(), dtype=np.intp)
+    most = max(1, RANK_CHUNK // len(subsets))
+    trial, block = 0, 1
+    while trial < trials:
+        count = min(block, most, trials - trial)
+        codings = np.stack([
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            .integers(0, field.q, size=(p.r, p.ell * t, p.h * t), dtype=np.int64)
+            for i in range(trial, trial + count)])
+        passed = np.flatnonzero((_receiver_ranks(codings, subsets, field) >= need).all(axis=1))
+        if passed.size:
             return LinearSolution(params=p, field=field, t=t,
-                                  matrices=tuple(MatrixQ(field, a) for a in coding))
+                                  matrices=tuple(MatrixQ(field, a) for a in codings[passed[0]]))
+        trial += count
+        block *= 2
     return None
 
 

@@ -10,8 +10,10 @@ The module provides deterministic enumeration of Grassmannians, a
 verifier that reports the worst witness on failure, and an exhaustive
 branch-and-bound search for the maximum code size at small parameters.
 Both decide by one rule where it applies: two distinct subspaces of
-dimension ``need - 1`` or more span ``need = delta + k``.  Every other
-span comes from one memo.  The search is exact-or-flagged: it either
+dimension ``need - 1`` or more span ``need = delta + k``.  The verifier
+ranks every other selection in batched stacks, one rank per distinct
+selection of codewords in a batch; the search reads its spans from one
+memo, one rank call per key.  The search is exact-or-flagged: it either
 certifies its maximum, by finishing its tree or by meeting the rigorous
 upper bound ``proven_upper``, or stops at a node budget and says so.
 """
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product, repeat
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ffield import FieldSpec, power_exceeds
-from .linalg import SubspaceQ, gaussian_binomial, rank_of_array
+from .linalg import RANK_CHUNK, SubspaceQ, gaussian_binomial, rank_of_array, ranks_of_stack
 
 #: Refuse to enumerate Grassmannians larger than this.
 ENUMERATION_LIMIT = 10**6
@@ -128,17 +131,20 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     By the module's rule a selection can fall short only as ``alpha``
     copies of one codeword of dimension ``need - 1``, read off the groups
     of equal codewords, or by holding a codeword of lower dimension (every
-    selection at delta >= 2), read from ``_Spans`` with each codeword named
-    by its first equal one.  The witness is the least (achieved dimension,
-    index tuple).  Raises ValueError when the code has fewer than
-    ``alpha`` codewords or when ``need`` exceeds the ambient dimension.
+    selection at delta >= 2).  Those selections are ranked in batches of
+    ``RANK_CHUNK``, each the stack of its codewords' bases padded to k
+    rows.  Within a batch, selections that name the same codewords (each
+    read as its first equal one) share one rank.  The witness is the
+    least (achieved dimension, index tuple).  Raises ValueError when the
+    code has fewer than ``alpha`` codewords or when ``need`` exceeds the
+    ambient dimension.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
     need = code.delta + code.k
     if need > code.n:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
-    words, alpha = code.codewords, code.alpha
+    words, alpha, size = code.codewords, code.alpha, code.size
     first: dict[SubspaceQ, int] = {}
     rep = [first.setdefault(c, i) for i, c in enumerate(words)]
     copies: dict[int, list[int]] = {}
@@ -148,26 +154,63 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     worst = min([(need, ())] + [(need - 1, tuple(g[:alpha])) for r, g in copies.items()
                                 if len(g) >= alpha and words[r].dim == need - 1])
     low = [c.dim < need - 1 for c in words]
-    spans = _Spans(words, code.field)
-    for j in (j for j in range(code.size) if low[j]):
-        # the selections whose first low codeword is j
-        rest = [i for i in range(code.size) if i > j or (i < j and not low[i])]
-        for sel in combinations(rest, alpha - 1):
-            sel = tuple(sorted(sel + (j,)))
-            got = spans[tuple(sorted({rep[i] for i in sel}))]
-            if got < need:
-                worst = min(worst, (got, sel))
+    if any(low):
+        padded = np.zeros((size, code.k, code.n), dtype=np.int16)
+        for r in copies:
+            padded[r, :words[r].dim] = words[r].basis_array()
+        reps = np.array(rep, dtype=np.intp)
+        # a selection's sorted reps as one base-size integer, unless that overflows intp
+        weights = (size ** np.arange(alpha - 1, -1, -1, dtype=np.intp)
+                   if size ** alpha <= np.iinfo(np.intp).max else None)
+        for sel in _low_selections(low, alpha):
+            named = reps[sel]
+            named.sort(axis=1)
+            _, at, back = np.unique(named if weights is None else named @ weights, axis=0,
+                                    return_index=True, return_inverse=True)
+            stack = padded[named[at]].reshape(len(at), alpha * code.k, code.n)
+            got = ranks_of_stack(stack, code.field)[back]
+            short = np.flatnonzero(got < need)
+            if short.size:
+                # least (achieved, indices): lexsort reads its last key first
+                i = short[np.lexsort(tuple(sel[short, ::-1].T) + (got[short],))[0]]
+                worst = min(worst, (int(got[i]), tuple(sel[i].tolist())))
     if worst[0] == need:
         return True, None
     return False, CoverWitness(indices=worst[1], achieved_dim=worst[0], required_dim=need)
 
 
+def _low_selections(low: list[bool], alpha: int):
+    """Every size-``alpha`` selection of codeword indices that holds a
+    ``low`` one, each once, as intp arrays of ascending index rows, at most
+    ``RANK_CHUNK`` rows each: a selection is read as its first low index
+    ``j`` and ``alpha - 1`` others, each either after ``j`` or before it
+    and not low.  The ``p``-th low ``j`` has ``size - 1 - p`` such others."""
+    size = len(low)
+    heads = [j for j in range(size) if low[j]]
+    firsts = chain.from_iterable(repeat(j, comb(size - 1 - p, alpha - 1))
+                                 for p, j in enumerate(heads))
+    others = chain.from_iterable(chain.from_iterable(
+        combinations([i for i in range(size) if i > j or (i < j and not low[i])], alpha - 1)
+        for j in heads))
+    while True:
+        js = np.fromiter(islice(firsts, RANK_CHUNK), dtype=np.intp)
+        if not js.size:
+            return
+        sel = np.empty((len(js), alpha), dtype=np.intp)
+        sel[:, 0] = js
+        sel[:, 1:] = np.fromiter(islice(others, sel[:, 1:].size), dtype=np.intp,
+                                 count=sel[:, 1:].size).reshape(len(js), alpha - 1)
+        sel.sort(axis=1)
+        yield sel
+
+
 class _Spans(dict):
-    """Memo of span dimensions keyed by sorted tuples of indices into the
-    subspaces it keeps.  A key with one distinct index spans that
-    subspace's dimension, with no rank call; any other key is one
-    memoised rank call on its distinct indices' canonical rows, stacked
-    when the key is first read, so the memo costs nothing to build."""
+    """The search's memo of span dimensions, keyed by sorted tuples of
+    indices into the subspaces it keeps.  A key with one distinct index
+    spans that subspace's dimension, with no rank call; any other key is
+    one memoised rank call on its distinct indices' canonical rows,
+    stacked when the key is first read, so the memo costs nothing to
+    build."""
 
     def __init__(self, subspaces: Sequence[SubspaceQ], field: FieldSpec):
         super().__init__()
@@ -343,7 +386,10 @@ def max_covering_code(
 
     The search stops with ``exact=True`` as soon as ``best`` meets
     ``proven_upper``: no code is larger.  ``best`` is replaced only on a
-    strict increase, so this is the code the finished tree returns.
+    strict increase, so this is the code the finished tree returns.  While
+    no pick has been undone since ``best`` was last set, a strict increase
+    appends the new pick to it; only after a backtrack is the path copied,
+    so a straight dive costs linear, not quadratic, time.
 
     ``nodes`` counts the extensions tried, the root pick of index 0
     included, up to that stop.  An extension past ``node_limit`` is not
@@ -372,6 +418,8 @@ def max_covering_code(
     spans = _Spans(candidates, field)
 
     best: list[int] = []
+    # best == chosen while no pick has been undone since best was last set
+    diving = True
     nodes = 0
     certified_by = "exhausted"
     chosen: list[int] = []
@@ -386,6 +434,7 @@ def max_covering_code(
             frames.pop()
             if chosen:
                 chosen.pop()
+                diving = False
             continue
         frame[1] = pos + 1
         if nodes == node_limit:
@@ -395,7 +444,10 @@ def max_covering_code(
         x = cands[pos]
         chosen.append(x)
         if len(chosen) > len(best):
-            best = list(chosen)
+            if diving:
+                best.append(x)
+            else:
+                best, diving = list(chosen), True
             if len(best) >= upper:
                 certified_by = "bound:" + source
                 break

@@ -3,7 +3,8 @@
 Matrices store int16 element indices in a NumPy array plus a reference
 to their field.  Products index the field's dense operation tables, and
 rank and reduced row echelon form run the table-driven elimination
-kernel in :mod:`gcnet.backend`, for every field order alike.  The
+kernel in :mod:`gcnet.backend`, for every field order alike; a stack of
+same-shape matrices is ranked in one batched pass.  The
 reduced form comes back as the kernel's Python row lists and pivot
 columns; neither call modifies the array it is given.
 
@@ -21,6 +22,11 @@ import numpy as np
 
 from . import backend
 from .ffield import FieldSpec
+
+#: Most matrices a caller gathers for one ``ranks_of_stack`` call: the
+#: verifier's selections per batch and the search's receivers per trial
+#: block.  It bounds the index arrays and the stack the caller builds.
+RANK_CHUNK = 8192
 
 
 def _as_element_array(field: FieldSpec, data) -> np.ndarray:
@@ -136,6 +142,13 @@ def stack_matrices(mats: Sequence[MatrixQ]) -> MatrixQ:
 def rank_of_array(arr: np.ndarray, field: FieldSpec) -> int:
     """Rank of an index array over ``field``; the array is not modified."""
     return backend.rank_destructive(arr, *field.kernel_views)
+
+
+def ranks_of_stack(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Ranks over ``field`` of the matrices of a ``(B, R, C)`` index
+    array, as a length-``B`` intp array, from one batched elimination;
+    the stack is not modified."""
+    return backend.rank_stack(stack, *field.kernel_views)
 
 
 def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[list[list[int]], tuple[int, ...]]:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gcnet import backend, linalg
 from gcnet.backend import backend_name
@@ -123,6 +125,54 @@ def test_rref_of_a_negative_stride_view():
     assert type(pivots) is tuple
     red, pivots = linalg.MatrixQ(f, view).rref()
     assert np.array_equal(red.data, want) and pivots == want_pivots
+
+
+#: (B, R, C) stacks: an empty batch, no rows, no columns, single rows,
+#: single columns, tall, wide and square matrices.
+STACK_SHAPES = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (5, 1, 6), (5, 6, 1), (4, 9, 3), (4, 3, 9),
+                (3, 8, 8)]
+
+
+@st.composite
+def stacks(draw, q, shape):
+    """Index stacks of int16 or int64 (the search draws int64), with
+    entries over the whole field or sparse 0/1 ones, and often a repeated
+    row or a zero row in every matrix."""
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
+    top = draw(st.sampled_from([1, q - 1]))
+    stack = draw(arrays(dtype, shape, elements=st.integers(0, top)))
+    rows = shape[1]
+    if rows > 1 and draw(st.booleans()):
+        stack[:, draw(st.integers(1, rows - 1))] = stack[:, 0]
+    if rows and draw(st.booleans()):
+        stack[:, draw(st.integers(0, rows - 1))] = 0
+    return stack
+
+
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 257, 1024])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ranks_of_stack_matches_rank_of_array(q, shape, data):
+    f = field_from_size(q)
+    stack = data.draw(stacks(q, shape))
+    before = stack.copy()
+    ranks = linalg.ranks_of_stack(stack, f)
+    assert ranks.dtype == np.intp and ranks.shape == (shape[0],)
+    assert ranks.tolist() == [linalg.rank_of_array(m, f) for m in stack]
+    assert np.array_equal(stack, before)
+
+
+def test_rank_stack_slices_agree(monkeypatch):
+    # a stack above STACK_ENTRIES runs in slices of its batch axis
+    f = field_from_size(16)
+    rng = np.random.default_rng(5)
+    stack = rng.integers(0, 16, size=(40, 5, 7))
+    stack[rng.random(size=stack.shape) < 0.5] = 0
+    want = [linalg.rank_of_array(m, f) for m in stack]
+    for entries in (1, 36, 100, backend.STACK_ENTRIES):
+        monkeypatch.setattr(backend, "STACK_ENTRIES", entries)
+        assert linalg.ranks_of_stack(stack, f).tolist() == want
 
 
 def test_backend_name_is_reported():

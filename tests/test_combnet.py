@@ -280,6 +280,66 @@ def test_random_search_wraps_only_the_draw_that_verifies(monkeypatch):
     assert verify_solution(sol) == (True, None)
 
 
+#: (h, r, alpha, ell, eps, q, t) of the benchmark's ``verify`` searches
+#: (``SEARCHES`` in perfbench/workloads.py): two networks just inside the
+#: field-size threshold, where most trials fail, and two where nearly
+#: every trial verifies.
+BENCHMARK_SEARCHES = [
+    (3, 5, 2, 1, 1, 2, 1),
+    (3, 10, 2, 1, 1, 4, 1),
+    (4, 6, 3, 1, 1, 16, 2),
+    (3, 4, 2, 1, 1, 257, 1),
+]
+
+
+def first_verifying_trial(params, field, t, trials, seed):
+    """The per-trial loop the block search must agree with: each trial's
+    own draw, every receiver ranked alone, the first that verifies."""
+    need = (params.h - params.epsilon) * t
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+        coding = rng.integers(0, field.q, size=(params.r, params.ell * t, params.h * t),
+                              dtype=np.int64)
+        if all(rank_of_array(coding[list(s)].reshape(-1, params.h * t), field) >= need
+               for s in params.receivers()):
+            return trial, coding
+    return None, None
+
+
+@pytest.mark.parametrize("net", BENCHMARK_SEARCHES, ids=str)
+def test_block_search_returns_the_first_verifying_trial(net):
+    h, r, alpha, ell, eps, q, t = net
+    p, field = NetworkParams(h=h, r=r, alpha=alpha, ell=ell, epsilon=eps), field_from_size(q)
+    later = 0
+    for seed in range(50):
+        trial, coding = first_verifying_trial(p, field, t, 2000, seed)
+        sol = random_solution_search(p, field, t, 2000, seed)
+        assert np.array_equal(np.stack([a.data for a in sol.matrices]), coding)
+        later += trial > 0
+    if q <= 4:
+        assert later >= 40  # most searches reach a block past the first
+
+
+@pytest.mark.parametrize("trials", [3, 5])
+def test_block_search_draws_no_trial_past_the_budget(monkeypatch, trials):
+    # the q = 2 benchmark network fails about 93% of its trials; blocks of
+    # 1 and 2 trials end at 3, and 5 cuts the third block to 2
+    p, field = NetworkParams(h=3, r=5, alpha=2, ell=1, epsilon=1), F2
+    keys = []
+    seed_sequence = np.random.SeedSequence
+
+    def recording(*args, **kwargs):
+        keys.append(kwargs["spawn_key"])
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    found = [random_solution_search(p, field, 1, trials, seed) is not None for seed in range(50)]
+    assert not all(found)
+    assert max(keys) == (trials - 1,)
+    assert found == [first_verifying_trial(p, field, 1, trials, seed)[0] is not None
+                     for seed in range(50)]
+
+
 def test_random_search_zero_trials():
     p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
     assert random_solution_search(p, F11, t=1, trials=0, seed=0) is None

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ffield import ORDER_LIMIT, FieldSpec, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
-from .linalg import (RANK_CHUNK, MatrixQ, SubspaceQ, product_of_arrays, ranks_of_stack,
+from .linalg import (CHUNK_ENTRIES, MatrixQ, SubspaceQ, product_of_arrays, ranks_of_stack,
                      rref_of_array)
 
 
@@ -135,12 +135,22 @@ def _need(params: NetworkParams, t: int) -> int:
 
 def _receiver_ranks(codings: np.ndarray, subsets: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Rank of each receiver in ``subsets`` (an ``(N, alpha)`` array of
-    middle nodes) under each of the ``(r, ell*t, h*t)`` coding stacks in
-    ``codings``: a ``(T, N)`` array from one batched pass over the
-    receivers' stacked coding matrices."""
-    stack = codings[:, subsets]
-    flat = stack.reshape(stack.shape[0] * stack.shape[1], -1, stack.shape[-1])
-    return ranks_of_stack(flat, field).reshape(stack.shape[:2])
+    middle nodes) under each of the ``(r, ell*t, h*t)`` codings in
+    ``codings``, as a ``(T, N)`` array.  The (coding, receiver) pairs are
+    gathered and ranked in order, in stacks of at most ``CHUNK_ENTRIES``
+    entries (one receiver at least)."""
+    count, r, height, width = codings.shape
+    rows = subsets.shape[1] * height
+    flat = codings.reshape(count * r, height, width)
+    # each pair's middle nodes as rows of flat
+    pairs = (subsets + r * np.arange(count)[:, None, None]).reshape(-1, subsets.shape[1])
+    step = max(1, CHUNK_ENTRIES // (rows * width))
+    ranks = np.empty(len(pairs), dtype=np.intp)
+    for start in range(0, len(pairs), step):
+        part = pairs[start:start + step]
+        ranks[start:start + len(part)] = ranks_of_stack(
+            flat[part].reshape(len(part), rows, width), field)
+    return ranks.reshape(count, len(subsets))
 
 
 def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -149,7 +159,7 @@ def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]
     Returns ``(True, None)`` if for each alpha-subset the stacked matrix
     has rank at least ``(h - epsilon) * t``, else ``(False, subset)``
     with the lexicographically first violating subset (0-based middle
-    node indices).  The receivers are ranked as one stack.  Raises
+    node indices).  The receivers are ranked in batched stacks.  Raises
     ValueError on UNSOLVABLE parameters.
     """
     need = _need(sol.params, sol.t)
@@ -281,12 +291,12 @@ def random_solution_search(
     Each trial uses its own generator derived from ``(seed, trial)``,
     so the result is reproducible and independent of scheduling.  A
     trial is one ``(r, ell*t, h*t)`` draw.  Trials are checked in blocks
-    of doubling size (1, 2, 4, ...), each block's receivers ranked as
-    one stack of at most ``RANK_CHUNK`` matrices (one trial at least),
-    and no block draws past ``trials``; the first verifying trial in
-    order is wrapped and returned.  Returns None after ``trials`` draws
-    (absence is an outcome, not an error).  Raises ValueError for a
-    blocklength ``t`` below 1, before any draw.
+    of doubling size (1, 2, 4, ...), each block's receivers ranked in
+    batched stacks; a block holds at most ``CHUNK_ENTRIES`` receiver
+    entries, one trial at least, and no block draws past ``trials``.
+    The first verifying trial in order is wrapped and returned.  Returns
+    None after ``trials`` draws (absence is an outcome, not an error).
+    Raises ValueError for a blocklength ``t`` below 1, before any draw.
     """
     if t < 1:
         raise ValueError("blocklength t must be >= 1")
@@ -295,7 +305,7 @@ def random_solution_search(
     p = params
     need = _need(p, t)
     subsets = np.array(p.receivers(), dtype=np.intp)
-    most = max(1, RANK_CHUNK // len(subsets))
+    most = max(1, CHUNK_ENTRIES // (subsets.size * p.ell * t * p.h * t))
     trial, block = 0, 1
     while trial < trials:
         count = min(block, most, trials - trial)

@@ -11,9 +11,9 @@ verifier that reports the worst witness on failure, and an exhaustive
 branch-and-bound search for the maximum code size at small parameters.
 Both decide by one rule where it applies: two distinct subspaces of
 dimension ``need - 1`` or more span ``need = delta + k``.  The verifier
-ranks every other selection in batched stacks, one rank per distinct
-selection of codewords in a batch; the search reads its spans from one
-memo, one rank call per key.  The search is exact-or-flagged: it either
+ranks every other selection in batched stacks, one rank per multiset
+of distinct codewords; the search reads its spans from one memo, one
+rank call per key.  The search is exact-or-flagged: it either
 certifies its maximum, by finishing its tree or by meeting the rigorous
 upper bound ``proven_upper``, or stops at a node budget and says so.
 """
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, product, repeat
-from math import comb
+from itertools import chain, combinations, islice, product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ffield import FieldSpec, power_exceeds
-from .linalg import RANK_CHUNK, SubspaceQ, gaussian_binomial, rank_of_array, ranks_of_stack
+from .linalg import (CHUNK_ENTRIES, SubspaceQ, gaussian_binomial, rank_of_array,
+                     ranks_of_stack)
 
 #: Refuse to enumerate Grassmannians larger than this.
 ENUMERATION_LIMIT = 10**6
@@ -132,12 +132,14 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     copies of one codeword of dimension ``need - 1``, read off the groups
     of equal codewords, or by holding a codeword of lower dimension (every
     selection at delta >= 2).  Those selections are ranked in batches of
-    ``RANK_CHUNK``, each the stack of its codewords' bases padded to k
-    rows.  Within a batch, selections that name the same codewords (each
-    read as its first equal one) share one rank.  The witness is the
-    least (achieved dimension, index tuple).  Raises ValueError when the
-    code has fewer than ``alpha`` codewords or when ``need`` exceeds the
-    ambient dimension.
+    at most ``CHUNK_ENTRIES`` entries, each the stack of its codewords'
+    bases padded to k rows.  A selection that holds a codeword without
+    every earlier equal one is not ranked: the selection holding those
+    instead spans the same and comes first, so each multiset of distinct
+    codewords is ranked once.  The witness is the least (achieved
+    dimension, index tuple), which such a skip never hides.  Raises
+    ValueError when the code has fewer than ``alpha`` codewords or when
+    ``need`` exceeds the ambient dimension.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
@@ -156,51 +158,42 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     low = [c.dim < need - 1 for c in words]
     if any(low):
         padded = np.zeros((size, code.k, code.n), dtype=np.int16)
-        for r in copies:
-            padded[r, :words[r].dim] = words[r].basis_array()
-        reps = np.array(rep, dtype=np.intp)
-        # a selection's sorted reps as one base-size integer, unless that overflows intp
-        weights = (size ** np.arange(alpha - 1, -1, -1, dtype=np.intp)
-                   if size ** alpha <= np.iinfo(np.intp).max else None)
-        for sel in _low_selections(low, alpha):
-            named = reps[sel]
-            named.sort(axis=1)
-            _, at, back = np.unique(named if weights is None else named @ weights, axis=0,
-                                    return_index=True, return_inverse=True)
-            stack = padded[named[at]].reshape(len(at), alpha * code.k, code.n)
-            got = ranks_of_stack(stack, code.field)[back]
+        for i, c in enumerate(words):
+            padded[i, :c.dim] = c.basis_array()
+        # each codeword's previous equal one, or -1
+        earlier = np.full(size, -1, dtype=np.intp)
+        for g in copies.values():
+            earlier[g[1:]] = g[:-1]
+        batch = max(1, CHUNK_ENTRIES // (alpha * code.k * code.n))
+        for sel in _low_selections(low, alpha, batch):
+            # keep the selections that hold every earlier copy of each codeword
+            prior = earlier[sel]
+            sel = sel[((prior < 0) | (prior[:, :, None] == sel[:, None, :]).any(axis=2)).all(axis=1)]
+            stack = padded[sel].reshape(len(sel), alpha * code.k, code.n)
+            got = ranks_of_stack(stack, code.field)
             short = np.flatnonzero(got < need)
             if short.size:
-                # least (achieved, indices): lexsort reads its last key first
-                i = short[np.lexsort(tuple(sel[short, ::-1].T) + (got[short],))[0]]
-                worst = min(worst, (int(got[i]), tuple(sel[i].tolist())))
+                worst = min([worst] + [(int(got[i]), tuple(sorted(sel[i].tolist())))
+                                       for i in short])
     if worst[0] == need:
         return True, None
     return False, CoverWitness(indices=worst[1], achieved_dim=worst[0], required_dim=need)
 
 
-def _low_selections(low: list[bool], alpha: int):
+def _low_selections(low: list[bool], alpha: int, batch: int):
     """Every size-``alpha`` selection of codeword indices that holds a
-    ``low`` one, each once, as intp arrays of ascending index rows, at most
-    ``RANK_CHUNK`` rows each: a selection is read as its first low index
-    ``j`` and ``alpha - 1`` others, each either after ``j`` or before it
-    and not low.  The ``p``-th low ``j`` has ``size - 1 - p`` such others."""
+    ``low`` one, each once, as intp arrays of at most ``batch`` index rows:
+    a selection is read as its first low index ``j``, then ``alpha - 1``
+    ascending others, each either after ``j`` or before it and not low."""
     size = len(low)
-    heads = [j for j in range(size) if low[j]]
-    firsts = chain.from_iterable(repeat(j, comb(size - 1 - p, alpha - 1))
-                                 for p, j in enumerate(heads))
-    others = chain.from_iterable(chain.from_iterable(
-        combinations([i for i in range(size) if i > j or (i < j and not low[i])], alpha - 1)
-        for j in heads))
+    sels = ((j,) + others for j in range(size) if low[j]
+            for others in combinations([i for i in range(size)
+                                        if i > j or (i < j and not low[i])], alpha - 1))
     while True:
-        js = np.fromiter(islice(firsts, RANK_CHUNK), dtype=np.intp)
-        if not js.size:
+        sel = np.fromiter(chain.from_iterable(islice(sels, batch)),
+                          dtype=np.intp).reshape(-1, alpha)
+        if not sel.size:
             return
-        sel = np.empty((len(js), alpha), dtype=np.intp)
-        sel[:, 0] = js
-        sel[:, 1:] = np.fromiter(islice(others, sel[:, 1:].size), dtype=np.intp,
-                                 count=sel[:, 1:].size).reshape(len(js), alpha - 1)
-        sel.sort(axis=1)
         yield sel
 
 

@@ -23,10 +23,11 @@ import numpy as np
 from . import backend
 from .ffield import FieldSpec
 
-#: Most matrices a caller gathers for one ``ranks_of_stack`` call: the
-#: verifier's selections per batch and the search's receivers per trial
-#: block.  It bounds the index arrays and the stack the caller builds.
-RANK_CHUNK = 8192
+#: Most entries a caller gathers into one ``ranks_of_stack`` call: the
+#: verifier's selections and a solution's receivers are ranked in stacks
+#: of at most this many entries (one matrix at least), so what a caller
+#: holds at once does not grow with the number of matrices it ranks.
+CHUNK_ENTRIES = 1 << 14
 
 
 def _as_element_array(field: FieldSpec, data) -> np.ndarray:

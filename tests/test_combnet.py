@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,61 @@ def test_block_search_draws_no_trial_past_the_budget(monkeypatch, trials):
     assert max(keys) == (trials - 1,)
     assert found == [first_verifying_trial(p, field, 1, trials, seed)[0] is not None
                      for seed in range(50)]
+
+
+def test_search_memory_does_not_grow_with_the_block():
+    # (2, 6, 2, 1, 0) at q = 2, t = 8: each of the 15 receivers is a
+    # square 16 x 16 matrix over GF(2), all invertible almost never, so no
+    # trial verifies and the blocks keep doubling.  A block of 256 trials
+    # would hold 256 * 15 * 256 gathered int64 entries, about 7.5 MiB.
+    p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
+    random_solution_search(p, F2, 8, 3, 0)
+    tracemalloc.start()
+    try:
+        found = random_solution_search(p, F2, 8, 300, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None
+    assert peak < 1 << 20
+
+
+def first_short_receiver(sol):
+    need = (sol.params.h - sol.params.epsilon) * sol.t
+    coding = np.stack([a.data for a in sol.matrices])
+    return next((s for s in sol.params.receivers()
+                 if rank_of_array(coding[list(s)].reshape(-1, sol.params.h * sol.t),
+                                  sol.field) < need), None)
+
+
+@pytest.mark.parametrize("entries", [1, 40, 200])
+def test_receivers_are_ranked_in_bounded_stacks(monkeypatch, entries):
+    # every stack holds at most CHUNK_ENTRIES entries, or one receiver
+    # when a receiver alone holds more, and the verdicts, witnesses and
+    # found trials agree with per-receiver ranks across chunk boundaries
+    p = NetworkParams(h=3, r=6, alpha=2, ell=1, epsilon=1)
+    rng = np.random.default_rng(entries)
+    sols = [LinearSolution(params=p, field=f, t=t, matrices=tuple(
+                random_matrix(f, t, 3 * t, rng) for _ in range(6)))
+            for f, t in [(F2, 1), (F2, 2), (field_from_size(4), 1)] for _ in range(10)]
+    shapes = []
+    kernel = combnet.ranks_of_stack
+
+    def recording(stack, field):
+        shapes.append(stack.shape)
+        return kernel(stack, field)
+
+    monkeypatch.setattr(combnet, "CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(combnet, "ranks_of_stack", recording)
+    for sol in sols:
+        bad = first_short_receiver(sol)
+        assert verify_solution(sol) == (bad is None, bad)
+    for seed in range(20):
+        trial, coding = first_verifying_trial(p, F2, 1, 200, seed)
+        sol = random_solution_search(p, F2, 1, 200, seed)
+        assert np.array_equal(np.stack([a.data for a in sol.matrices]), coding)
+    assert all(b * r * c <= max(entries, r * c) for b, r, c in shapes)
+    assert max(b for b, _, _ in shapes) > 1 or entries == 1
 
 
 def test_random_search_zero_trials():

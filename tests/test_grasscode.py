@@ -182,30 +182,29 @@ def test_repeated_codewords_of_one_dimension_match_the_scan(q, alpha):
                     "witness after the first codeword"}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5])
-def test_is_covering_code_agrees_across_batches(monkeypatch, chunk):
-    # selections are ranked RANK_CHUNK at a time: the least witness must
-    # come through batch boundaries, with repeats split between batches
-    monkeypatch.setattr(grasscode, "RANK_CHUNK", chunk)
+@pytest.mark.parametrize("entries", [1, 50, 200])
+def test_is_covering_code_agrees_across_batches(monkeypatch, entries):
+    # selections are ranked CHUNK_ENTRIES entries at a time, alpha * k * n
+    # per selection, so 1 to 50 selections per batch: the least witness
+    # must come through batch boundaries, with repeats split between them
+    monkeypatch.setattr(grasscode, "CHUNK_ENTRIES", entries)
     for q, alpha in [(2, 2), (3, 3), (4, 2)]:
         field = field_from_size(q)
-        rng = np.random.default_rng(10 * q + alpha + chunk)
+        rng = np.random.default_rng(10 * q + alpha + entries)
         for _ in range(30):
             code = random_code(rng, field, alpha)
             assert is_covering_code(code) == reference_worst_witness(code)
 
 
-def test_is_covering_code_when_selections_do_not_pack_into_one_integer():
-    # 32 codewords at alpha = 31: 32**31 > 2**63, so selections are told
-    # apart row by row.  Packed in intp, the weights of the first sorted
-    # places would wrap to 0 and the selection without the line off the
-    # plane would share a rank with those that hold it.
+def test_is_covering_code_tells_selections_apart_at_a_large_alpha():
+    # 32 codewords at alpha = 31: the selections differ in one codeword
+    # out of 31, and the one without the line off the plane must not
+    # share a rank with those that hold it
     lines = enumerate_grassmannian(3, 1, F2)
     plane = [c for c in lines if span_dim([c, lines[0], lines[1]]) == 2]
     off = next(c for c in lines if c not in plane)
     words = (off,) + tuple(plane[i % 3] for i in range(31))
     code = CoveringCode(field=F2, n=3, k=1, delta=2, alpha=31, codewords=words)
-    assert 32**31 > np.iinfo(np.intp).max
     assert is_covering_code(code) == reference_worst_witness(code)
     assert is_covering_code(code)[1].indices == tuple(range(1, 32))
 

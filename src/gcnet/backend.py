@@ -32,10 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Most entries ``rank_stack`` eliminates at once: a larger stack runs in
-#: slices of its batch axis, which bounds the kernel's scratch memory.
-STACK_ENTRIES = 1 << 14
-
 
 def _eliminate(rows: list, inv, neg, add, mul, reduce: bool) -> list[int]:
     """Bring ``rows`` (equal-length lists of element indices) to echelon
@@ -96,46 +92,43 @@ def rank_stack(stack, inv, neg, add, mul) -> np.ndarray:
     stack is not written.
 
     Gaussian elimination over the whole stack at once, on its shorter
-    side (a matrix and its transpose share their rank), in slices of at
-    most ``STACK_ENTRIES`` entries.  At each column every matrix takes
-    its first nonzero row as the pivot and subtracts ``f / pivot`` times
-    it from each row whose entry there is ``f``; this clears the column
-    and zeroes the pivot row itself, leaving the rows that have not been
-    pivots.  A matrix whose column is zero takes row 0 with ``f = 0``
-    everywhere, so its rows stay as they are.  The last column is only
-    checked for a pivot.  The tables are read through zero-copy views,
-    and the index arithmetic ``a * q + b`` runs in one reused intp
-    buffer, since int16 overflows above q = 181.
+    side (a matrix and its transpose share their rank).  At each column
+    every matrix takes its first nonzero row as the pivot and subtracts
+    ``f / pivot`` times it from each row whose entry there is ``f``; this
+    clears the column and zeroes the pivot row itself, leaving the rows
+    that have not been pivots.  A matrix whose column is zero takes row 0
+    with ``f = 0`` everywhere, so its rows stay as they are.  The last
+    column is only checked for a pivot.  The tables are read through
+    zero-copy views, and the index arithmetic ``a * q + b`` runs in one
+    reused intp buffer, since int16 overflows above q = 181.  Scratch
+    memory is about 20 bytes per entry; callers bound the stacks they
+    pass.
     """
     inv, neg, add, mul = (np.asarray(t) for t in (inv, neg, add, mul))
     q = np.intp(len(inv))
     if stack.shape[2] > stack.shape[1]:
         stack = stack.transpose(0, 2, 1)
-    count, nrows, ncols = stack.shape
-    ranks = np.zeros(count, dtype=np.intp)
+    ranks = np.zeros(len(stack), dtype=np.intp)
     if not stack.size:
         return ranks
-    step = max(1, STACK_ENTRIES // (nrows * ncols))
-    buffer = np.empty(min(count, step) * nrows * ncols, dtype=np.intp)
-    for start in range(0, count, step):
-        m = stack[start:start + step].astype(np.int16)
-        found = ranks[start:start + step]
-        batch = np.arange(len(m))
-        for col in range(ncols - 1):
-            lead = m[:, :, col]
-            prow = m[batch, (lead != 0).argmax(axis=1), col:]
-            found += prow[:, 0] != 0
-            # -(f / pivot) for each row's entry f in this column
-            coef = neg.take(mul.take((inv.take(prow[:, 0]) * q)[:, None] + lead))
-            tail = m[:, :, col + 1:]
-            at = buffer[:tail.size].reshape(tail.shape)
-            np.add((coef * q)[:, :, None], prow[:, None, 1:], out=at)
-            product = mul.take(at)
-            np.multiply(tail, q, out=at)
-            at += product
-            # every index is in range; "clip" lets take write into the view unbuffered
-            add.take(at, out=tail, mode="clip")
-        found += m[:, :, -1].any(axis=1)
+    m = stack.astype(np.int16)
+    buffer = np.empty(m.size, dtype=np.intp)
+    batch = np.arange(len(m))
+    for col in range(m.shape[2] - 1):
+        lead = m[:, :, col]
+        prow = m[batch, (lead != 0).argmax(axis=1), col:]
+        ranks += prow[:, 0] != 0
+        # -(f / pivot) for each row's entry f in this column
+        coef = neg.take(mul.take((inv.take(prow[:, 0]) * q)[:, None] + lead))
+        tail = m[:, :, col + 1:]
+        at = buffer[:tail.size].reshape(tail.shape)
+        np.add((coef * q)[:, :, None], prow[:, None, 1:], out=at)
+        product = mul.take(at)
+        np.multiply(tail, q, out=at)
+        at += product
+        # every index is in range; "clip" lets take write into the view unbuffered
+        add.take(at, out=tail, mode="clip")
+    ranks += m[:, :, -1].any(axis=1)
     return ranks
 
 

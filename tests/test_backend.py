@@ -163,18 +163,6 @@ def test_ranks_of_stack_matches_rank_of_array(q, shape, data):
     assert np.array_equal(stack, before)
 
 
-def test_rank_stack_slices_agree(monkeypatch):
-    # a stack above STACK_ENTRIES runs in slices of its batch axis
-    f = field_from_size(16)
-    rng = np.random.default_rng(5)
-    stack = rng.integers(0, 16, size=(40, 5, 7))
-    stack[rng.random(size=stack.shape) < 0.5] = 0
-    want = [linalg.rank_of_array(m, f) for m in stack]
-    for entries in (1, 36, 100, backend.STACK_ENTRIES):
-        monkeypatch.setattr(backend, "STACK_ENTRIES", entries)
-        assert linalg.ranks_of_stack(stack, f).tolist() == want
-
-
 def test_backend_name_is_reported():
     assert backend_name() == "python"
 

@@ -24,9 +24,9 @@ from . import backend
 from .ffield import FieldSpec
 
 #: Most entries a caller gathers into one ``ranks_of_stack`` call: the
-#: verifier's selections and a solution's receivers are ranked in stacks
-#: of at most this many entries (one matrix at least), so what a caller
-#: holds at once does not grow with the number of matrices it ranks.
+#: verifier's selections, a solution's receivers and a search block are
+#: ranked in stacks of at most this many entries (one matrix at least),
+#: so what a caller holds at once does not grow with what it ranks.
 CHUNK_ENTRIES = 1 << 14
 
 

@@ -10,7 +10,8 @@ switch and no option:
   above every matrix gcnet reduces;
 - a stack of same-shape matrices runs ``rank_stack``: one NumPy pass
   over the batch axis per column, so NumPy's per-call cost is paid once
-  per column for the whole stack rather than once per matrix.
+  per column for the whole stack rather than once per matrix.  Its one
+  caller, ``linalg.ranks_of_selections``, gathers and bounds the stacks.
 
 Every entry point takes element indices and the field's ``inv``,
 ``neg``, ``add`` and ``mul`` tables as the flat int16 memoryviews each
@@ -101,8 +102,8 @@ def rank_stack(stack, inv, neg, add, mul) -> np.ndarray:
     column is only checked for a pivot.  The tables are read through
     zero-copy views, and the index arithmetic ``a * q + b`` runs in one
     reused intp buffer, since int16 overflows above q = 181.  Scratch
-    memory is about 20 bytes per entry; callers bound the stacks they
-    pass.
+    memory is about 20 bytes per entry; ``linalg.ranks_of_selections``
+    bounds the stacks it passes.
     """
     inv, neg, add, mul = (np.asarray(t) for t in (inv, neg, add, mul))
     q = np.intp(len(inv))

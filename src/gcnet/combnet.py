@@ -31,8 +31,8 @@ import numpy as np
 
 from .ffield import ORDER_LIMIT, FieldSpec, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
-from .linalg import (CHUNK_ENTRIES, MatrixQ, SubspaceQ, product_of_arrays, ranks_of_stack,
-                     rref_of_array)
+from . import linalg
+from .linalg import MatrixQ, SubspaceQ, product_of_arrays, ranks_of_selections, rref_of_array
 
 
 class SolvabilityClass(enum.Enum):
@@ -133,39 +133,19 @@ def _need(params: NetworkParams, t: int) -> int:
     return max(0, (params.h - params.epsilon) * t)
 
 
-def _receiver_ranks(codings: np.ndarray, subsets: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Rank of each receiver in ``subsets`` (an ``(N, alpha)`` array of
-    middle nodes) under each of the ``(r, ell*t, h*t)`` codings in
-    ``codings``, as a ``(T, N)`` array.  The (coding, receiver) pairs are
-    gathered and ranked in order, in stacks of at most ``CHUNK_ENTRIES``
-    entries (one receiver at least)."""
-    count, r, height, width = codings.shape
-    rows = subsets.shape[1] * height
-    flat = codings.reshape(count * r, height, width)
-    # each pair's middle nodes as rows of flat
-    pairs = (subsets + r * np.arange(count)[:, None, None]).reshape(-1, subsets.shape[1])
-    step = max(1, CHUNK_ENTRIES // (rows * width))
-    ranks = np.empty(len(pairs), dtype=np.intp)
-    for start in range(0, len(pairs), step):
-        part = pairs[start:start + step]
-        ranks[start:start + len(part)] = ranks_of_stack(
-            flat[part].reshape(len(part), rows, width), field)
-    return ranks.reshape(count, len(subsets))
-
-
 def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check the rank condition at every receiver.
 
     Returns ``(True, None)`` if for each alpha-subset the stacked matrix
     has rank at least ``(h - epsilon) * t``, else ``(False, subset)``
     with the lexicographically first violating subset (0-based middle
-    node indices).  The receivers are ranked in batched stacks.  Raises
-    ValueError on UNSOLVABLE parameters.
+    node indices).  The receivers are ranked by ``ranks_of_selections``.
+    Raises ValueError on UNSOLVABLE parameters.
     """
     need = _need(sol.params, sol.t)
     coding = np.stack([a.data for a in sol.matrices])
     subsets = np.array(sol.params.receivers(), dtype=np.intp)
-    short = np.flatnonzero(_receiver_ranks(coding[None], subsets, sol.field)[0] < need)
+    short = np.flatnonzero(ranks_of_selections(coding, subsets, sol.field) < need)
     if short.size:
         return False, tuple(subsets[short[0]].tolist())
     return True, None
@@ -291,9 +271,10 @@ def random_solution_search(
     Each trial uses its own generator derived from ``(seed, trial)``,
     so the result is reproducible and independent of scheduling.  A
     trial is one ``(r, ell*t, h*t)`` draw.  Trials are checked in blocks
-    of doubling size (1, 2, 4, ...), each block's receivers ranked in
-    batched stacks; a block holds at most ``CHUNK_ENTRIES`` receiver
-    entries, one trial at least, and no block draws past ``trials``.
+    of doubling size (1, 2, 4, ...), each block's receivers ranked by
+    one ``ranks_of_selections`` call; a block holds at most
+    ``linalg.CHUNK_ENTRIES`` receiver entries, one trial at least, and no
+    block draws past ``trials``.
     The first verifying trial in order is wrapped and returned.  Returns
     None after ``trials`` draws (absence is an outcome, not an error).
     Raises ValueError for a blocklength ``t`` below 1, before any draw.
@@ -305,7 +286,7 @@ def random_solution_search(
     p = params
     need = _need(p, t)
     subsets = np.array(p.receivers(), dtype=np.intp)
-    most = max(1, CHUNK_ENTRIES // (subsets.size * p.ell * t * p.h * t))
+    most = max(1, linalg.CHUNK_ENTRIES // (subsets.size * p.ell * t * p.h * t))
     trial, block = 0, 1
     while trial < trials:
         count = min(block, most, trials - trial)
@@ -313,7 +294,10 @@ def random_solution_search(
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
             .integers(0, field.q, size=(p.r, p.ell * t, p.h * t), dtype=np.int64)
             for i in range(trial, trial + count)])
-        passed = np.flatnonzero((_receiver_ranks(codings, subsets, field) >= need).all(axis=1))
+        # receiver j of trial i is blocks subsets[j] + i*r of the flattened codings
+        pairs = (subsets + p.r * np.arange(count)[:, None, None]).reshape(-1, p.alpha)
+        ranks = ranks_of_selections(codings.reshape(-1, p.ell * t, p.h * t), pairs, field)
+        passed = np.flatnonzero((ranks.reshape(count, -1) >= need).all(axis=1))
         if passed.size:
             return LinearSolution(params=p, field=field, t=t,
                                   matrices=tuple(MatrixQ(field, a) for a in codings[passed[0]]))

@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ffield import FieldSpec, power_exceeds
-from .linalg import (CHUNK_ENTRIES, SubspaceQ, gaussian_binomial, rank_of_array,
-                     ranks_of_stack)
+from . import linalg
+from .linalg import SubspaceQ, gaussian_binomial, rank_of_array, ranks_of_selections
 
 #: Refuse to enumerate Grassmannians larger than this.
 ENUMERATION_LIMIT = 10**6
@@ -131,15 +131,16 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     By the module's rule a selection can fall short only as ``alpha``
     copies of one codeword of dimension ``need - 1``, read off the groups
     of equal codewords, or by holding a codeword of lower dimension (every
-    selection at delta >= 2).  Those selections are ranked in batches of
-    at most ``CHUNK_ENTRIES`` entries, each the stack of its codewords'
-    bases padded to k rows.  A selection that holds a codeword without
-    every earlier equal one is not ranked: the selection holding those
-    instead spans the same and comes first, so each multiset of distinct
-    codewords is ranked once.  The witness is the least (achieved
-    dimension, index tuple), which such a skip never hides.  Raises
-    ValueError when the code has fewer than ``alpha`` codewords or when
-    ``need`` exceeds the ambient dimension.
+    selection at delta >= 2).  Those selections are built in batches of
+    at most ``linalg.CHUNK_ENTRIES`` entries and ranked by
+    ``ranks_of_selections`` on the codewords' bases padded to k rows.  A
+    selection that holds a codeword without every earlier equal one is
+    not ranked: the selection holding those instead spans the same and
+    comes first, so each multiset of distinct codewords is ranked once.
+    The witness is the least (achieved dimension, index tuple), which
+    such a skip never hides.  Raises ValueError when the code has fewer
+    than ``alpha`` codewords or when ``need`` exceeds the ambient
+    dimension.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
@@ -164,13 +165,12 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
         earlier = np.full(size, -1, dtype=np.intp)
         for g in copies.values():
             earlier[g[1:]] = g[:-1]
-        batch = max(1, CHUNK_ENTRIES // (alpha * code.k * code.n))
+        batch = max(1, linalg.CHUNK_ENTRIES // (alpha * code.k * code.n))
         for sel in _low_selections(low, alpha, batch):
             # keep the selections that hold every earlier copy of each codeword
             prior = earlier[sel]
             sel = sel[((prior < 0) | (prior[:, :, None] == sel[:, None, :]).any(axis=2)).all(axis=1)]
-            stack = padded[sel].reshape(len(sel), alpha * code.k, code.n)
-            got = ranks_of_stack(stack, code.field)
+            got = ranks_of_selections(padded, sel, code.field)
             short = np.flatnonzero(got < need)
             if short.size:
                 worst = min([worst] + [(int(got[i]), tuple(sorted(sel[i].tolist())))

@@ -3,10 +3,11 @@
 Matrices store int16 element indices in a NumPy array plus a reference
 to their field.  Products index the field's dense operation tables, and
 rank and reduced row echelon form run the table-driven elimination
-kernel in :mod:`gcnet.backend`, for every field order alike; a stack of
-same-shape matrices is ranked in one batched pass.  The
-reduced form comes back as the kernel's Python row lists and pivot
-columns; neither call modifies the array it is given.
+kernel in :mod:`gcnet.backend`, for every field order alike;
+``ranks_of_selections`` gathers same-shape stacks by index and ranks
+them in bounded batched passes.  The reduced form comes back as the
+kernel's Python row lists and pivot columns; no call modifies the
+arrays it is given.
 
 Subspaces of GF(q)^n are kept in a canonical form: the unique reduced
 row echelon basis with zero rows dropped.  Equality, hashing and the
@@ -23,10 +24,9 @@ import numpy as np
 from . import backend
 from .ffield import FieldSpec
 
-#: Most entries a caller gathers into one ``ranks_of_stack`` call: the
-#: verifier's selections, a solution's receivers and a search block are
-#: ranked in stacks of at most this many entries (one matrix at least),
-#: so what a caller holds at once does not grow with what it ranks.
+#: Most entries ``ranks_of_selections`` gathers into one batched rank
+#: pass (one matrix at least), so that what it holds at once does not
+#: grow with what it ranks.  Read at call time.
 CHUNK_ENTRIES = 1 << 14
 
 
@@ -145,11 +145,22 @@ def rank_of_array(arr: np.ndarray, field: FieldSpec) -> int:
     return backend.rank_destructive(arr, *field.kernel_views)
 
 
-def ranks_of_stack(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Ranks over ``field`` of the matrices of a ``(B, R, C)`` index
-    array, as a length-``B`` intp array, from one batched elimination;
-    the stack is not modified."""
-    return backend.rank_stack(stack, *field.kernel_views)
+def ranks_of_selections(blocks: np.ndarray, selections: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Ranks over ``field``, as a length-``M`` intp array: row ``i`` of
+    the ``(M, s)`` index array ``selections`` names ``s`` blocks of the
+    ``(N, R, C)`` index array ``blocks``, repeats allowed, and entry ``i``
+    is the rank of those blocks stacked into ``(s*R, C)``.  The stacks
+    are gathered and ranked in order, in batched passes of at most
+    ``CHUNK_ENTRIES`` entries (one stack at least).  Neither input is
+    modified."""
+    rows, cols = selections.shape[1] * blocks.shape[1], blocks.shape[2]
+    step = max(1, CHUNK_ENTRIES // max(1, rows * cols))
+    ranks = np.empty(len(selections), dtype=np.intp)
+    for start in range(0, len(selections), step):
+        part = selections[start:start + step]
+        ranks[start:start + len(part)] = backend.rank_stack(
+            blocks[part].reshape(len(part), rows, cols), *field.kernel_views)
+    return ranks
 
 
 def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[list[list[int]], tuple[int, ...]]:
@@ -315,6 +326,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise ValueError("need n >= 0 and q >= 2")
     if k < 0 or k > n:
         return 0
+    k = min(k, n - k)  # [n k]_q = [n n-k]_q, with fewer and smaller factors
     num = 1
     den = 1
     for i in range(k):

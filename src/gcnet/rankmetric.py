@@ -29,7 +29,7 @@ import numpy as np
 
 from .ffield import FieldSpec, _smallest_irreducible, field_from_size, power_exceeds
 from .grasscode import CoveringCode
-from .linalg import MatrixQ, SubspaceQ, dual, product_of_arrays, rank_of_array
+from .linalg import MatrixQ, SubspaceQ, dual, product_of_arrays, ranks_of_selections
 
 #: Refuse to materialize rank-metric codes larger than this.
 CARDINALITY_LIMIT = 2**16
@@ -101,11 +101,10 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
 
     code = RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=tuple(codewords))
     if size <= VERIFY_LIMIT:
-        ranks = [rank_of_array(c.data, base) for c in code.codewords[1:]]
-        if min(ranks) != delta:
-            raise RuntimeError(
-                f"construction bug: minimum nonzero rank {min(ranks)} != delta {delta}"
-            )
+        # codeword 0 is the zero matrix
+        least = ranks_of_selections(words, np.arange(1, size)[:, None], base).min()
+        if least != delta:
+            raise RuntimeError(f"construction bug: minimum nonzero rank {least} != delta {delta}")
     return code
 
 

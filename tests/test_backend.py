@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,13 +155,39 @@ def stacks(draw, q, shape):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_ranks_of_stack_matches_rank_of_array(q, shape, data):
+    # the batched kernel itself, on every shape the gathering passes it
     f = field_from_size(q)
     stack = data.draw(stacks(q, shape))
     before = stack.copy()
-    ranks = linalg.ranks_of_stack(stack, f)
+    ranks = backend.rank_stack(stack, *f.kernel_views)
     assert ranks.dtype == np.intp and ranks.shape == (shape[0],)
     assert ranks.tolist() == [linalg.rank_of_array(m, f) for m in stack]
     assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 257, 1024])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ranks_of_selections_matches_rank_of_array(q, shape, data):
+    # s = 1 to 3 blocks per selection, often repeated, M = 0 selections
+    # among the draws, and stacks gathered a few entries at a time
+    f = field_from_size(q)
+    blocks = data.draw(stacks(q, shape))
+    width = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(0, 6)) if shape[0] else 0
+    selections = data.draw(arrays(np.intp, (count, width),
+                                  elements=st.integers(0, max(shape[0] - 1, 0))))
+    if width > 1 and data.draw(st.booleans()):
+        selections[:, -1] = selections[:, 0]
+    chunk = data.draw(st.sampled_from([1, 40, linalg.CHUNK_ENTRIES]))
+    inputs = blocks.copy(), selections.copy()
+    with mock.patch.object(linalg, "CHUNK_ENTRIES", chunk):
+        ranks = linalg.ranks_of_selections(blocks, selections, f)
+    assert ranks.dtype == np.intp and ranks.shape == (count,)
+    assert ranks.tolist() == [linalg.rank_of_array(np.concatenate(blocks[sel]), f)
+                              for sel in selections]
+    assert np.array_equal(blocks, inputs[0]) and np.array_equal(selections, inputs[1])
 
 
 def test_backend_name_is_reported():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gcnet import combnet, grasscode
+from gcnet import backend, combnet, grasscode, linalg
 from gcnet.combnet import (
     GapEstimate,
     LinearSolution,
@@ -368,23 +368,24 @@ def first_short_receiver(sol):
 
 @pytest.mark.parametrize("entries", [1, 40, 200])
 def test_receivers_are_ranked_in_bounded_stacks(monkeypatch, entries):
-    # every stack holds at most CHUNK_ENTRIES entries, or one receiver
-    # when a receiver alone holds more, and the verdicts, witnesses and
-    # found trials agree with per-receiver ranks across chunk boundaries
+    # one linalg.CHUNK_ENTRIES bounds every stack the kernel sees, to one
+    # receiver when a receiver alone holds more, and the verdicts,
+    # witnesses and found trials agree with per-receiver ranks across
+    # chunk boundaries
     p = NetworkParams(h=3, r=6, alpha=2, ell=1, epsilon=1)
     rng = np.random.default_rng(entries)
     sols = [LinearSolution(params=p, field=f, t=t, matrices=tuple(
                 random_matrix(f, t, 3 * t, rng) for _ in range(6)))
             for f, t in [(F2, 1), (F2, 2), (field_from_size(4), 1)] for _ in range(10)]
     shapes = []
-    kernel = combnet.ranks_of_stack
+    kernel = backend.rank_stack
 
-    def recording(stack, field):
+    def recording(stack, *views):
         shapes.append(stack.shape)
-        return kernel(stack, field)
+        return kernel(stack, *views)
 
-    monkeypatch.setattr(combnet, "CHUNK_ENTRIES", entries)
-    monkeypatch.setattr(combnet, "ranks_of_stack", recording)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(backend, "rank_stack", recording)
     for sol in sols:
         bad = first_short_receiver(sol)
         assert verify_solution(sol) == (bad is None, bad)

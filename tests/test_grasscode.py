@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gcnet import backend, grasscode
+from gcnet import backend, grasscode, linalg
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import (
     CoverWitness,
@@ -184,16 +184,28 @@ def test_repeated_codewords_of_one_dimension_match_the_scan(q, alpha):
 
 @pytest.mark.parametrize("entries", [1, 50, 200])
 def test_is_covering_code_agrees_across_batches(monkeypatch, entries):
-    # selections are ranked CHUNK_ENTRIES entries at a time, alpha * k * n
-    # per selection, so 1 to 50 selections per batch: the least witness
-    # must come through batch boundaries, with repeats split between them
-    monkeypatch.setattr(grasscode, "CHUNK_ENTRIES", entries)
+    # one linalg.CHUNK_ENTRIES bounds the selections built and the stacks
+    # ranked, alpha * k * n entries per selection, so 1 to 50 selections
+    # per stack: the least witness must come through batch boundaries,
+    # with repeats split between them
+    shapes = []
+    kernel = backend.rank_stack
+
+    def recording(stack, *views):
+        shapes.append(stack.shape)
+        return kernel(stack, *views)
+
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(backend, "rank_stack", recording)
     for q, alpha in [(2, 2), (3, 3), (4, 2)]:
         field = field_from_size(q)
         rng = np.random.default_rng(10 * q + alpha + entries)
         for _ in range(30):
             code = random_code(rng, field, alpha)
             assert is_covering_code(code) == reference_worst_witness(code)
+    assert shapes
+    assert all(b * r * c <= max(entries, r * c) for b, r, c in shapes)
+    assert max(b for b, _, _ in shapes) > 1 or entries == 1
 
 
 def test_is_covering_code_tells_selections_apart_at_a_large_alpha():

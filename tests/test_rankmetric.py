@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from gcnet import rankmetric
+from gcnet import backend, rankmetric
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import is_covering_code
 from gcnet.linalg import MatrixQ, intersection_dim
@@ -48,6 +48,34 @@ def test_gabidulin_distance_is_tight():
     code = gabidulin_code(2, 3, 3, 2)
     nonzero_ranks = {c.rank() for c in code.codewords if c.rank() > 0}
     assert min(nonzero_ranks) == 2
+
+
+def test_gabidulin_self_check_is_one_batched_rank_call(monkeypatch):
+    # each code's nonzero codewords are ranked in one stack, with no
+    # single-matrix rank call
+    def refuse(*args):
+        raise AssertionError("single-matrix rank call")
+
+    stacks = []
+    kernel = backend.rank_stack
+
+    def recording(stack, *views):
+        stacks.append(stack.shape)
+        return kernel(stack, *views)
+
+    monkeypatch.setattr(backend, "rank_destructive", refuse)
+    monkeypatch.setattr(backend, "rank_stack", recording)
+    assert gabidulin_code(4, 3, 3, 3).size == 64
+    assert gabidulin_code(2, 4, 2, 1).size == 256
+    assert stacks == [(63, 3, 3), (255, 4, 2)]
+
+
+def test_gabidulin_self_check_reads_the_batched_ranks(monkeypatch):
+    # a kernel that overstates every rank by one trips the check
+    kernel = backend.rank_stack
+    monkeypatch.setattr(backend, "rank_stack", lambda stack, *views: kernel(stack, *views) + 1)
+    with pytest.raises(RuntimeError, match="minimum nonzero rank 3 != delta 2"):
+        gabidulin_code(2, 3, 3, 2)
 
 
 def test_gabidulin_domain_errors():

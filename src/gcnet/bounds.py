@@ -29,10 +29,19 @@ from fractions import Fraction
 from math import comb, e as EULER_E, factorial, inf, isfinite, log2, sqrt
 from typing import Callable, NamedTuple, Optional, Union
 
+from .ffield import power_exceeds
 from .linalg import gaussian_binomial
 
 #: Default constant bounding [n k]_q / q^(k(n-k)) from above, any q >= 2.
 GAMMA = 3.48
+
+#: Largest leading power ``q**e`` the exact evaluators build a value
+#: from.  Past it the value is reported as None with a failing check,
+#: decided from the exponent before any big integer is built: exact
+#: values grow as q^(c*t^2), and printing one of millions of bits takes
+#: minutes.  The largest value the tests and the benchmark pin has
+#: 16 401 bits.
+EXACT_LIMIT = 2**65536
 
 Number = Union[int, float, Fraction]
 
@@ -143,6 +152,10 @@ def _pow2_at_least(num: int, den: int, y: float) -> bool:
 #: The check an evaluator adds when its real value leaves the double range.
 _NOT_FINITE = ("finite", False)
 
+#: The check an exact evaluator adds when its value's leading power of q
+#: exceeds ``EXACT_LIMIT``.
+_TOO_LARGE = (f"leading power <= 2^{EXACT_LIMIT.bit_length() - 1}", False)
+
 
 def _report(name: str, value, checks: list[tuple[str, bool]], **details) -> BoundReport:
     """The report of ``name``; ``valid`` is the conjunction of ``checks``
@@ -186,6 +199,9 @@ def middle_ub_exact(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> B
     if not _evaluable(h, ell, eps, alpha, q, t):
         return _report("middle_ub_exact", None, checks)
     th = theta(h, ell, eps, alpha)
+    # the value is within a small factor of theta * q^(ell*t*(eps*t+1))
+    if power_exceeds(q, ell * t * (eps * t + 1), EXACT_LIMIT):
+        return _report("middle_ub_exact", None, checks + [_TOO_LARGE], theta=th)
     gb = gaussian_binomial((eps + ell) * t, eps * t, q)
     col = Fraction(q ** (ell * t + 1) - 1, q - 1)
     val = gb * (th * col - 1) + (h - eps) // ell - 1
@@ -248,10 +264,12 @@ def middle_ub_pairwise(
     relaxed = _finite(
         lambda: gamma * float(q) ** ((h - ell) * (2 * ell + eps - h) * t * t + (h - ell) * t)
     )
-    den = gaussian_binomial(ell * t, m, q) if m >= 0 else 0
-    if den == 0:
+    if not 0 <= m <= ell * t:  # the denominator vanishes
         return _report("middle_ub_pairwise", None, checks, relaxed=relaxed, m=m)
-    val = Fraction(gaussian_binomial(h * t, m, q), den)
+    # the value is about q^((h-ell)*t*m), the power in the relaxed form
+    if power_exceeds(q, (h - ell) * t * m, EXACT_LIMIT):
+        return _report("middle_ub_pairwise", None, checks + [_TOO_LARGE], relaxed=relaxed, m=m)
+    val = Fraction(gaussian_binomial(h * t, m, q), gaussian_binomial(ell * t, m, q))
     if val.denominator == 1:
         val = int(val)
     return _report("middle_ub_pairwise", val, checks, relaxed=relaxed, m=m)
@@ -306,8 +324,11 @@ def middle_lb_mrd(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> Bou
     ]
     gt = g_exponent(h, ell, eps, t)
     branch = "ell*eps*t^2 + ell*t" if h <= 2 * ell else "(h-ell)(2ell+eps-h)t^2 + (h-ell)t"
-    val = (alpha - 1) * q**gt if _evaluable(h, ell, eps, alpha, q, t) and gt >= 0 else None
-    return _report("middle_lb_mrd", val, checks, g=gt, branch=branch)
+    if not (_evaluable(h, ell, eps, alpha, q, t) and gt >= 0):
+        return _report("middle_lb_mrd", None, checks, g=gt, branch=branch)
+    if power_exceeds(q, gt, EXACT_LIMIT):
+        return _report("middle_lb_mrd", None, checks + [_TOO_LARGE], g=gt, branch=branch)
+    return _report("middle_lb_mrd", (alpha - 1) * q**gt, checks, g=gt, branch=branch)
 
 
 def bad_event_prob_ub(

@@ -95,16 +95,15 @@ def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
         field = field_from_size(q)
     except ValueError as exc:
         raise FileFormatError(str(exc), reader.pos) from None
-    data = np.zeros((rows, cols), dtype=np.int16)
-    for i in range(rows):
+    # the rows are read before anything is allocated, so a header alone
+    # cannot ask for more memory than the file holds
+    data = []
+    for _ in range(rows):
         values = reader.next_ints(expect=cols)
         if any(v < 0 or v >= field.q for v in values):
             raise FileFormatError(f"matrix entries out of range for GF({field.q})", reader.pos)
-        data[i] = values
-    try:
-        return MatrixQ(field, data)
-    except ValueError as exc:
-        raise FileFormatError(str(exc), reader.pos) from None
+        data.append(values)
+    return MatrixQ(field, np.array(data, dtype=np.int16).reshape(rows, cols))
 
 
 def parse_matrix(text: str) -> MatrixQ:

@@ -143,6 +143,32 @@ def test_middle_lb_mrd_values_and_branches():
     assert "ell*eps*t^2 + ell*t" in low.details["branch"]
 
 
+@pytest.mark.parametrize("evaluate,last", [
+    # leading exponents t(t+1), 2t(t+1) and 2t(t+1) at q = 2
+    (lambda t: middle_ub_exact(3, 1, 1, 2, 2, t), 255),
+    (lambda t: middle_lb_mrd(4, 2, 1, 2, 2, t), 180),
+    (lambda t: middle_ub_pairwise(4, 2, 1, 2, t), 180),
+], ids=["ub_exact", "lb_mrd", "pairwise"])
+def test_exact_values_stop_at_the_limit(evaluate, last):
+    kept, refused = evaluate(last), evaluate(last + 1)
+    assert kept.valid and 2**65000 < kept.value < 2**65540
+    assert (refused.value, refused.valid) == (None, False)
+    assert refused.failed_assumptions() == ["leading power <= 2^65536"]
+    assert bounds.EXACT_LIMIT == 2**65536
+
+
+def test_exact_values_below_the_limit_build_no_larger_integers():
+    # at eps >> ell, [eps+ell, eps]_q is computed as [eps+ell, ell]_q: a
+    # 20 002-bit value does not build 20 000 factors of up to 20 001 bits
+    for n, q in [(7, 2), (6, 3), (5, 4)]:
+        assert all(gaussian_binomial(n, k, q) == gaussian_binomial(n, n - k, q)
+                   for k in range(n + 1))
+    start = time.perf_counter()
+    rep = middle_ub_exact(20002, 1, 20000, 2, 2, 1)
+    assert time.perf_counter() - start < 2
+    assert rep.valid and rep.value == 2**20002 - 1
+
+
 def test_middle_lb_mrd_below_brute_force_maximum():
     f2 = field_from_size(2)
     rep = middle_lb_mrd(3, 1, 1, 2, 2, 1)

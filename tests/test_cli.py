@@ -197,6 +197,16 @@ def test_verify_garbage_is_parse_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["verify --solution", "simulate --seed 1 --solution"])
+def test_huge_matrix_header_is_a_parse_error(tmp_path, capsys, command):
+    # a 100000 x 100000 block header with no rows behind it: the rows
+    # are read before the matrix is allocated
+    path = tmp_path / "sol.txt"
+    path.write_text("3 3 2 1 1 2 1\n100000 100000 2\n")
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out, err) == (2, "", "error: unexpected end of file (line 2)\n")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--code", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -541,6 +551,24 @@ def test_bounds_beyond_the_double_range(capsys):
     assert code == 0
     byname = {row["name"]: row for row in json.loads(out)["rows"]}
     assert byname["middle_ub_exact"]["value"] == exact
+
+
+@pytest.mark.parametrize("argv", [
+    "--h 3 --ell 1 --eps 1 --alpha 2 --q 2 --t 1000 --r 3",
+    "--h 4 --ell 2 --eps 1 --alpha 2 --q 2 --t 1000",
+    "--h 2 --ell 1 --eps 1 --alpha 2 --q 2 --t 3000",
+], ids=["ub_exact", "pairwise", "lb_mrd"])
+def test_bounds_past_the_exact_limit_report_no_value(capsys, argv):
+    # exact values of a million bits and more are refused from their
+    # exponent, not built and printed
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", *argv.split())
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if l[:1].isdigit()]
+    refused = {r[7] for r in rows if r[-1].endswith('leading power <= 2^65536=fail"')}
+    assert refused and all(r[8:10] == ["", "false"] for r in rows if r[7] in refused)
+    assert refused <= {"middle_ub_exact", "middle_ub_pairwise", "middle_lb_mrd"}
 
 
 def test_bounds_prints_a_fraction_exactly(capsys):

@@ -95,15 +95,18 @@ def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
         field = field_from_size(q)
     except ValueError as exc:
         raise FileFormatError(str(exc), reader.pos) from None
-    # the rows are read before anything is allocated, so a header alone
+    # the rows are read before the array is allocated, so a header alone
     # cannot ask for more memory than the file holds
-    data = []
+    read = []
     for _ in range(rows):
         values = reader.next_ints(expect=cols)
         if any(v < 0 or v >= field.q for v in values):
             raise FileFormatError(f"matrix entries out of range for GF({field.q})", reader.pos)
-        data.append(values)
-    return MatrixQ(field, np.array(data, dtype=np.int16).reshape(rows, cols))
+        read.append(values)
+    data = np.zeros((rows, cols), dtype=np.int16)
+    for i, values in enumerate(read):
+        data[i] = values
+    return MatrixQ(field, data)
 
 
 def parse_matrix(text: str) -> MatrixQ:

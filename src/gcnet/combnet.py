@@ -286,7 +286,7 @@ def random_solution_search(
     p = params
     need = _need(p, t)
     subsets = np.array(p.receivers(), dtype=np.intp)
-    most = max(1, linalg.CHUNK_ENTRIES // (subsets.size * p.ell * t * p.h * t))
+    most = linalg.items_per_pass(subsets.size * p.ell * t * p.h * t)
     trial, block = 0, 1
     while trial < trials:
         count = min(block, most, trials - trial)

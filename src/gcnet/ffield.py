@@ -52,10 +52,15 @@ def is_prime(n: int) -> bool:
 
 
 def power_exceeds(q: int, e: int, cap: int) -> bool:
-    """Whether ``q**e > cap`` for ``q >= 2``, without building ``q**e``:
-    past ``cap.bit_length()`` the exponent is capped, since ``2**e``
-    already exceeds ``cap`` there."""
-    return q ** min(e, cap.bit_length()) > cap
+    """Whether ``q**e > cap`` for ``q >= 2``, ``e >= 0`` and ``cap >= 0``.
+    With ``b`` bits in ``q`` and ``c`` in ``cap``, ``2**(b-1) <= q < 2**b``
+    and ``cap < 2**c``, so ``e*(b-1) >= c`` settles True and, for
+    ``cap >= 1``, ``e*b < c`` settles False; only between the two is
+    ``q**e`` built, with at most twice as many bits as ``cap``."""
+    b, c = q.bit_length(), cap.bit_length()
+    if e * (b - 1) >= c:
+        return True
+    return e * b >= c and q**e > cap
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:

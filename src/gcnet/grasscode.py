@@ -11,9 +11,9 @@ verifier that reports the worst witness on failure, and an exhaustive
 branch-and-bound search for the maximum code size at small parameters.
 Both decide by one rule where it applies: two distinct subspaces of
 dimension ``need - 1`` or more span ``need = delta + k``.  The verifier
-ranks every other selection in batched stacks, one rank per multiset
-of distinct codewords; the search reads its spans from one memo, one
-rank call per key.  The search is exact-or-flagged: it either
+builds every other multiset of distinct codewords once and ranks them
+in batched stacks; the search reads its spans from one memo, one rank
+call per key.  The search is exact-or-flagged: it either
 certifies its maximum, by finishing its tree or by meeting the rigorous
 upper bound ``proven_upper``, or stops at a node budget and says so.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,75 +126,74 @@ def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> list[SubspaceQ]:
 
 
 def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
-    """Verify the covering property over every size-``alpha`` sub-multiset.
-
-    By the module's rule a selection can fall short only as ``alpha``
+    """Verify the covering property over every size-``alpha`` sub-multiset:
+    a multiset of distinct codewords, each at most as often as the code
+    holds it.  By the module's rule one falls short only as ``alpha``
     copies of one codeword of dimension ``need - 1``, read off the groups
-    of equal codewords, or by holding a codeword of lower dimension (every
-    selection at delta >= 2).  Those selections are built in batches of
-    at most ``linalg.CHUNK_ENTRIES`` entries and ranked by
-    ``ranks_of_selections`` on the codewords' bases padded to k rows.  A
-    selection that holds a codeword without every earlier equal one is
-    not ranked: the selection holding those instead spans the same and
-    comes first, so each multiset of distinct codewords is ranked once.
-    The witness is the least (achieved dimension, index tuple), which
-    such a skip never hides.  Raises ValueError when the code has fewer
-    than ``alpha`` codewords or when ``need`` exceeds the ambient
-    dimension.
+    of equal codewords, or by holding one of lower dimension (each at
+    delta >= 2).  Each of the latter is built once, in batches of at most
+    ``linalg.CHUNK_ENTRIES`` entries, and ranked by ``ranks_of_selections``
+    on the distinct bases padded to k rows; its indices are the first
+    copies it takes, the least tuple that holds it.  The witness is the
+    least (achieved dimension, indices).  Raises ValueError when the code
+    has fewer than ``alpha`` codewords or ``need`` exceeds ``n``.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
     need = code.delta + code.k
     if need > code.n:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
-    words, alpha, size = code.codewords, code.alpha, code.size
-    first: dict[SubspaceQ, int] = {}
-    rep = [first.setdefault(c, i) for i, c in enumerate(words)]
-    copies: dict[int, list[int]] = {}
-    for i, r in enumerate(rep):
-        copies.setdefault(r, []).append(i)
+    copies: dict[SubspaceQ, list[int]] = {}
+    for i, c in enumerate(code.codewords):
+        copies.setdefault(c, []).append(i)
     # (achieved, indices) of the worst selection; (need, ()) while none falls short
-    worst = min([(need, ())] + [(need - 1, tuple(g[:alpha])) for r, g in copies.items()
-                                if len(g) >= alpha and words[r].dim == need - 1])
-    low = [c.dim < need - 1 for c in words]
+    worst = min([(need, ())] + [(need - 1, tuple(g[:code.alpha])) for c, g in copies.items()
+                                if len(g) >= code.alpha and c.dim == need - 1])
+    groups, low = list(copies.values()), [c.dim < need - 1 for c in copies]
     if any(low):
-        padded = np.zeros((size, code.k, code.n), dtype=np.int16)
-        for i, c in enumerate(words):
-            padded[i, :c.dim] = c.basis_array()
-        # each codeword's previous equal one, or -1
-        earlier = np.full(size, -1, dtype=np.intp)
-        for g in copies.values():
-            earlier[g[1:]] = g[:-1]
-        batch = max(1, linalg.CHUNK_ENTRIES // (alpha * code.k * code.n))
-        for sel in _low_selections(low, alpha, batch):
-            # keep the selections that hold every earlier copy of each codeword
-            prior = earlier[sel]
-            sel = sel[((prior < 0) | (prior[:, :, None] == sel[:, None, :]).any(axis=2)).all(axis=1)]
+        padded = np.zeros((len(groups), code.k, code.n), dtype=np.int16)
+        for d, c in enumerate(copies):
+            padded[d, :c.dim] = c.basis_array()
+        batch = linalg.items_per_pass(code.alpha * code.k * code.n)
+        for sel in _low_selections(low, [len(g) for g in groups], code.alpha, batch):
             got = ranks_of_selections(padded, sel, code.field)
-            short = np.flatnonzero(got < need)
-            if short.size:
-                worst = min([worst] + [(int(got[i]), tuple(sorted(sel[i].tolist())))
-                                       for i in short])
+            for i in np.flatnonzero(got < need):
+                picks = sel[i].tolist()  # each pick of a codeword takes its next copy
+                taken = sorted(groups[d][picks[:p].count(d)] for p, d in enumerate(picks))
+                worst = min(worst, (int(got[i]), tuple(taken)))
     if worst[0] == need:
         return True, None
     return False, CoverWitness(indices=worst[1], achieved_dim=worst[0], required_dim=need)
 
 
-def _low_selections(low: list[bool], alpha: int, batch: int):
-    """Every size-``alpha`` selection of codeword indices that holds a
-    ``low`` one, each once, as intp arrays of at most ``batch`` index rows:
-    a selection is read as its first low index ``j``, then ``alpha - 1``
-    ascending others, each either after ``j`` or before it and not low."""
-    size = len(low)
-    sels = ((j,) + others for j in range(size) if low[j]
-            for others in combinations([i for i in range(size)
-                                        if i > j or (i < j and not low[i])], alpha - 1))
-    while True:
-        sel = np.fromiter(chain.from_iterable(islice(sels, batch)),
-                          dtype=np.intp).reshape(-1, alpha)
-        if not sel.size:
-            return
-        yield sel
+def _low_selections(low: list[bool], caps: list[int], alpha: int, batch: int):
+    """Each size-``alpha`` multiset of indices that holds a ``low`` one and
+    index ``d`` at most ``caps[d]`` times, once, in intp arrays of at most
+    ``batch`` rows: its least low index ``j``, then ``alpha - 1`` others,
+    each at or after ``j`` or before it and not low."""
+    sels = ((j,) + others for j in range(len(low)) if low[j]
+            for others in _multisets([0 if i < j and low[i] else c - (i == j)
+                                      for i, c in enumerate(caps)], alpha - 1))
+    while (sel := np.fromiter(chain.from_iterable(islice(sels, batch)), dtype=np.intp)).size:
+        yield sel.reshape(-1, alpha)
+
+
+def _multisets(caps: list[int], size: int):
+    """Each size-``size`` multiset of indices that holds index ``v`` at
+    most ``caps[v]`` times, once, as a non-decreasing tuple in
+    lexicographic order: the next one raises the last pick that can grow
+    and refills the picks from there on, least first."""
+    supply = list(accumulate(reversed(caps), initial=0))[::-1]  # picks from v on
+    picks, i = [-1] * size, 0
+    while i >= 0 and supply[v := picks[i] + 1] >= size - i:
+        while i < size:
+            take = min(caps[v], size - i)
+            picks[i:i + take] = [v] * take
+            i, v = i + take, v + 1
+        yield tuple(picks)
+        i = size - 1
+        while i >= 0 and supply[picks[i] + 1] < size - i:
+            i -= 1
 
 
 class _Spans(dict):

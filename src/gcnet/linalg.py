@@ -30,6 +30,13 @@ from .ffield import FieldSpec
 CHUNK_ENTRIES = 1 << 14
 
 
+def items_per_pass(entries: int) -> int:
+    """How many items of ``entries`` entries each fit in one pass of at
+    most ``CHUNK_ENTRIES`` entries, one at least; the constant is read at
+    call time."""
+    return max(1, CHUNK_ENTRIES // max(1, entries))
+
+
 def _as_element_array(field: FieldSpec, data) -> np.ndarray:
     # checked before the int16 cast, which would wrap big ints and truncate floats
     src = np.asarray(data)
@@ -154,7 +161,7 @@ def ranks_of_selections(blocks: np.ndarray, selections: np.ndarray, field: Field
     ``CHUNK_ENTRIES`` entries (one stack at least).  Neither input is
     modified."""
     rows, cols = selections.shape[1] * blocks.shape[1], blocks.shape[2]
-    step = max(1, CHUNK_ENTRIES // max(1, rows * cols))
+    step = items_per_pass(rows * cols)
     ranks = np.empty(len(selections), dtype=np.intp)
     for start in range(0, len(selections), step):
         part = selections[start:start + step]

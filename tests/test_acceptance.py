@@ -103,6 +103,16 @@ def test_lifted_mrd_subspace_distance():
                 assert intersection_dim(a, b) <= k - delta
 
 
+def test_repeated_mrd_code_verifies_by_its_distinct_codewords():
+    # 192 codewords, 64 distinct duals three times each: every one of the
+    # 766 416 multisets of 4 distinct duals that the code holds is ranked
+    # once, never once per choice among equal copies
+    code = covering_code_from_mrd(6, 3, 2, 4, 2)
+    assert (code.size, len(set(code.codewords))) == (192, 64)
+    with budget(15):
+        assert is_covering_code(code) == (True, None)
+
+
 def test_exhaustive_maximum_sits_between_bounds():
     with budget(30):
         # (n, k, delta) = (2, 1, 1): network h=2, ell=1, eps=0

@@ -225,6 +225,14 @@ def test_verify_failing_code_names_the_worst_witness(tmp_path, capsys):
     assert err == ""
 
 
+def test_verify_code_of_zero_subspaces_names_its_witness(tmp_path, capsys):
+    # k = 0: two zero subspaces of GF(2)^3 span 0 < delta = 2, with no row to rank
+    path = tmp_path / "code.txt"
+    path.write_text("3 0 2 2 2 2\n")
+    rc, out, err = run(capsys, "verify", "--code", str(path))
+    assert (rc, out, err) == (1, "FAIL: codewords 1,2 span 0 < 2\n", "")
+
+
 def test_verify_failing_solution(tmp_path, capsys):
     f2 = field_from_size(2)
     p = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)

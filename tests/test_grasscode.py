@@ -319,13 +319,30 @@ def test_delta_one_search_stays_small(monkeypatch):
 
 
 def test_verifier_shares_spans_between_repeated_codewords(rank_calls):
-    # each lifted-MRD dual appears alpha - 1 = 2 times
-    codes = [covering_code_from_mrd(4, 2, 1, 3, 2), covering_code_from_mrd(4, 2, 2, 3, 4)]
+    # each lifted-MRD dual appears alpha - 1 times, and each multiset of
+    # alpha of the 16 distinct duals, but alpha copies of one, is ranked
+    # once: C(16+2, 3) - 16 = 800 at alpha 3, C(16+3, 4) - 16 = 3860 at 4
+    codes = [covering_code_from_mrd(4, 2, 1, 3, 2), covering_code_from_mrd(4, 2, 2, 3, 4),
+             covering_code_from_mrd(4, 2, 2, 4, 4)]
+    # the construction's self-check ranks its codewords first
     rank_calls.clear()
     assert is_covering_code(codes[0]) == (True, None)
     assert rank_calls == []
     assert is_covering_code(codes[1]) == (True, None)
-    assert 0 < len(rank_calls) <= 800
+    assert len(rank_calls) == 800
+    rank_calls.clear()
+    assert is_covering_code(codes[2]) == (True, None)
+    assert len(rank_calls) == 3860
+
+
+def test_verifier_builds_only_the_multisets_the_code_holds(rank_calls):
+    # the 31 points of PG(4, 2) once each at alpha = 30: the code holds
+    # 31 multisets of 30 points, although 30 picks from 31 points with
+    # repetition number C(60, 30)
+    points = tuple(enumerate_grassmannian(5, 1, F2))
+    code = CoveringCode(field=F2, n=5, k=1, delta=2, alpha=30, codewords=points)
+    assert is_covering_code(code) == (True, None)
+    assert len(rank_calls) == 31
 
 
 def test_max_code_binary_line_cases():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gcnet.bounds import EXACT_LIMIT
 from gcnet.ffield import field_from_size, power_exceeds
 from gcnet.linalg import (
     MatrixQ,
@@ -167,6 +168,20 @@ def test_power_exceeds_matches_the_power():
         for e in range(60):
             for cap in (1, 8, 65536, 10**6):
                 assert power_exceeds(q, e, cap) == (q**e > cap)
+
+
+@pytest.mark.parametrize("q", [2, 3, 1021, 1024])
+@pytest.mark.parametrize("cap", [1024, 2**64, 2**1024, EXACT_LIMIT], ids=["2^10", "2^64", "2^1024", "exact"])
+def test_power_exceeds_at_its_bit_length_thresholds(q, cap):
+    # the exponents where the bit lengths settle True, stop settling
+    # False, and where q**e first exceeds cap, each within two
+    b, c = q.bit_length(), cap.bit_length()
+    first, power = (c - 1) // b, q ** ((c - 1) // b)
+    while power <= cap:
+        first, power = first + 1, power * q
+    for threshold in (-(-c // (b - 1)), (c - 1) // b + 1, first):
+        for e in range(max(0, threshold - 2), threshold + 3):
+            assert power_exceeds(q, e, cap) == (q**e > cap), (q, e, cap.bit_length())
 
 
 def test_gaussian_binomial_counts_subspaces():

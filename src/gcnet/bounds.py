@@ -29,18 +29,19 @@ from fractions import Fraction
 from math import comb, e as EULER_E, factorial, inf, isfinite, log2, sqrt
 from typing import Callable, NamedTuple, Optional, Union
 
-from .ffield import power_exceeds
+from .ffield import comb_exceeds, power_exceeds
 from .linalg import gaussian_binomial
 
 #: Default constant bounding [n k]_q / q^(k(n-k)) from above, any q >= 2.
 GAMMA = 3.48
 
 #: Largest leading power ``q**e`` the exact evaluators build a value
-#: from.  Past it the value is reported as None with a failing check,
-#: decided from the exponent before any big integer is built: exact
-#: values grow as q^(c*t^2), and printing one of millions of bits takes
-#: minutes.  The largest value the tests and the benchmark pin has
-#: 16 401 bits.
+#: from, and largest union-bound count of ``dependency_degree_report``.
+#: Past it the value is reported as None with a failing check, decided
+#: from the exponent or from bit lengths before any big integer is
+#: built: exact values grow as q^(c*t^2) and the count as r^(alpha-1),
+#: and printing one of millions of bits takes minutes.  The largest
+#: value the tests and the benchmark pin has 16 401 bits.
 EXACT_LIMIT = 2**65536
 
 Number = Union[int, float, Fraction]
@@ -152,8 +153,8 @@ def _pow2_at_least(num: int, den: int, y: float) -> bool:
 #: The check an evaluator adds when its real value leaves the double range.
 _NOT_FINITE = ("finite", False)
 
-#: The check an exact evaluator adds when its value's leading power of q
-#: exceeds ``EXACT_LIMIT``.
+#: The check an exact evaluator adds when its value's leading power of q,
+#: or the union-bound dependency count, exceeds ``EXACT_LIMIT``.
 _TOO_LARGE = (f"leading power <= 2^{EXACT_LIMIT.bit_length() - 1}", False)
 
 
@@ -368,10 +369,16 @@ def dependency_degree(r: int, alpha: int) -> tuple[int, int]:
 def dependency_degree_report(r: int, alpha: int) -> BoundReport:
     """:func:`dependency_degree` as a report: the union-bound estimate as
     the value and the exact count in details, both None outside
-    ``2 <= alpha <= r``."""
-    ok = 2 <= alpha <= r
-    bound, exact = dependency_degree(r, alpha) if ok else (None, None)
-    return _report("dependency_degree", bound, [("2 <= alpha <= r", ok)], exact=exact)
+    ``2 <= alpha <= r``, and both None with a failing check when the
+    estimate exceeds ``EXACT_LIMIT``, decided before either is built."""
+    checks = [("2 <= alpha <= r", 2 <= alpha <= r)]
+    if not checks[0][1]:
+        return _report("dependency_degree", None, checks, exact=None)
+    # alpha * C(r-1, alpha-1) > EXACT_LIMIT exactly when C(r-1, alpha-1) > EXACT_LIMIT // alpha
+    if comb_exceeds(r - 1, alpha - 1, EXACT_LIMIT // alpha):
+        return _report("dependency_degree", None, checks + [_TOO_LARGE], exact=None)
+    bound, exact = dependency_degree(r, alpha)
+    return _report("dependency_degree", bound, checks, exact=exact)
 
 
 class _Case(NamedTuple):

@@ -29,9 +29,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .ffield import ORDER_LIMIT, FieldSpec, field_from_size, prime_powers
+from .ffield import ORDER_LIMIT, FieldSpec, comb_exceeds, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
-from . import linalg
+from . import grasscode, linalg
 from .linalg import MatrixQ, SubspaceQ, product_of_arrays, ranks_of_selections, rref_of_array
 
 
@@ -66,7 +66,12 @@ class NetworkParams:
         return comb(self.r, self.alpha)
 
     def receivers(self) -> list[tuple[int, ...]]:
-        """All receivers as lexicographic alpha-subsets of middle nodes (0-based)."""
+        """All receivers as lexicographic alpha-subsets of middle nodes
+        (0-based).  Raises ValueError, before any is listed, when there
+        are more than ``grasscode.ENUMERATION_LIMIT``, read at call time."""
+        if comb_exceeds(self.r, self.alpha, grasscode.ENUMERATION_LIMIT):
+            raise ValueError(f"C({self.r}, {self.alpha}) receivers exceed the cap "
+                             f"{grasscode.ENUMERATION_LIMIT}")
         return list(combinations(range(self.r), self.alpha))
 
     def code_params(self, t: int) -> tuple[int, int, int, int]:
@@ -277,13 +282,19 @@ def random_solution_search(
     block draws past ``trials``.
     The first verifying trial in order is wrapped and returned.  Returns
     None after ``trials`` draws (absence is an outcome, not an error).
-    Raises ValueError for a blocklength ``t`` below 1, before any draw.
+    Raises ValueError, before any draw, for a blocklength ``t`` below 1,
+    for a trial of more than ``grasscode.ENUMERATION_LIMIT`` entries and
+    for more receivers than ``NetworkParams.receivers`` lists.
     """
     if t < 1:
         raise ValueError("blocklength t must be >= 1")
     if classify(params) is not SolvabilityClass.NONTRIVIAL:
         raise ValueError("random search expects a NONTRIVIAL network")
     p = params
+    entries = p.r * p.ell * t * p.h * t
+    if entries > grasscode.ENUMERATION_LIMIT:
+        raise ValueError(f"one trial draws {entries} entries, above the cap "
+                         f"{grasscode.ENUMERATION_LIMIT}")
     need = _need(p, t)
     subsets = np.array(p.receivers(), dtype=np.intp)
     most = linalg.items_per_pass(subsets.size * p.ell * t * p.h * t)

@@ -27,6 +27,7 @@ companion matrix of its modulus (:func:`gcnet.rankmetric.gabidulin_code`).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -61,6 +62,23 @@ def power_exceeds(q: int, e: int, cap: int) -> bool:
     if e * (b - 1) >= c:
         return True
     return e * b >= c and q**e > cap
+
+
+def comb_exceeds(n: int, k: int, cap: int) -> bool:
+    """Whether ``comb(n, k) > cap`` for ``0 <= k <= n`` and ``cap >= 0``.
+    With ``m = min(k, n - k) >= 1`` and ``j = n // m >= 2``,
+    ``j**m <= (n/m)**m <= comb(n, m) <= (e*n/m)**m < (4*(j+1))**m``, so
+    bit lengths settle True when ``j**m`` reaches ``2**c``, ``c`` the bits
+    of ``cap``, and False when the upper end stays below ``2**(c-1)``;
+    only between the two, where ``m < c``, is the count built, with
+    fewer than ``5*c`` bits."""
+    m, c = min(k, n - k), cap.bit_length()
+    if m == 0:
+        return cap < 1
+    j = n // m
+    if m * (j.bit_length() - 1) >= c:
+        return True
+    return m * ((j + 1).bit_length() + 2) >= c and comb(n, m) > cap
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:

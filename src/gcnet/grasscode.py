@@ -11,18 +11,19 @@ verifier that reports the worst witness on failure, and an exhaustive
 branch-and-bound search for the maximum code size at small parameters.
 Both decide by one rule where it applies: two distinct subspaces of
 dimension ``need - 1`` or more span ``need = delta + k``.  The verifier
-builds every other multiset of distinct codewords once and ranks them
-in batched stacks; the search reads its spans from one memo, one rank
-call per key.  The search is exact-or-flagged: it either
-certifies its maximum, by finishing its tree or by meeting the rigorous
-upper bound ``proven_upper``, or stops at a node budget and says so.
+puts the distinct codewords below ``need - 1`` first and ranks, in
+batched stacks, the lexicographic prefix of multisets that holds one;
+the search reads its spans from one memo, one rank call per key.  The
+search is exact-or-flagged: it either certifies its maximum, by
+finishing its tree or by meeting the rigorous upper bound
+``proven_upper``, or stops at a node budget and says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product, takewhile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,9 @@ from .ffield import FieldSpec, power_exceeds
 from . import linalg
 from .linalg import SubspaceQ, gaussian_binomial, rank_of_array, ranks_of_selections
 
-#: Refuse to enumerate Grassmannians larger than this.
+#: Refuse to list more than this many items at once: the subspaces of
+#: a Grassmannian, a network's receivers, the codewords ``construct``
+#: writes and the entries of one random-search draw.
 ENUMERATION_LIMIT = 10**6
 
 #: Refuse to bound codes in Grassmannians with q^(k(n-k)) above this, so
@@ -130,8 +133,10 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     a multiset of distinct codewords, each at most as often as the code
     holds it.  By the module's rule one falls short only as ``alpha``
     copies of one codeword of dimension ``need - 1``, read off the groups
-    of equal codewords, or by holding one of lower dimension (each at
-    delta >= 2).  Each of the latter is built once, in batches of at most
+    of equal codewords, or by holding a low one, of lower dimension (each
+    at delta >= 2).  With the distinct codewords in a stable order, the
+    low ones first, the latter are the prefix of ``_multisets`` whose
+    first pick is low.  Each is built once, in batches of at most
     ``linalg.CHUNK_ENTRIES`` entries, and ranked by ``ranks_of_selections``
     on the distinct bases padded to k rows; its indices are the first
     copies it takes, the least tuple that holds it.  The witness is the
@@ -144,7 +149,8 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     if need > code.n:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
     copies: dict[SubspaceQ, list[int]] = {}
-    for i, c in enumerate(code.codewords):
+    # the low codewords first, so the multisets that hold one come first
+    for i, c in sorted(enumerate(code.codewords), key=lambda ic: ic[1].dim >= need - 1):
         copies.setdefault(c, []).append(i)
     # (achieved, indices) of the worst selection; (need, ()) while none falls short
     worst = min([(need, ())] + [(need - 1, tuple(g[:code.alpha])) for c, g in copies.items()
@@ -155,7 +161,9 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
         for d, c in enumerate(copies):
             padded[d, :c.dim] = c.basis_array()
         batch = linalg.items_per_pass(code.alpha * code.k * code.n)
-        for sel in _low_selections(low, [len(g) for g in groups], code.alpha, batch):
+        sels = takewhile(lambda m: low[m[0]], _multisets([len(g) for g in groups], code.alpha))
+        while (sel := np.fromiter(chain.from_iterable(islice(sels, batch)), dtype=np.intp)).size:
+            sel = sel.reshape(-1, code.alpha)
             got = ranks_of_selections(padded, sel, code.field)
             for i in np.flatnonzero(got < need):
                 picks = sel[i].tolist()  # each pick of a codeword takes its next copy
@@ -164,18 +172,6 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     if worst[0] == need:
         return True, None
     return False, CoverWitness(indices=worst[1], achieved_dim=worst[0], required_dim=need)
-
-
-def _low_selections(low: list[bool], caps: list[int], alpha: int, batch: int):
-    """Each size-``alpha`` multiset of indices that holds a ``low`` one and
-    index ``d`` at most ``caps[d]`` times, once, in intp arrays of at most
-    ``batch`` rows: its least low index ``j``, then ``alpha - 1`` others,
-    each at or after ``j`` or before it and not low."""
-    sels = ((j,) + others for j in range(len(low)) if low[j]
-            for others in _multisets([0 if i < j and low[i] else c - (i == j)
-                                      for i, c in enumerate(caps)], alpha - 1))
-    while (sel := np.fromiter(chain.from_iterable(islice(sels, batch)), dtype=np.intp)).size:
-        yield sel.reshape(-1, alpha)
 
 
 def _multisets(caps: list[int], size: int):

@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffield import FieldSpec, _smallest_irreducible, field_from_size, power_exceeds
+from . import grasscode
 from .grasscode import CoveringCode
 from .linalg import MatrixQ, SubspaceQ, dual, product_of_arrays, ranks_of_selections
 
 #: Refuse to materialize rank-metric codes larger than this.
 CARDINALITY_LIMIT = 2**16
-
-#: Exhaustive distance verification is skipped above this size.
-VERIFY_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,10 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
 
     Requires ``1 <= delta <= min(m, n)``.  The code has
     ``q^(max(m,n) * (min(m,n) - delta + 1))`` codewords; a ValueError is
-    raised when that exceeds ``CARDINALITY_LIMIT``.  Up to
-    ``VERIFY_LIMIT`` codewords the minimum nonzero rank is checked to
-    equal ``delta`` exactly, relying on linearity.  Both limits are read
-    at call time.
+    raised when that exceeds ``CARDINALITY_LIMIT``, read at call time.
+    The minimum nonzero rank is checked to equal ``delta`` exactly, over
+    every codeword, relying on linearity; a RuntimeError reports a
+    mismatch.
     """
     if m < 1 or n < 1:
         raise ValueError(f"matrix shape must be positive, got {m}x{n}")
@@ -97,15 +95,12 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
     words = words.reshape(size, rows, cols)
     if transposed:
         words = words.transpose(0, 2, 1)
-    codewords = [MatrixQ(base, w) for w in words]
-
-    code = RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=tuple(codewords))
-    if size <= VERIFY_LIMIT:
-        # codeword 0 is the zero matrix
-        least = ranks_of_selections(words, np.arange(1, size)[:, None], base).min()
-        if least != delta:
-            raise RuntimeError(f"construction bug: minimum nonzero rank {least} != delta {delta}")
-    return code
+    # codeword 0 is the zero matrix
+    least = ranks_of_selections(words, np.arange(1, size)[:, None], base).min()
+    if least != delta:
+        raise RuntimeError(f"construction bug: minimum nonzero rank {least} != delta {delta}")
+    codewords = tuple(MatrixQ(base, w) for w in words)
+    return RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=codewords)
 
 
 def _powers(a: np.ndarray, count: int, field: FieldSpec) -> np.ndarray:
@@ -172,7 +167,9 @@ def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> Co
     codewords of dimension k in GF(q)^n, and every ``alpha`` of them
     span at least ``delta + k`` dimensions: a selection always contains
     two distinct duals, and their preimages meet in dimension at most
-    ``(n - k) - delta``.
+    ``(n - k) - delta``.  Raises ValueError, before building anything,
+    when the result would have more than ``grasscode.ENUMERATION_LIMIT``
+    codewords, read at call time.
     """
     if not 1 <= delta <= k:
         raise ValueError(f"need 1 <= delta <= k, got delta={delta}, k={k}")
@@ -180,6 +177,12 @@ def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> Co
         raise ValueError(f"need delta + k <= n, got {delta} + {k} > {n}")
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
+    field_from_size(q)  # refuses a bad order first
+    e = max(k, n - k) * (min(k, n - k) - delta + 1)
+    # gabidulin_code refuses an MRD code above CARDINALITY_LIMIT itself
+    if not power_exceeds(q, e, CARDINALITY_LIMIT) and (alpha - 1) * q**e > grasscode.ENUMERATION_LIMIT:
+        raise ValueError(f"covering code has {(alpha - 1) * q**e} codewords, above the cap "
+                         f"{grasscode.ENUMERATION_LIMIT}")
     lifted = lifted_mrd_code(q, n, n - k, delta)
     duals = tuple(dual(s) for s in lifted.codewords)
     return CoveringCode(

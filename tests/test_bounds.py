@@ -197,6 +197,23 @@ def test_dependency_degree_values():
         assert not rep.valid and rep.value is None and rep.details == {"exact": None}
 
 
+def test_dependency_degree_stops_at_the_limit():
+    # at alpha = 2 the estimate is 2 * (r - 1): 2^65536 is kept, one more refused
+    kept = dependency_degree_report(2**65535 + 1, 2)
+    assert kept.valid and kept.value == 2**65536 and kept.details == {"exact": 2**65536 - 1}
+    for r, alpha in ((2**65535 + 2, 2), (10**6, 10**5), (2**70, 10**6)):
+        start = time.perf_counter()
+        rep = dependency_degree_report(r, alpha)
+        assert time.perf_counter() - start < 0.1
+        assert (rep.value, rep.valid, rep.details) == (None, False, {"exact": None})
+        assert rep.failed_assumptions() == ["leading power <= 2^65536"]
+    # the largest r with 3 * C(r - 1, 2) <= 2^65536 is kept, exactly
+    r = 2 + (math.isqrt(8 * (bounds.EXACT_LIMIT // 3) + 1) - 1) // 2
+    assert 3 * math.comb(r - 1, 2) <= bounds.EXACT_LIMIT < 3 * math.comb(r, 2)
+    assert dependency_degree_report(r, 3).value == 3 * math.comb(r - 1, 2)
+    assert dependency_degree_report(r + 1, 3).value is None
+
+
 def test_dependency_degree_dominates_exact():
     for r in range(2, 31):
         for alpha in range(2, r + 1):

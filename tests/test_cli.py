@@ -4,9 +4,11 @@ import hashlib
 import inspect
 import itertools
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,34 @@ def test_search_zero_blocklength_is_refused_before_drawing(capsys):
     code, out, err = run(capsys, "search", "--h", "3", "--r", "4", "--alpha", "2",
                          "--ell", "1", "--eps", "1", "--q", "2", "--t", "0", "--seed", "1")
     assert (code, out, err) == (2, "", "error: blocklength t must be >= 1\n")
+
+
+# Each child caps its own address space, so that an allocation the CLI
+# fails to refuse raises MemoryError there instead of exhausting the host.
+LIMITED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from gcnet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("search --h 3 --r 40 --alpha 20 --ell 1 --eps 1 --q 2 --t 1 --trials 1 --seed 1",
+     "C(40, 20) receivers exceed the cap 1000000"),
+    ("construct --n 4 --k 2 --delta 1 --alpha 100000000000 --q 2",
+     "covering code has 1599999999984 codewords, above the cap 1000000"),
+    ("construct --n 4 --k 2 --delta 1 --alpha 17 --q 16",
+     "covering code has 1048576 codewords, above the cap 1000000"),
+    ("search --h 3 --r 5 --alpha 2 --ell 1 --eps 1 --q 2 --t 3000 --trials 1 --seed 1",
+     "one trial draws 135000000 entries, above the cap 1000000"),
+    ("search --h 3 --r 5 --alpha 2 --ell 1 --eps 1 --q 2 --t 259 --trials 1 --seed 1",
+     "one trial draws 1006215 entries, above the cap 1000000"),
+], ids=["receivers", "construct-alpha", "construct-65536", "search-draw", "search-draw-t259"])
+def test_oversized_work_is_refused_before_it_is_allocated(argv, message):
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, *argv.split()],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_search_negative_trials_is_usage_error(capsys):
@@ -579,6 +609,17 @@ def test_bounds_past_the_exact_limit_report_no_value(capsys, argv):
     assert refused <= {"middle_ub_exact", "middle_ub_pairwise", "middle_lb_mrd"}
 
 
+def test_bounds_dependency_degree_past_the_exact_limit(capsys):
+    # r = 2^70: the union-bound count has about 5e7 bits, refused from bit lengths
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
+                       "--alpha", "1000000", "--r", str(2**70))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    row = next(l for l in out.splitlines() if ",dependency_degree," in l)
+    assert row.endswith(",dependency_degree,,false,2 <= alpha <= r=ok;leading power <= 2^65536=fail")
+
+
 def test_bounds_prints_a_fraction_exactly(capsys):
     argv = ["bounds", "--h", "5", "--ell", "2", "--eps", "1", "--alpha", "2",
             "--q", "2", "--t", "1"]
@@ -717,6 +758,29 @@ def test_verify_code_of_distinct_codewords_scans_no_pairs(tmp_path):
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "OK: every 2 of 65536 codewords span >= 3\n"
+
+
+def readme_cli_examples() -> tuple[list[list[str]], str]:
+    """The ``gcnet`` commands of README's first ``sh`` block under
+    ``## CLI``, lines ending in ``\\`` joined, then its ``--params net.json``
+    example, each as the argument list after ``gcnet``; and the text of
+    that example's ``net.json``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("gcnet ")]
+    params = re.search(r"`gcnet ([^`]*--params net\.json)`\s+with\s+`(\{[^`]*\})`", section)
+    return commands + [params.group(1).split()], params.group(2)
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands, net_json = readme_cli_examples()
+    (tmp_path / "net.json").write_text(net_json)
+    assert len(commands) == 13
+    for argv in commands:
+        assert (main(argv), argv) == (0, argv)
+        capsys.readouterr()
 
 
 def test_module_entry_point():

@@ -64,6 +64,35 @@ def test_receivers_are_lexicographic():
     assert list(p.receivers()) == list(itertools.combinations(range(4), 2))
 
 
+def test_receivers_above_the_enumeration_limit_are_refused(monkeypatch):
+    # C(7, 3) = 35 receivers: listed at a limit of 35, refused at 34, which
+    # every caller reaches before it ranks anything
+    p = NetworkParams(h=3, r=7, alpha=3, ell=1, epsilon=1)
+    monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 35)
+    assert len(p.receivers()) == 35
+    monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 34)
+    sol = LinearSolution(params=p, field=F2, t=1, matrices=tuple(
+        MatrixQ(F2, [[1, i & 1, i >> 1 & 1]]) for i in range(7)))
+    for call in (p.receivers, lambda: verify_solution(sol), lambda: sol.decoder_plan,
+                 lambda: random_solution_search(p, F2, 1, 1, 0)):
+        with pytest.raises(ValueError, match=r"C\(7, 3\) receivers exceed the cap 34"):
+            call()
+    # C(10^6, 5 * 10^5) is decided without building it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceed the cap 34"):
+        NetworkParams(h=2, r=10**6, alpha=5 * 10**5, ell=1, epsilon=0).receivers()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_random_search_refuses_a_draw_above_the_enumeration_limit():
+    # one trial of the (3, 5, 2, 1, 1) network at t draws 5 * t * 3t
+    # entries: 998 460 at t = 258, 1 006 215 at t = 259
+    p = NetworkParams(h=3, r=5, alpha=2, ell=1, epsilon=1)
+    assert random_solution_search(p, F2, 258, 0, 0) is None
+    with pytest.raises(ValueError, match="one trial draws 1006215 entries, above the cap 1000000"):
+        random_solution_search(p, F2, 259, 0, 0)
+
+
 def test_verify_three_line_solution():
     ok, witness = verify_solution(three_line_solution())
     assert ok and witness is None

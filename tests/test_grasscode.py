@@ -345,6 +345,25 @@ def test_verifier_builds_only_the_multisets_the_code_holds(rank_calls):
     assert len(rank_calls) == 31
 
 
+@pytest.mark.parametrize("alpha", [2, 3, 4])
+def test_verifier_ranks_exactly_the_multisets_that_hold_the_lower_codeword(rank_calls, alpha):
+    # a line after twelve copies of ten distinct planes of GF(2)^4 at
+    # delta = 1: every multiset without the line is decided by the groups
+    # of equal planes, and each multiset with it is ranked once
+    planes = enumerate_grassmannian(4, 2, F2)
+    line = one_dim(F2, [1, 0, 1, 1])
+    words = tuple(planes[i] for i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]) + (line,)
+    code = CoveringCode(field=F2, n=4, k=2, delta=1, alpha=alpha, codewords=words)
+    ids = {c: i for i, c in enumerate(dict.fromkeys(words))}
+    holding = {tuple(sorted(ids[words[i]] for i in sel))
+               for sel in combinations(range(code.size), alpha) if code.size - 1 in sel}
+    expected = reference_worst_witness(code)
+    rank_calls.clear()
+    assert is_covering_code(code) == expected
+    assert len(rank_calls) == len(holding)
+    assert all(list(line.basis[0]) in rows for rows in rank_calls)
+
+
 def test_max_code_binary_line_cases():
     # alpha=2, delta=1: codewords must be pairwise distinct lines, so the
     # maximum is the whole Grassmannian

@@ -1,12 +1,14 @@
 """Matrices, subspaces and counting over GF(q)."""
 
 import itertools
+import time
+from math import comb, isqrt
 
 import numpy as np
 import pytest
 
 from gcnet.bounds import EXACT_LIMIT
-from gcnet.ffield import field_from_size, power_exceeds
+from gcnet.ffield import comb_exceeds, field_from_size, power_exceeds
 from gcnet.linalg import (
     MatrixQ,
     SubspaceQ,
@@ -182,6 +184,27 @@ def test_power_exceeds_at_its_bit_length_thresholds(q, cap):
     for threshold in (-(-c // (b - 1)), (c - 1) // b + 1, first):
         for e in range(max(0, threshold - 2), threshold + 3):
             assert power_exceeds(q, e, cap) == (q**e > cap), (q, e, cap.bit_length())
+
+
+def test_comb_exceeds_matches_the_count():
+    for n in range(40):
+        for k in range(n + 1):
+            count = comb(n, k)
+            for cap in {0, 1, 7, 10**6, count - 1, count, count + 1, 2**64}:
+                assert comb_exceeds(n, k, cap) == (count > cap), (n, k, cap)
+
+
+@pytest.mark.parametrize("cap", [10**6, EXACT_LIMIT // 2], ids=["enumeration", "exact"])
+def test_comb_exceeds_near_the_cap_and_far_past_it(cap):
+    # the last r with C(r, 2) <= cap, found by isqrt, and its successor;
+    # then counts of millions of bits, refused from bit lengths at once
+    r = (isqrt(8 * cap + 1) + 1) // 2
+    assert comb(r, 2) <= cap < comb(r + 1, 2)
+    assert (comb_exceeds(r, 2, cap), comb_exceeds(r + 1, 2, cap)) == (False, True)
+    assert (comb_exceeds(2 * r, 2, cap), comb_exceeds(r + 1, r - 1, cap)) == (True, True)
+    start = time.perf_counter()
+    assert comb_exceeds(10**6, 5 * 10**5, cap) and comb_exceeds(2**70, 10**6, cap)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_gaussian_binomial_counts_subspaces():

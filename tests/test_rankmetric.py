@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from gcnet import backend, rankmetric
+from gcnet import backend, grasscode, rankmetric
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import is_covering_code
 from gcnet.linalg import MatrixQ, intersection_dim
@@ -78,6 +78,14 @@ def test_gabidulin_self_check_reads_the_batched_ranks(monkeypatch):
         gabidulin_code(2, 3, 3, 2)
 
 
+def test_gabidulin_self_check_runs_at_every_size(monkeypatch):
+    # 2^14 = 16 384 codewords: the check still reads every nonzero rank
+    kernel = backend.rank_stack
+    monkeypatch.setattr(backend, "rank_stack", lambda stack, *views: kernel(stack, *views) + 1)
+    with pytest.raises(RuntimeError, match="minimum nonzero rank 7 != delta 6"):
+        gabidulin_code(2, 7, 7, 6)
+
+
 def test_gabidulin_domain_errors():
     with pytest.raises(ValueError):
         gabidulin_code(2, 2, 2, 3)
@@ -131,6 +139,18 @@ def test_covering_code_construction(n, k, delta, alpha, q, size):
     assert code.n == n and code.k == k and code.delta == delta and code.alpha == alpha
     ok, witness = is_covering_code(code)
     assert ok, witness
+
+
+def test_covering_code_above_the_enumeration_limit_is_refused(monkeypatch):
+    # (alpha - 1) * 4 codewords at (3, 1, 1, alpha, 2): 8 are built, 12 refused
+    monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 8)
+    assert covering_code_from_mrd(3, 1, 1, 3, 2).size == 8
+    with pytest.raises(ValueError, match="covering code has 12 codewords, above the cap 8"):
+        covering_code_from_mrd(3, 1, 1, 4, 2)
+    # an MRD code above its own cap is named first, whatever alpha
+    monkeypatch.setattr(rankmetric, "CARDINALITY_LIMIT", 8)
+    with pytest.raises(ValueError, match="code size 2\\^4 exceeds the cap 8"):
+        covering_code_from_mrd(4, 2, 1, 10**11, 2)
 
 
 def test_covering_code_multiset_copies():

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    EXACT_LIMIT,
     GAMMA,
     BoundReport,
     bad_event_prob_ub,
@@ -58,7 +59,7 @@ from .combnet import (
     simulate,
     verify_solution,
 )
-from .ffield import field_from_size
+from .ffield import comb_exceeds, field_from_size
 from .fileio import (
     parse_code,
     parse_params,
@@ -66,6 +67,7 @@ from .fileio import (
     render_code,
     render_solution,
 )
+from . import grasscode
 from .grasscode import NODE_LIMIT, is_covering_code, max_covering_code
 from .linalg import random_matrix
 from .rankmetric import covering_code_from_mrd
@@ -145,7 +147,9 @@ def _read_text(path: str) -> str:
 
 def _parse_values(text: str) -> list[int]:
     """A sweep range: ``start:stop`` or ``start:stop:step`` (inclusive),
-    or a comma-separated list."""
+    or a comma-separated list.  A range of more than
+    ``grasscode.ENUMERATION_LIMIT`` values, read at call time, is refused
+    before it is listed."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -154,8 +158,13 @@ def _parse_values(text: str) -> list[int]:
         step = int(parts[2]) if len(parts) == 3 else 1
         if step <= 0:
             raise ValueError("range step must be positive")
-        return list(range(start, stop + 1, step))
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+        count = (stop - start) // step + 1
+        if count > grasscode.ENUMERATION_LIMIT:
+            raise ValueError(f"bad range {text!r}: {count} values, above the cap "
+                             f"{grasscode.ENUMERATION_LIMIT}")
+        values = list(range(start, stop + 1, step))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"bad range {text!r}: no values")
     return values
@@ -203,8 +212,12 @@ def _add_network_flags(sp: argparse.ArgumentParser) -> None:
 def _cmd_classify(args, parser) -> int:
     params = _resolve_params(args, parser)
     cls = classify(params)
+    if comb_exceeds(params.r, params.alpha, EXACT_LIMIT):
+        receivers = f">2^{EXACT_LIMIT.bit_length() - 1}"
+    else:
+        receivers = _fmt(params.n_receivers)
     print(f"{cls.name} h={params.h} r={params.r} alpha={params.alpha} "
-          f"ell={params.ell} eps={params.epsilon} receivers={_fmt(params.n_receivers)}")
+          f"ell={params.ell} eps={params.epsilon} receivers={receivers}")
     return 0
 
 
@@ -456,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True, help="field size")
     sp.add_argument("--t", type=_count, default=1, help="message length (default 1)")
     sp.add_argument("--trials", type=_count, default=1000, help="draws to attempt")
-    sp.add_argument("--seed", type=int, required=True, help="base seed")
+    sp.add_argument("--seed", type=_count, required=True, help="base seed")
     sp.add_argument("-o", "--out", help="write the found solution here")
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("simulate", help="random-message encode/decode round trips")
     sp.add_argument("--solution", required=True, help="solution file")
     sp.add_argument("--count", type=_count, default=100, help="message rounds (default 100)")
-    sp.add_argument("--seed", type=int, required=True, help="message seed")
+    sp.add_argument("--seed", type=_count, required=True, help="message seed")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("qs", help="smallest scalar field size solving the network")

@@ -34,7 +34,8 @@ from .linalg import SubspaceQ, gaussian_binomial, rank_of_array, ranks_of_select
 
 #: Refuse to list more than this many items at once: the subspaces of
 #: a Grassmannian, a network's receivers, the codewords ``construct``
-#: writes and the entries of one random-search draw.
+#: writes, the entries of one random-search draw and the values of a
+#: ``bounds``/``gap`` sweep range.
 ENUMERATION_LIMIT = 10**6
 
 #: Refuse to bound codes in Grassmannians with q^(k(n-k)) above this, so

@@ -12,25 +12,25 @@ in the base-q digits of the coefficients, so it is ``digits @ G`` over
 GF(q), with ``G`` read off the companion matrix of the extension's
 modulus, and it is expanded one digit at a time.
 
-Lifting prepends an identity block, turning an ``k x (n-k)`` matrix
-into a k-dimensional subspace of GF(q)^n; distinct codewords at rank
-distance ``d`` lift to subspaces meeting in dimension ``k - d``.  The
-covering construction takes the duals of a lifted MRD code and repeats
-the whole family ``alpha - 1`` times: any selection of ``alpha``
-codewords then contains two distinct subspaces, whose duals span at
-least ``delta + k`` dimensions by the rank-distance guarantee.
+Lifting prepends an identity block, turning a ``k x (n-k)`` matrix
+into a k-dimensional subspace of GF(q)^n.  Two distinct lifts
+``[I | A]`` and ``[I | B]`` meet in dimension ``k - rank(A - B)``, at
+most ``k - delta``, so they span at least ``k + delta``: a lifted MRD
+code is a covering code at ``alpha = 2``.  The covering construction
+repeats it ``alpha - 1`` times, so that any ``alpha`` of its codewords
+hold two distinct ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ffield import FieldSpec, _smallest_irreducible, field_from_size, power_exceeds
 from . import grasscode
 from .grasscode import CoveringCode
-from .linalg import MatrixQ, SubspaceQ, dual, product_of_arrays, ranks_of_selections
+from .linalg import MatrixQ, SubspaceQ, product_of_arrays, ranks_of_selections
 
 #: Refuse to materialize rank-metric codes larger than this.
 CARDINALITY_LIMIT = 2**16
@@ -124,52 +124,36 @@ def lift(a: MatrixQ) -> SubspaceQ:
     return SubspaceQ._from_canonical(a.field, k + a.cols, basis)
 
 
-@dataclass(frozen=True)
-class LiftedCode:
-    """A constant-dimension subspace code obtained by lifting an MRD code.
+def lifted_mrd_code(q: int, n: int, k: int, delta: int) -> CoveringCode:
+    """Lift an MRD code of ``k x (n-k)`` matrices into G_q(n, k).
 
-    Any two distinct codewords intersect in dimension at most
-    ``k - delta``.
+    Any two distinct codewords meet in dimension at most ``k - delta``,
+    so the result is a covering code with ``alpha = 2``.
     """
-
-    field: FieldSpec
-    n: int
-    k: int
-    delta: int
-    codewords: tuple[SubspaceQ, ...]
-    mrd: RankMetricCode
-
-    @property
-    def size(self) -> int:
-        return len(self.codewords)
-
-
-def lifted_mrd_code(q: int, n: int, k: int, delta: int) -> LiftedCode:
-    """Lift an MRD code of ``k x (n-k)`` matrices into G_q(n, k)."""
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     mrd = gabidulin_code(q, k, n - k, delta)
-    return LiftedCode(
+    return CoveringCode(
         field=mrd.field,
         n=n,
         k=k,
         delta=delta,
+        alpha=2,
         codewords=tuple(lift(c) for c in mrd.codewords),
-        mrd=mrd,
     )
 
 
 def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> CoveringCode:
-    """Covering code from duals of a lifted MRD code, repeated ``alpha - 1`` times.
+    """Covering code from a lifted MRD code, repeated ``alpha - 1`` times.
 
     Requires ``1 <= delta <= k`` and ``delta + k <= n``.  The result has
     ``(alpha - 1) * q^(max(k, n-k) * (min(k, n-k) - delta + 1))``
     codewords of dimension k in GF(q)^n, and every ``alpha`` of them
     span at least ``delta + k`` dimensions: a selection always contains
-    two distinct duals, and their preimages meet in dimension at most
-    ``(n - k) - delta``.  Raises ValueError, before building anything,
-    when the result would have more than ``grasscode.ENUMERATION_LIMIT``
-    codewords, read at call time.
+    two distinct lifts, which meet in dimension at most ``k - delta``.
+    Raises ValueError, before building anything, when the result would
+    have more than ``grasscode.ENUMERATION_LIMIT`` codewords, read at
+    call time.
     """
     if not 1 <= delta <= k:
         raise ValueError(f"need 1 <= delta <= k, got delta={delta}, k={k}")
@@ -183,13 +167,5 @@ def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> Co
     if not power_exceeds(q, e, CARDINALITY_LIMIT) and (alpha - 1) * q**e > grasscode.ENUMERATION_LIMIT:
         raise ValueError(f"covering code has {(alpha - 1) * q**e} codewords, above the cap "
                          f"{grasscode.ENUMERATION_LIMIT}")
-    lifted = lifted_mrd_code(q, n, n - k, delta)
-    duals = tuple(dual(s) for s in lifted.codewords)
-    return CoveringCode(
-        field=lifted.field,
-        n=n,
-        k=k,
-        delta=delta,
-        alpha=alpha,
-        codewords=duals * (alpha - 1),
-    )
+    lifted = lifted_mrd_code(q, n, k, delta)
+    return replace(lifted, alpha=alpha, codewords=lifted.codewords * (alpha - 1))

@@ -104,8 +104,8 @@ def test_lifted_mrd_subspace_distance():
 
 
 def test_repeated_mrd_code_verifies_by_its_distinct_codewords():
-    # 192 codewords, 64 distinct duals three times each: every one of the
-    # 766 416 multisets of 4 distinct duals that the code holds is ranked
+    # 192 codewords, 64 distinct lifts three times each: every one of the
+    # 766 416 multisets of 4 distinct lifts that the code holds is ranked
     # once, never once per choice among equal copies
     code = covering_code_from_mrd(6, 3, 2, 4, 2)
     assert (code.size, len(set(code.codewords))) == (192, 64)

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gcnet import backend, cli
+from gcnet import backend, cli, grasscode
 from gcnet.bounds import gamma_exact, middle_ub_exact, middle_ub_relaxed
 from gcnet.cli import build_parser, main
 from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
@@ -56,7 +57,8 @@ def test_params_file_with_non_integers_is_usage_error(tmp_path, capsys):
 
 
 def test_classify_counts_receivers_beyond_the_str_limit(capsys):
-    code, out, err = run(capsys, "classify", "--h", "3", "--r", "100000", "--alpha", "50000",
+    # C(20000, 10000) has 6 019 digits, past the 4 300 that str converts
+    code, out, err = run(capsys, "classify", "--h", "3", "--r", "20000", "--alpha", "10000",
                          "--ell", "1", "--eps", "1")
     assert (code, err) == (0, "")
     count = out.rstrip("\n").rpartition("receivers=")[2]
@@ -64,7 +66,32 @@ def test_classify_counts_receivers_beyond_the_str_limit(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert count == str(NetworkParams(h=3, r=100000, alpha=50000, ell=1, epsilon=1).n_receivers)
+        assert count == str(NetworkParams(h=3, r=20000, alpha=10000, ell=1, epsilon=1).n_receivers)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("r,alpha,exact", [
+    (65544, 32772, True),  # C(65544, 32772) <= 2^65536 < C(65545, 32772)
+    (65545, 32772, False),
+    (1000000, 500000, False),
+    (20000000, 10000000, False),
+])
+def test_classify_prints_counts_past_the_exact_limit_as_a_bound(capsys, r, alpha, exact):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--h", "3", "--r", str(r), "--alpha", str(alpha),
+                         "--ell", "1", "--eps", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    head, _, count = out.rstrip("\n").rpartition(" receivers=")
+    assert head == f"NONTRIVIAL h=3 r={r} alpha={alpha} ell=1 eps=1"
+    if not exact:
+        assert count == ">2^65536"
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(count) == comb(r, alpha) <= 2**65536 < comb(r + 1, alpha)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -94,19 +121,20 @@ def test_construct_to_stdout_parses(capsys):
     assert parse_code(out).size == 4
 
 
-# md5 of ``construct`` stdout per (n, k, delta, alpha, q), pinned when each
-# codeword was still evaluated one extension-field product at a time
+# md5 of ``construct`` stdout per (n, k, delta, alpha, q): the lifted MRD
+# code of k x (n-k) matrices, alpha - 1 times over; "transposed" marks the
+# points with k < n - k, whose Gabidulin code is built transposed
 CONSTRUCT_DIGESTS = {
-    (4, 2, 1, 3, 2): "cf17faa8aaf82dc56ee5c322a21143a4",
-    (6, 3, 2, 2, 2): "2e2caa99a2fbf81aec060b930b042d40",
-    (4, 2, 2, 3, 4): "e2d7f9e35d518cba6359a375ddecc675",
-    (2, 1, 1, 3, 16): "13d7653be9d9c07766f43b3c471990aa",
-    (5, 2, 1, 2, 3): "999eeee977819758d207060046cd9491",
-    (5, 3, 1, 2, 3): "302bcdd776b32c8ec45cee4f25e4f080",  # transposed
-    (4, 2, 2, 2, 9): "3db8a56c464da34d64dc5b68bf141d54",
-    (2, 1, 1, 2, 257): "273d91fd0241f430f3d03f81f9fcfc1a",
-    (6, 3, 1, 2, 2): "a312b77be3e4ca0e6a710d00ba5b7e54",
-    (6, 2, 2, 2, 2): "f011e309795d2fcff203b2e5cbe47a26",
+    (4, 2, 1, 3, 2): "6fc21f1fcc23b3c546dad2d258bef948",
+    (6, 3, 2, 2, 2): "7dff2196226171acaec3c5e500e3112b",
+    (4, 2, 2, 3, 4): "29efabe70a8a454fb46915a5d8a75074",
+    (2, 1, 1, 3, 16): "dff00f3eeda23a53702e0b90189749ac",
+    (5, 2, 1, 2, 3): "ea19ab7e625ffa6c340fb472b44de6ac",  # transposed
+    (5, 3, 1, 2, 3): "e0b269655bf9f3efd73d8f425ea851f4",
+    (4, 2, 2, 2, 9): "7c7b39e3fe175f0686aaeaac7d388898",
+    (2, 1, 1, 2, 257): "bdf17dbe6a852c4e2a3130729b519ef2",
+    (6, 3, 1, 2, 2): "e3b3b063e6331ca89c0326e400d63d16",
+    (6, 2, 2, 2, 2): "52e528b36bf8126492d5483084d2db02",  # transposed
 }
 
 
@@ -316,7 +344,12 @@ sys.exit(main(sys.argv[1:]))
      "one trial draws 135000000 entries, above the cap 1000000"),
     ("search --h 3 --r 5 --alpha 2 --ell 1 --eps 1 --q 2 --t 259 --trials 1 --seed 1",
      "one trial draws 1006215 entries, above the cap 1000000"),
-], ids=["receivers", "construct-alpha", "construct-65536", "search-draw", "search-draw-t259"])
+    ("gap --h 3 --ell 1 --eps 1 --alpha 2 --r-range 1:100000000000",
+     "bad range '1:100000000000': 100000000000 values, above the cap 1000000"),
+    ("bounds --h 3 --ell 1 --eps 1 --alpha 2 --sweep r=1:100000000000",
+     "bad range '1:100000000000': 100000000000 values, above the cap 1000000"),
+], ids=["receivers", "construct-alpha", "construct-65536", "search-draw", "search-draw-t259",
+        "gap-range", "bounds-sweep"])
 def test_oversized_work_is_refused_before_it_is_allocated(argv, message):
     proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, *argv.split()],
                           capture_output=True, text=True, timeout=60)
@@ -359,7 +392,10 @@ def test_oracle_budget_stop_counts_only_the_nodes_tried(capsys, limit, out):
      "--target-size"),
     (["search", "--h", "3", "--r", "3", "--alpha", "2", "--ell", "1", "--eps", "1", "--q", "2",
       "--seed", "1"], "--t"),
-], ids=["oracle-target-size", "search-t"])
+    (["search", "--h", "3", "--r", "3", "--alpha", "2", "--ell", "1", "--eps", "1", "--q", "2"],
+     "--seed"),
+    (["simulate", "--solution", "sol.txt"], "--seed"),
+], ids=["oracle-target-size", "search-t", "search-seed", "simulate-seed"])
 def test_negative_sizes_are_usage_errors(capsys, argv, flag):
     code, out, err = run(capsys, *argv, flag, "-1")
     assert code == 2
@@ -548,14 +584,6 @@ def test_bounds_sweep_rows_sorted(capsys):
     assert set(qs) == {2, 3, 4, 5}
 
 
-def test_bounds_empty_sweep_is_header_only(capsys):
-    code, out, _ = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
-                       "--alpha", "2", "--t", "1", "--sweep", "q=5:3")
-    assert code == 0
-    rows = [l for l in out.splitlines() if l and not l.startswith("#")]
-    assert rows == ["h,ell,eps,alpha,q,t,r,name,value,valid,assumptions"]
-
-
 def test_bounds_json_round_trip(capsys):
     code, out, _ = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
                        "--alpha", "2", "--q", "11", "--t", "1", "--format", "json")
@@ -676,11 +704,25 @@ def test_bounds_bad_sweep_variable(capsys):
         ("q", "--sweep expects VAR=RANGE"),
         ("q=1:2:3:4", "bad range '1:2:3:4': expected start:stop[:step]"),
         ("q=2:5:0", "range step must be positive"),
+        ("q=5:3", "bad range '5:3': no values"),
     ]:
         code, out, err = run(capsys, "bounds", "--h", "3", "--ell", "1", "--eps", "1",
                              "--alpha", "2", "--t", "1", "--sweep", sweep)
         assert (code, out) == (2, "")
         assert message in err
+
+
+def test_sweep_range_cap_is_read_at_call_time(capsys, monkeypatch):
+    monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 3)
+    for r_range, rows in [("4:6", 3), ("4:8:2", 3), ("4:9:2", 3)]:
+        code, out, _ = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1",
+                           "--alpha", "2", "--r-range", r_range)
+        assert code == 0 and len(out.splitlines()) == 3 + rows
+    for r_range in ["4:7", "4:10:2"]:
+        code, out, err = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1",
+                             "--alpha", "2", "--r-range", r_range)
+        assert (code, out, err) == (2, "", f"error: bad range '{r_range}': 4 values, "
+                                           f"above the cap 3\n")
 
 
 def test_gap_single_row(capsys):
@@ -708,9 +750,10 @@ def test_gap_requires_exactly_one_r_spec(capsys):
     code, _, _ = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1",
                      "--alpha", "2", "--r", "8", "--r-range", "2:4")
     assert code == 2
-    code, out, err = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1",
-                         "--alpha", "2", "--r-range", ",")
-    assert (code, out, err) == (2, "", "error: bad range ',': no values\n")
+    for r_range in [",", "5:1"]:
+        code, out, err = run(capsys, "gap", "--h", "2", "--ell", "1", "--eps", "1",
+                             "--alpha", "2", "--r-range", r_range)
+        assert (code, out, err) == (2, "", f"error: bad range '{r_range}': no values\n")
 
 
 def test_oracle_exact_value(capsys):

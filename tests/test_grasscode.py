@@ -319,8 +319,8 @@ def test_delta_one_search_stays_small(monkeypatch):
 
 
 def test_verifier_shares_spans_between_repeated_codewords(rank_calls):
-    # each lifted-MRD dual appears alpha - 1 times, and each multiset of
-    # alpha of the 16 distinct duals, but alpha copies of one, is ranked
+    # each lifted-MRD codeword appears alpha - 1 times, and each multiset of
+    # alpha of the 16 distinct lifts, but alpha copies of one, is ranked
     # once: C(16+2, 3) - 16 = 800 at alpha 3, C(16+3, 4) - 16 = 3860 at 4
     codes = [covering_code_from_mrd(4, 2, 1, 3, 2), covering_code_from_mrd(4, 2, 2, 3, 4),
              covering_code_from_mrd(4, 2, 2, 4, 4)]

@@ -6,7 +6,7 @@ import pytest
 
 from gcnet import backend, grasscode, rankmetric
 from gcnet.ffield import field_from_size
-from gcnet.grasscode import is_covering_code
+from gcnet.grasscode import CoveringCode, is_covering_code
 from gcnet.linalg import MatrixQ, intersection_dim
 from gcnet.rankmetric import (
     covering_code_from_mrd,
@@ -121,6 +121,8 @@ def test_lift_shape_and_injectivity():
 def test_lifted_mrd_subspace_distance(q, n, k, delta):
     lifted = lifted_mrd_code(q, n, k, delta)
     assert len(lifted.codewords) == q ** (max(k, n - k) * (min(k, n - k) - delta + 1))
+    assert isinstance(lifted, CoveringCode) and (lifted.k, lifted.alpha) == (k, 2)
+    assert is_covering_code(lifted) == (True, None)
     # minimum subspace distance 2*delta means pairwise intersections
     # of the k-dim codewords have dimension at most k - delta
     for a, b in itertools.combinations(lifted.codewords, 2):
@@ -130,8 +132,13 @@ def test_lifted_mrd_subspace_distance(q, n, k, delta):
 @pytest.mark.parametrize("n,k,delta,alpha,q,size", [
     (3, 1, 1, 2, 2, 4),
     (3, 1, 1, 3, 2, 8),
+    (4, 2, 1, 2, 2, 16),
     (4, 2, 2, 2, 2, 4),
+    (4, 2, 2, 3, 4, 32),
     (4, 1, 1, 2, 3, 27),
+    (5, 2, 2, 2, 2, 8),
+    (5, 2, 1, 3, 2, 128),
+    (6, 3, 2, 2, 2, 64),
 ])
 def test_covering_code_construction(n, k, delta, alpha, q, size):
     code = covering_code_from_mrd(n, k, delta, alpha, q)
@@ -139,6 +146,20 @@ def test_covering_code_construction(n, k, delta, alpha, q, size):
     assert code.n == n and code.k == k and code.delta == delta and code.alpha == alpha
     ok, witness = is_covering_code(code)
     assert ok, witness
+
+
+def test_covering_code_repeats_the_lifted_gabidulin_code(monkeypatch):
+    # alpha - 1 equal blocks of lift(w), one per Gabidulin codeword in
+    # order, built with no single-matrix elimination
+    def refuse(*args):
+        raise AssertionError("single-matrix elimination")
+
+    monkeypatch.setattr(backend, "rref_destructive", refuse)
+    monkeypatch.setattr(backend, "rank_destructive", refuse)
+    for n, k, delta, alpha, q in [(5, 2, 1, 3, 2), (5, 3, 1, 2, 3), (4, 2, 2, 4, 4)]:
+        code = covering_code_from_mrd(n, k, delta, alpha, q)
+        block = tuple(lift(w) for w in gabidulin_code(q, k, n - k, delta).codewords)
+        assert code.codewords == block * (alpha - 1)
 
 
 def test_covering_code_above_the_enumeration_limit_is_refused(monkeypatch):
@@ -154,7 +175,7 @@ def test_covering_code_above_the_enumeration_limit_is_refused(monkeypatch):
 
 
 def test_covering_code_multiset_copies():
-    # alpha - 1 identical blocks of duals: verify the copy structure
+    # alpha - 1 identical blocks of lifts: verify the copy structure
     code = covering_code_from_mrd(3, 1, 1, 3, 2)
     assert code.size == 8
     block = code.codewords[:4]

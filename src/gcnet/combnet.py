@@ -32,7 +32,7 @@ import numpy as np
 from .ffield import ORDER_LIMIT, FieldSpec, comb_exceeds, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
 from . import grasscode, linalg
-from .linalg import MatrixQ, SubspaceQ, product_of_arrays, ranks_of_selections, rref_of_array
+from .linalg import MatrixQ, product_of_arrays, ranks_of_selections, rref_of_array
 
 
 class SolvabilityClass(enum.Enum):
@@ -175,19 +175,6 @@ def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> Lin
         m[: c.dim] = c.basis_array()
     return LinearSolution(params=p, field=code.field, t=t,
                           matrices=tuple(MatrixQ(code.field, m) for m in mats))
-
-
-def code_from_solution(sol: LinearSolution) -> CoveringCode:
-    """Row spaces of the coding matrices as a covering-code candidate."""
-    n, k, delta, alpha = sol.params.code_params(sol.t)
-    return CoveringCode(
-        field=sol.field,
-        n=n,
-        k=k,
-        delta=delta,
-        alpha=alpha,
-        codewords=tuple(SubspaceQ.from_matrix(a) for a in sol.matrices),
-    )
 
 
 def _receiver_decoders(sol: LinearSolution):

@@ -348,13 +348,6 @@ class FieldSpec:
             e >>= 1
         return out
 
-    # -- descriptors ---------------------------------------------------------
-
-    @property
-    def descriptor(self) -> str:
-        """Textual form ``"p"`` or ``"p^m"`` accepted by the parsers."""
-        return str(self.p) if self.m == 1 else f"{self.p}^{self.m}"
-
     @property
     def modulus_text(self) -> str:
         """Human-readable modulus, e.g. ``"x^2 + x + 1"``."""
@@ -407,24 +400,3 @@ def field_from_size(q: int) -> FieldSpec:
         raise ValueError(f"field order {q} exceeds the supported limit {ORDER_LIMIT}")
     p, m = factor_prime_power(q)
     return field_create(p, m)
-
-
-def field_from_descriptor(text: str) -> FieldSpec:
-    """Parse a field descriptor such as ``"5"``, ``"2^4"`` or ``"9"``.
-
-    A bare integer is treated as a field order; the ``p^m`` form names
-    the characteristic and degree explicitly.
-    """
-    s = text.strip()
-    if "^" in s:
-        left, _, right = s.partition("^")
-        try:
-            p, m = int(left), int(right)
-        except ValueError:
-            raise ValueError(f"bad field descriptor {text!r}") from None
-        return field_create(p, m)
-    try:
-        q = int(s)
-    except ValueError:
-        raise ValueError(f"bad field descriptor {text!r}") from None
-    return field_from_size(q)

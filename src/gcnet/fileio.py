@@ -1,14 +1,14 @@
-"""Text formats for matrices, covering codes, solutions and parameters.
+"""Text formats for covering codes, solutions and network parameters.
 
-All formats are line oriented: ``#`` starts a comment line (writers use
-them for version/parameter/seed headers), blank lines are ignored, and
-every other line is whitespace-separated integers.
+The code and solution formats are line oriented: ``#`` starts a comment
+line (writers use them for version/parameter/seed headers), blank lines
+are ignored, and every other line is whitespace-separated integers.
 
-- matrix: header ``rows cols q`` then ``rows`` lines of ``cols`` entries.
 - covering code: header ``n k delta alpha q count`` then ``count``
   blocks, each ``k`` lines of ``n`` entries (a canonical basis).
 - solution: header ``h r alpha ell epsilon q t`` then ``r`` matrix
-  blocks in the matrix format above.
+  blocks, each a line ``rows cols q`` then ``rows`` lines of ``cols``
+  entries.
 - network parameters: a JSON object with keys h, r, alpha, ell, epsilon.
 
 Parse errors raise :class:`FileFormatError` carrying the 1-based line
@@ -17,7 +17,6 @@ number, which the CLI reports verbatim.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Iterable, Optional
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .combnet import LinearSolution, NetworkParams
 from .ffield import field_from_size
+from . import grasscode
 from .grasscode import CoveringCode
 from .linalg import MatrixQ, SubspaceQ
 
@@ -75,16 +75,12 @@ def _format_rows(rows) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Matrices.
+# Matrix blocks of a solution.
 # ---------------------------------------------------------------------------
 
 
 def _matrix_lines(m: MatrixQ) -> list[str]:
     return [f"{m.rows} {m.cols} {m.field.q}"] + _format_rows(m.data.tolist())
-
-
-def render_matrix(m: MatrixQ, header: Iterable[str] = ()) -> str:
-    return "\n".join([f"# {h}" for h in header] + _matrix_lines(m)) + "\n"
 
 
 def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
@@ -109,14 +105,6 @@ def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
     return MatrixQ(field, data)
 
 
-def parse_matrix(text: str) -> MatrixQ:
-    reader = _LineReader(text)
-    m = _parse_matrix_block(reader)
-    if not reader.at_eof():
-        raise FileFormatError("trailing content after matrix", reader.pos + 1)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Covering codes.
 # ---------------------------------------------------------------------------
@@ -138,6 +126,12 @@ def parse_code(text: str) -> CoveringCode:
     header_line = reader.pos
     if count < 0:
         raise FileFormatError(f"codeword count must be non-negative, got {count}", header_line)
+    # a codeword with k = 0 reads no line, so the file's length does not
+    # bound the count: it is refused before any block is read
+    if count > grasscode.ENUMERATION_LIMIT:
+        raise FileFormatError(
+            f"codeword count {count} exceeds the cap {grasscode.ENUMERATION_LIMIT}", header_line
+        )
     try:
         field = field_from_size(q)
     except ValueError as exc:
@@ -208,10 +202,6 @@ def parse_solution(text: str) -> LinearSolution:
 # ---------------------------------------------------------------------------
 # Network parameters (JSON).
 # ---------------------------------------------------------------------------
-
-
-def render_params(params: NetworkParams) -> str:
-    return json.dumps(dataclasses.asdict(params), indent=2, sort_keys=True) + "\n"
 
 
 def parse_params(text: str) -> NetworkParams:

@@ -130,18 +130,6 @@ def product_of_arrays(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndar
     return out
 
 
-def stack_matrices(mats: Sequence[MatrixQ]) -> MatrixQ:
-    """Vertical concatenation; all blocks share the field and width."""
-    if not mats:
-        raise ValueError("cannot stack an empty sequence of matrices")
-    f = mats[0].field
-    w = mats[0].cols
-    for m in mats[1:]:
-        if m.field != f or m.cols != w:
-            raise ValueError("stacked matrices must share field and width")
-    return MatrixQ(f, np.vstack([m.data for m in mats]))
-
-
 # ---------------------------------------------------------------------------
 # Rank and reduction on raw arrays (hot path, also used by the search code).
 # ---------------------------------------------------------------------------
@@ -207,10 +195,6 @@ class SubspaceQ:
         self.basis = tuple(map(tuple, red[: len(pivots)]))
 
     @classmethod
-    def from_matrix(cls, m: MatrixQ) -> "SubspaceQ":
-        return cls(m.field, m.cols, m.data)
-
-    @classmethod
     def _from_canonical(cls, field: FieldSpec, ambient: int, basis: tuple[tuple[int, ...], ...]) -> "SubspaceQ":
         # trusted constructor: rows are already a reduced echelon basis
         obj = cls.__new__(cls)
@@ -223,20 +207,11 @@ class SubspaceQ:
     def dim(self) -> int:
         return len(self.basis)
 
-    def basis_matrix(self) -> MatrixQ:
-        return MatrixQ(self.field, self.basis_array())
-
     def basis_array(self) -> np.ndarray:
         """Canonical basis as an int16 array of shape ``(dim, ambient)``."""
         if not self.basis:
             return np.zeros((0, self.ambient), dtype=np.int16)
         return np.array(self.basis, dtype=np.int16)
-
-    def contains(self, vector) -> bool:
-        """Membership test for a length-``ambient`` vector."""
-        v = np.array(vector, dtype=np.int16).reshape(1, self.ambient)
-        stacked = np.vstack([self.basis_array(), v])
-        return rank_of_array(stacked, self.field) == self.dim
 
     def sort_key(self) -> tuple:
         """Row-major flattening of the canonical basis, for total ordering."""
@@ -306,11 +281,6 @@ def dual(s: SubspaceQ) -> SubspaceQ:
     pivots = [row.index(1) for row in s.basis]
     red, pivots = rref_of_array(_null_rows(s.basis, pivots, s.ambient, s.field), s.field)
     return SubspaceQ._from_canonical(s.field, s.ambient, tuple(map(tuple, red[: len(pivots)])))
-
-
-def intersection_dim(s: SubspaceQ, t: SubspaceQ) -> int:
-    """Dimension of ``s`` intersected with ``t``."""
-    return s.dim + t.dim - span_dim([s, t])
 
 
 def random_matrix(field: FieldSpec, rows: int, cols: int, rng: np.random.Generator) -> MatrixQ:

@@ -41,9 +41,9 @@ from gcnet.linalg import (
     MatrixQ,
     count_rank_matrices,
     gaussian_binomial,
-    intersection_dim,
     random_matrix,
     rank_of_array,
+    span_dim,
 )
 from gcnet.rankmetric import covering_code_from_mrd, lifted_mrd_code
 
@@ -100,7 +100,7 @@ def test_lifted_mrd_subspace_distance():
         for q, n, k, delta in [(2, 4, 2, 2), (2, 4, 2, 1)]:
             lifted = lifted_mrd_code(q, n, k, delta)
             for a, b in itertools.combinations(lifted.codewords, 2):
-                assert intersection_dim(a, b) <= k - delta
+                assert span_dim([a, b]) >= k + delta
 
 
 def test_repeated_mrd_code_verifies_by_its_distinct_codewords():

@@ -18,7 +18,7 @@ from gcnet import backend, cli, grasscode
 from gcnet.bounds import gamma_exact, middle_ub_exact, middle_ub_relaxed
 from gcnet.cli import build_parser, main
 from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
-from gcnet.fileio import parse_code, parse_solution, render_code, render_params, render_solution
+from gcnet.fileio import parse_code, render_code, render_solution
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import NODE_LIMIT, CoveringCode, max_covering_code
 from gcnet.linalg import MatrixQ, SubspaceQ
@@ -41,7 +41,7 @@ def test_classify_output(capsys):
 
 def test_classify_from_params_file(tmp_path, capsys):
     path = tmp_path / "net.json"
-    path.write_text(render_params(NetworkParams(h=2, r=4, alpha=2, ell=1, epsilon=1)))
+    path.write_text('{"h": 2, "r": 4, "alpha": 2, "ell": 1, "epsilon": 1}')
     code, out, _ = run(capsys, "classify", "--params", str(path))
     assert code == 0
     assert "TRIVIAL" in out
@@ -354,6 +354,17 @@ def test_oversized_work_is_refused_before_it_is_allocated(argv, message):
     proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, *argv.split()],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_code_file_count_is_refused_at_its_header(tmp_path):
+    # a codeword of dimension 0 reads no line, so only the declared count
+    # bounds the work: it is refused before any block is read
+    path = tmp_path / "empty-words.code"
+    path.write_text("3 0 1 2 2 100000000\n")
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, "verify", "--code", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    message = "error: codeword count 100000000 exceeds the cap 1000000 (line 1)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_search_negative_trials_is_usage_error(capsys):
@@ -826,6 +837,17 @@ def test_readme_cli_examples_exit_zero(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
 
 
+def test_import_gcnet_loads_only_the_backend():
+    # the package exports backend_name and __version__ and nothing else;
+    # every other module is imported on its own
+    child = ("import sys, gcnet; "
+             "print(sorted(m for m in sys.modules if m.startswith('gcnet.')), "
+             "[n for n in vars(gcnet) if not n.startswith('_')], gcnet.__version__)")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "['gcnet.backend'] ['backend', 'backend_name'] 0.1.0\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "gcnet", "--version"],
                           capture_output=True, text=True)
@@ -867,7 +889,7 @@ def test_construct_echo(tmp_path, capsys):
 
 def test_search_echo_is_the_same_from_flags_and_params_file(tmp_path, capsys):
     net = tmp_path / "net.json"
-    net.write_text(render_params(NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)))
+    net.write_text('{"h": 3, "r": 3, "alpha": 2, "ell": 1, "epsilon": 1}')
     rest = ["--q", "11", "--t", "1", "--trials", "1000", "--seed", "0"]
     lines = []
     for name, source in (("flags.txt", NET), ("file.txt", ["--params", str(net)])):

@@ -14,7 +14,6 @@ from gcnet.combnet import (
     NetworkParams,
     SolvabilityClass,
     classify,
-    code_from_solution,
     compute_qs,
     compute_qv,
     derive_direct_link_matrices,
@@ -25,8 +24,8 @@ from gcnet.combnet import (
     verify_solution,
 )
 from gcnet.ffield import field_from_size
-from gcnet.grasscode import is_covering_code
-from gcnet.linalg import MatrixQ, random_matrix, rank_of_array, stack_matrices
+from gcnet.grasscode import CoveringCode, is_covering_code
+from gcnet.linalg import MatrixQ, SubspaceQ, random_matrix, rank_of_array
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -126,8 +125,11 @@ def test_solution_shape_validation():
 
 def test_code_solution_round_trip():
     sol = three_line_solution()
-    code = code_from_solution(sol)
-    assert (code.n, code.k, code.delta, code.alpha) == (2, 1, 1, 2)
+    assert THREE_LINE.code_params(1) == (2, 1, 1, 2)
+    assert NetworkParams(h=4, r=6, alpha=3, ell=2, epsilon=1).code_params(3) == (12, 6, 3, 3)
+    # the row spaces of the coding matrices form the network's covering code
+    code = CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2,
+                        codewords=tuple(SubspaceQ(m.field, m.cols, m.data) for m in sol.matrices))
     ok, _ = is_covering_code(code)
     assert ok
     back = solution_from_code(code, THREE_LINE, 1)
@@ -157,7 +159,7 @@ def test_direct_link_matrices_complete_decoding():
     assert len(bs) == p.n_receivers
     for recv, b in zip(p.receivers(), bs):
         assert b.rows == p.epsilon * 1 and b.cols == p.h * 1
-        stacked = stack_matrices([sol.matrices[i] for i in recv] + [b])
+        stacked = MatrixQ(sol.field, np.vstack([sol.matrices[i].data for i in recv] + [b.data]))
         assert stacked.rank() == p.h * 1  # decodable: full column rank
 
 
@@ -168,7 +170,7 @@ def test_receiver_matrices_stack_each_receiver_over_its_direct_links():
     plan = sol.decoder_plan
     assert sol.decoder_plan is plan  # built once per solution
     systems, decoders = plan
-    want = [stack_matrices([sol.matrices[i] for i in recv] + [b])
+    want = [MatrixQ(sol.field, np.vstack([sol.matrices[i].data for i in recv] + [b.data]))
             for recv, b in zip(p.receivers(), derive_direct_link_matrices(sol))]
     assert [MatrixQ(sol.field, m) for m in systems] == want
     ident = MatrixQ.identity(sol.field, p.h * sol.t)
@@ -234,7 +236,7 @@ def test_direct_links_match_greedy_reference(q, t):
             systems, decoders = sol.decoder_plan
             ident = MatrixQ.identity(field, p.h * t)
             for recv, b, m, d in zip(p.receivers(), links, systems, decoders):
-                assert MatrixQ(field, m) == stack_matrices([sol.matrices[i] for i in recv] + [b])
+                assert np.array_equal(m, np.vstack([sol.matrices[i].data for i in recv] + [b.data]))
                 assert MatrixQ(field, d) @ MatrixQ(field, m) == ident
             receivers += p.n_receivers
     assert receivers >= 20
@@ -484,13 +486,6 @@ def test_compute_qv_inexact_after_an_inconclusive_decision():
     # q^t = 2 and 3 come before any t = 2 candidate
     assert compute_qv(NINE_POINTS, qt_cap=8, node_limit=300) == (3, False)
     assert compute_qv(NINE_POINTS, qt_cap=8, node_limit=482) == (3, True)
-
-
-def test_code_params_matches_code_from_solution():
-    sol = three_line_solution()
-    code = code_from_solution(sol)
-    assert (code.n, code.k, code.delta, code.alpha) == THREE_LINE.code_params(1)
-    assert NetworkParams(h=4, r=6, alpha=3, ell=2, epsilon=1).code_params(3) == (12, 6, 3, 3)
 
 
 def count_calls(monkeypatch, module, name):

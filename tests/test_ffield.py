@@ -8,13 +8,11 @@ import pytest
 
 from gcnet.ffield import (
     ORDER_LIMIT,
-    FieldSpec,
     _poly_mod,
     _poly_trim,
     _smallest_irreducible,
     factor_prime_power,
     field_create,
-    field_from_descriptor,
     field_from_size,
     is_prime,
     is_prime_power,
@@ -178,8 +176,7 @@ def test_order_and_argument_errors():
     (lambda: field_from_size(2000), "2000"),  # not a prime power either
     (lambda: field_create(10**30 + 57), "1000000000000000000000000000057"),
     (lambda: field_create(2, 10**9), "2^1000000000"),
-    (lambda: field_from_descriptor("3^7"), "3^7"),
-], ids=["size-prime", "size-composite", "create-prime", "create-power", "descriptor"])
+], ids=["size-prime", "size-composite", "create-prime", "create-power"])
 def test_orders_above_the_limit_are_refused_before_factoring(make, order):
     # neither trial division nor p**m runs on such an order
     message = f"field order {order} exceeds the supported limit 1024"
@@ -195,15 +192,6 @@ def test_kernel_views_are_zero_copy_flat_tables():
     assert add[4 * 9 + 7] == f.add(4, 7) and mul[4 * 9 + 7] == f.mul(4, 7)
     assert inv[5] == f.inv(5) and neg[5] == f.neg(5)
     assert np.shares_memory(np.asarray(mul), f.mul_table)
-
-
-def test_descriptor_round_trip():
-    assert field_from_descriptor("7").q == 7
-    assert field_from_descriptor("2^4").q == 16
-    f = field_from_size(9)
-    assert field_from_descriptor(f.descriptor) == f
-    with pytest.raises(ValueError):
-        field_from_descriptor("abc")
 
 
 def test_field_identity_is_cached():

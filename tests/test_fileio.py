@@ -3,45 +3,51 @@
 import numpy as np
 import pytest
 
-from gcnet.combnet import NetworkParams, random_solution_search, verify_solution
+from gcnet.combnet import LinearSolution, NetworkParams, random_solution_search, verify_solution
 from gcnet.ffield import field_from_size
 from gcnet.fileio import (
     FileFormatError,
     parse_code,
-    parse_matrix,
     parse_params,
     parse_solution,
     render_code,
-    render_matrix,
-    render_params,
     render_solution,
 )
 from gcnet.grasscode import is_covering_code
-from gcnet.linalg import MatrixQ, random_matrix
+from gcnet.linalg import random_matrix
 from gcnet.rankmetric import covering_code_from_mrd
 
-F2 = field_from_size(2)
+
+# Matrix blocks are read as the coding matrices of a solution.  This
+# head is a solution's header line and its first block (lines 1-3); the
+# block under test is its second and last matrix, from line 4 on.
+SOLUTION_HEAD = "2 2 2 1 0 2 1\n1 2 2\n1 0\n"
 
 
 def test_matrix_round_trip():
     rng = np.random.default_rng(1)
+    p = NetworkParams(h=5, r=2, alpha=2, ell=3, epsilon=0)
     for q in (2, 3, 9):
         f = field_from_size(q)
-        m = random_matrix(f, 3, 5, rng)
-        assert parse_matrix(render_matrix(m)) == m
+        mats = tuple(random_matrix(f, 3, 5, rng) for _ in range(p.r))
+        sol = LinearSolution(params=p, field=f, t=1, matrices=mats)
+        assert parse_solution(render_solution(sol)).matrices == mats
 
 
 def test_matrix_zero_rows():
-    m = MatrixQ.zeros(F2, 0, 4)
-    back = parse_matrix(render_matrix(m))
-    assert back.rows == 0 and back.cols == 4
+    # a block of zero rows is well formed: only the solution's shape
+    # check, reported at the header line, refuses it
+    with pytest.raises(FileFormatError) as err:
+        parse_solution(SOLUTION_HEAD + "0 2 2\n")
+    assert str(err.value) == "matrix 1 has shape 0x2, expected 1x2 (line 1)"
 
 
 def test_matrix_headers_and_comments():
-    text = render_matrix(MatrixQ(F2, [[1, 0]]), header=["tool x", "seed 3"])
+    sol = parse_solution(SOLUTION_HEAD + "1 2 2\n0 1\n")
+    text = render_solution(sol, header=["tool x", "seed 3"])
     assert text.startswith("# tool x\n# seed 3\n")
-    commented = "# hello\n\n1 2 2\n# mid comment\n1 0\n"
-    assert parse_matrix(commented) == MatrixQ(F2, [[1, 0]])
+    commented = "# hello\n\n" + SOLUTION_HEAD + "1 2 2\n# mid comment\n0 1\n"
+    assert parse_solution(commented) == sol
 
 
 @pytest.mark.parametrize("text,line", [
@@ -54,8 +60,10 @@ def test_matrix_headers_and_comments():
     ("1 2 2\n1 0\n1 1\n", 3),     # trailing content
 ])
 def test_matrix_errors_carry_line_numbers(text, line):
+    # ``line`` counts from the block's own first line
+    line += SOLUTION_HEAD.count("\n")
     with pytest.raises(FileFormatError) as err:
-        parse_matrix(text)
+        parse_solution(SOLUTION_HEAD + text)
     assert err.value.line == line
     assert f"line {line}" in str(err.value)
 
@@ -132,15 +140,6 @@ def test_solution_errors_carry_line_numbers(text, line, message):
         parse_solution(text)
     assert err.value.line == line
     assert str(err.value) == f"{message} (line {line})"
-
-
-def test_params_round_trip():
-    p = NetworkParams(h=3, r=5, alpha=2, ell=1, epsilon=1)
-    text = render_params(p)
-    assert parse_params(text) == p
-    # stable key order for byte-identical reruns
-    assert text == render_params(p)
-    assert text.index('"alpha"') < text.index('"ell"') < text.index('"h"')
 
 
 def test_params_errors():

@@ -18,7 +18,7 @@ from gcnet.grasscode import (
     max_covering_code,
     proven_upper,
 )
-from gcnet.linalg import SubspaceQ, gaussian_binomial, random_matrix, span_dim
+from gcnet.linalg import MatrixQ, SubspaceQ, gaussian_binomial, random_matrix, span_dim
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -117,7 +117,7 @@ def random_code(rng, field, alpha):
             rows = zero
             if src.dim:
                 mix = random_matrix(field, int(rng.integers(1, src.dim + 2)), src.dim, rng)
-                rows = (mix @ src.basis_matrix()).data
+                rows = (mix @ MatrixQ(field, src.basis_array())).data
         elif pick < 0.5:
             rows = zero
         else:

@@ -7,7 +7,7 @@ import pytest
 from gcnet import backend, grasscode, rankmetric
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import CoveringCode, is_covering_code
-from gcnet.linalg import MatrixQ, intersection_dim
+from gcnet.linalg import MatrixQ, span_dim
 from gcnet.rankmetric import (
     covering_code_from_mrd,
     gabidulin_code,
@@ -110,11 +110,10 @@ def test_lift_shape_and_injectivity():
     lifted = [lift(c) for c in code.codewords]
     assert all(s.dim == 2 and s.ambient == 4 for s in lifted)
     assert len(set(lifted)) == len(lifted)
-    # the lifted subspace contains the rows of [I | A]
+    # the rows of [I | A] are the lifted subspace's canonical basis
     a = code.codewords[3]
-    s = lift(a)
-    assert s.contains([1, 0] + [int(v) for v in a.data[0]])
-    assert s.contains([0, 1] + [int(v) for v in a.data[1]])
+    rows = a.data.tolist()
+    assert lift(a).basis == ((1, 0, *rows[0]), (0, 1, *rows[1]))
 
 
 @pytest.mark.parametrize("q,n,k,delta", [(2, 4, 2, 2), (2, 4, 2, 1)])
@@ -124,9 +123,10 @@ def test_lifted_mrd_subspace_distance(q, n, k, delta):
     assert isinstance(lifted, CoveringCode) and (lifted.k, lifted.alpha) == (k, 2)
     assert is_covering_code(lifted) == (True, None)
     # minimum subspace distance 2*delta means pairwise intersections
-    # of the k-dim codewords have dimension at most k - delta
+    # of the k-dim codewords have dimension at most k - delta, that is
+    # pairwise spans of dimension at least k + delta
     for a, b in itertools.combinations(lifted.codewords, 2):
-        assert intersection_dim(a, b) <= k - delta
+        assert span_dim([a, b]) >= k + delta
 
 
 @pytest.mark.parametrize("n,k,delta,alpha,q,size", [

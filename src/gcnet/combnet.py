@@ -160,8 +160,9 @@ def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> Lin
     """Interpret covering-code codewords as middle-node coding matrices.
 
     Requires the code parameters to be ``params.code_params(t)`` and
-    exactly ``r`` codewords.  Codewords of dimension below ``ell*t`` are
-    padded with zero rows.
+    exactly ``r`` codewords.  Each codeword's ``(ell*t, h*t)`` row of the
+    code's array is its coding matrix, so one of dimension below ``ell*t``
+    keeps its zero rows.
     """
     p = params
     want = p.code_params(t)
@@ -170,11 +171,8 @@ def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> Lin
         raise ValueError(f"code parameters {got} do not match the network's {want}")
     if code.size != p.r:
         raise ValueError(f"need exactly r={p.r} codewords, got {code.size}")
-    mats = np.zeros((p.r, p.ell * t, p.h * t), dtype=np.int16)
-    for m, c in zip(mats, code.codewords):
-        m[: c.dim] = c.basis_array()
     return LinearSolution(params=p, field=code.field, t=t,
-                          matrices=tuple(MatrixQ(code.field, m) for m in mats))
+                          matrices=tuple(MatrixQ(code.field, m) for m in code.codewords))
 
 
 def _receiver_decoders(sol: LinearSolution):

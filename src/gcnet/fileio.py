@@ -5,7 +5,9 @@ line (writers use them for version/parameter/seed headers), blank lines
 are ignored, and every other line is whitespace-separated integers.
 
 - covering code: header ``n k delta alpha q count`` then ``count``
-  blocks, each ``k`` lines of ``n`` entries (a canonical basis).
+  blocks, each ``k`` lines of ``n`` entries spanning a k-dimensional
+  subspace.  Writers give each block's canonical basis, the row of the
+  code's ``(count, k, n)`` array; the parser reduces each block to it.
 - solution: header ``h r alpha ell epsilon q t`` then ``r`` matrix
   blocks, each a line ``rows cols q`` then ``rows`` lines of ``cols``
   entries.
@@ -24,9 +26,9 @@ import numpy as np
 
 from .combnet import LinearSolution, NetworkParams
 from .ffield import field_from_size
-from . import grasscode
+from . import grasscode, linalg
 from .grasscode import CoveringCode
-from .linalg import MatrixQ, SubspaceQ
+from .linalg import MatrixQ, rref_of_array
 
 
 class FileFormatError(ValueError):
@@ -111,12 +113,18 @@ def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
 
 
 def render_code(code: CoveringCode, header: Iterable[str] = ()) -> str:
+    """The code file of ``code``: its rows, formatted in slices of
+    ``linalg.items_per_pass(n)`` rows so that only one slice's line
+    strings are held at once."""
     lines = [f"# {h}" for h in header]
     lines.append(f"{code.n} {code.k} {code.delta} {code.alpha} {code.field.q} {code.size}")
-    for c in code.codewords:
-        if c.dim < code.k:
+    rows = code.codewords.reshape(-1, code.n)
+    step = linalg.items_per_pass(code.n)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        if not part.any(axis=1).all():
             raise ValueError("cannot serialize a codeword with dim < k losslessly")
-        lines.extend(_format_rows(c.basis))
+        lines.append("\n".join(_format_rows(part.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -136,28 +144,31 @@ def parse_code(text: str) -> CoveringCode:
         field = field_from_size(q)
     except ValueError as exc:
         raise FileFormatError(str(exc), header_line) from None
-    codewords = []
-    for i in range(count):
+    # the array's shape comes from the header, so a bad one is refused here
+    if n < 1 or not 0 <= k <= n:
+        raise FileFormatError(f"bad ambient/dimension pair (n={n}, k={k})", header_line)
+    # the blocks are read before the array is allocated, so a header alone
+    # cannot ask for more memory than the file holds; a codeword with
+    # k = 0 is the zero subspace, with no block to read or reduce
+    blocks = []
+    for i in range(count if k else 0):
         rows = []
         for _ in range(k):
             values = reader.next_ints(expect=n)
             if any(v < 0 or v >= field.q for v in values):
                 raise FileFormatError(f"entries out of range for GF({field.q})", reader.pos)
             rows.append(values)
-        block_line = reader.pos
-        try:
-            sub = SubspaceQ(field, n, rows)
-        except ValueError as exc:
-            raise FileFormatError(str(exc), block_line) from None
-        if sub.dim != k:
+        red, pivots = rref_of_array(np.array(rows, dtype=np.int16), field)
+        if len(pivots) != k:
             raise FileFormatError(
-                f"codeword {i} basis has rank {sub.dim}, expected {k}", block_line
+                f"codeword {i} basis has rank {len(pivots)}, expected {k}", reader.pos
             )
-        codewords.append(sub)
+        blocks.append(np.array(red, dtype=np.int16))
     if not reader.at_eof():
         raise FileFormatError("trailing content after code", reader.pos + 1)
+    codewords = np.array(blocks, dtype=np.int16).reshape(count, k, n)
     try:
-        return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=tuple(codewords))
+        return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=codewords)
     except ValueError as exc:
         raise FileFormatError(str(exc), header_line) from None
 

@@ -3,8 +3,10 @@
 A covering code here is a multiset of k-dimensional subspaces of
 GF(q)^n such that every selection of ``alpha`` codewords (with
 repetition counted, i.e. every size-``alpha`` sub-multiset) spans a
-subspace of dimension at least ``delta + k``.  Codes are stored as
-ordered tuples; repeated codewords are legal and meaningful.
+subspace of dimension at least ``delta + k``.  A code is stored as one
+``(size, k, n)`` int16 array, a row per codeword holding its canonical
+basis (see :mod:`gcnet.linalg`); repeated codewords are legal and
+meaningful.
 
 The module provides deterministic enumeration of Grassmannians, a
 verifier that reports the worst witness on failure, and an exhaustive
@@ -23,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, islice, product, takewhile
-from typing import Optional, Sequence
+from itertools import accumulate, chain, combinations, islice, takewhile
+from typing import Optional
 
 import numpy as np
 
 from .ffield import FieldSpec, power_exceeds
 from . import linalg
-from .linalg import SubspaceQ, gaussian_binomial, rank_of_array, ranks_of_selections
+from .linalg import gaussian_binomial, rank_of_array, ranks_of_selections
 
 #: Refuse to list more than this many items at once: the subspaces of
 #: a Grassmannian, a network's receivers, the codewords ``construct``
@@ -56,15 +58,17 @@ class CoverWitness:
     required_dim: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringCode:
     """A multiset of subspaces with declared covering parameters.
 
-    Storage does not enforce the covering property (``is_covering_code``
-    does); it enforces only structural consistency: every codeword lives
-    in GF(q)^n and has dimension at most k.  Dimension below k is
-    tolerated at storage time so that degenerate inputs can be loaded
-    and then rejected by verification with a useful witness.
+    ``codewords`` is a read-only ``(size, k, n)`` int16 array whose rows
+    are the codewords' canonical bases, zero rows last, so a codeword has
+    dimension at most k.  Storage checks only the shape and that every
+    entry lies in GF(q); ``is_covering_code`` checks the canonical form
+    and the covering property.  Dimension below k is tolerated at storage
+    time so that degenerate inputs can be loaded and then rejected by
+    verification with a useful witness.  Codes compare by identity.
     """
 
     field: FieldSpec
@@ -72,26 +76,33 @@ class CoveringCode:
     k: int
     delta: int
     alpha: int
-    codewords: tuple[SubspaceQ, ...]
+    codewords: np.ndarray
 
     def __post_init__(self):
         if self.n < 1 or self.k < 0 or self.k > self.n:
             raise ValueError(f"bad ambient/dimension pair (n={self.n}, k={self.k})")
         if self.alpha < 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-        for i, c in enumerate(self.codewords):
-            if c.field != self.field or c.ambient != self.n:
-                raise ValueError(f"codeword {i} lives in the wrong space")
-            if c.dim > self.k:
-                raise ValueError(f"codeword {i} has dimension {c.dim} > k = {self.k}")
+        words = np.asarray(self.codewords)
+        if words.ndim != 3 or words.shape[1:] != (self.k, self.n):
+            raise ValueError(f"codewords must form a (size, {self.k}, {self.n}) array, "
+                             f"got shape {words.shape}")
+        # checked before the int16 cast, which would wrap big ints and truncate floats
+        if words.size and (words.dtype.kind not in "iu" or words.min() < 0
+                           or words.max() >= self.field.q):
+            raise ValueError(f"codeword entries must be integers in range for GF({self.field.q})")
+        words = words.astype(np.int16, copy=False).view()
+        words.setflags(write=False)
+        object.__setattr__(self, "codewords", words)
 
     @property
     def size(self) -> int:
         return len(self.codewords)
 
 
-def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> list[SubspaceQ]:
-    """All k-dimensional subspaces of GF(q)^n in a pinned canonical order.
+def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> np.ndarray:
+    """All k-dimensional subspaces of GF(q)^n in a pinned canonical order,
+    as one ``(N, k, n)`` array of canonical bases.
 
     Subspaces are emitted grouped by the pivot-column set of their
     canonical basis (pivot sets in lexicographic order), and within a
@@ -113,19 +124,21 @@ def enumerate_grassmannian(n: int, k: int, field: FieldSpec) -> list[SubspaceQ]:
     total = gaussian_binomial(n, k, q)
     if total > ENUMERATION_LIMIT:
         raise ValueError(f"Grassmannian has {total} elements, above the cap {ENUMERATION_LIMIT}")
-    out: list[SubspaceQ] = []
+    out = np.zeros((total, k, n), dtype=np.int16)
+    digits = np.arange(q, dtype=np.int16)
+    start = 0
     for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set
-        ]
-        template = [[int(j == p) for j in range(n)] for p in pivots]
-        for assignment in product(range(q), repeat=len(free_cells)):
-            m = [row[:] for row in template]
-            for (i, j), v in zip(free_cells, assignment):
-                m[i][j] = v
-            out.append(SubspaceQ._from_canonical(field, n, tuple(map(tuple, m))))
-    assert len(out) == total
+        free_cells = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        block = out[start:start + q ** len(free_cells)]
+        for i, p in enumerate(pivots):
+            block[:, i, p] = 1
+        # the block as a (q, ..., q, k, n) grid whose axis c is free cell
+        # c's digit, so the first cell is the counter's most significant
+        grid = block.reshape((q,) * len(free_cells) + (k, n))
+        for c, (i, j) in enumerate(free_cells):
+            grid[..., i, j] = digits.reshape((q,) + (1,) * (len(free_cells) - 1 - c))
+        start += len(block)
+    assert start == total
     return out
 
 
@@ -139,33 +152,40 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     low ones first, the latter are the prefix of ``_multisets`` whose
     first pick is low.  Each is built once, in batches of at most
     ``linalg.CHUNK_ENTRIES`` entries, and ranked by ``ranks_of_selections``
-    on the distinct bases padded to k rows; its indices are the first
-    copies it takes, the least tuple that holds it.  The witness is the
-    least (achieved dimension, indices).  Raises ValueError when the code
-    has fewer than ``alpha`` codewords or ``need`` exceeds ``n``.
+    on the codewords' rows; its indices are the first copies it takes,
+    the least tuple that holds it.  The witness is the least (achieved
+    dimension, indices).
+
+    Equal codewords are grouped by their rows' bytes, which is sound only
+    for canonical bases, so a code whose rows are not each in reduced row
+    echelon form with zero rows last raises ValueError; so does one with
+    fewer than ``alpha`` codewords, or whose ``need`` exceeds ``n``.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
     need = code.delta + code.k
     if need > code.n:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
-    copies: dict[SubspaceQ, list[int]] = {}
+    words = code.codewords
+    if not _is_canonical(words):
+        raise ValueError("codewords are not canonical bases (reduced row echelon form, zero rows last)")
+    dims = np.count_nonzero(words.any(axis=2), axis=1)
+    copies: dict[bytes, list[int]] = {}
     # the low codewords first, so the multisets that hold one come first
-    for i, c in sorted(enumerate(code.codewords), key=lambda ic: ic[1].dim >= need - 1):
-        copies.setdefault(c, []).append(i)
+    for i in np.argsort(dims >= need - 1, kind="stable").tolist():
+        copies.setdefault(words[i].tobytes(), []).append(i)
+    groups = list(copies.values())
+    firsts = np.array([g[0] for g in groups], dtype=np.intp)
+    low = (dims[firsts] < need - 1).tolist()
     # (achieved, indices) of the worst selection; (need, ()) while none falls short
-    worst = min([(need, ())] + [(need - 1, tuple(g[:code.alpha])) for c, g in copies.items()
-                                if len(g) >= code.alpha and c.dim == need - 1])
-    groups, low = list(copies.values()), [c.dim < need - 1 for c in copies]
+    worst = min([(need, ())] + [(need - 1, tuple(g[:code.alpha])) for g in groups
+                                if len(g) >= code.alpha and dims[g[0]] == need - 1])
     if any(low):
-        padded = np.zeros((len(groups), code.k, code.n), dtype=np.int16)
-        for d, c in enumerate(copies):
-            padded[d, :c.dim] = c.basis_array()
         batch = linalg.items_per_pass(code.alpha * code.k * code.n)
         sels = takewhile(lambda m: low[m[0]], _multisets([len(g) for g in groups], code.alpha))
         while (sel := np.fromiter(chain.from_iterable(islice(sels, batch)), dtype=np.intp)).size:
             sel = sel.reshape(-1, code.alpha)
-            got = ranks_of_selections(padded, sel, code.field)
+            got = ranks_of_selections(words, firsts[sel], code.field)
             for i in np.flatnonzero(got < need):
                 picks = sel[i].tolist()  # each pick of a codeword takes its next copy
                 taken = sorted(groups[d][picks[:p].count(d)] for p, d in enumerate(picks))
@@ -173,6 +193,25 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     if worst[0] == need:
         return True, None
     return False, CoverWitness(indices=worst[1], achieved_dim=worst[0], required_dim=need)
+
+
+def _is_canonical(words: np.ndarray) -> bool:
+    """Whether every ``(k, n)`` block of ``words`` is in reduced row
+    echelon form with its zero rows last: the leading columns rise down
+    the nonzero rows, no nonzero row follows a zero one, and each leading
+    entry is 1 and the only nonzero entry of its column."""
+    n = words.shape[2]
+    nonzero = words != 0
+    # a zero row leads at n
+    lead = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), n)
+    at = np.minimum(lead, n - 1)
+    zero = lead == n
+    rising = (lead[:, 1:] > lead[:, :-1]) | zero[:, 1:]
+    ones = (np.take_along_axis(words, at[:, :, None], 2)[:, :, 0] == 1) | zero
+    # entry (r, i) of a block: whether row r is nonzero in row i's leading column
+    column = np.take_along_axis(nonzero, at[:, None, :], 2)
+    alone = (column == np.eye(words.shape[1], dtype=bool)) | zero[:, None, :]
+    return bool(rising.all() and ones.all() and alone.all())
 
 
 def _multisets(caps: list[int], size: int):
@@ -195,24 +234,21 @@ def _multisets(caps: list[int], size: int):
 
 class _Spans(dict):
     """The search's memo of span dimensions, keyed by sorted tuples of
-    indices into the subspaces it keeps.  A key with one distinct index
-    spans that subspace's dimension, with no rank call; any other key is
-    one memoised rank call on its distinct indices' canonical rows,
-    stacked when the key is first read, so the memo costs nothing to
-    build."""
+    indices into its ``(N, k, n)`` array of k-dimensional subspaces.  A
+    key with one distinct index spans k, with no rank call; any other key
+    is one memoised rank call on its distinct indices' rows, gathered
+    when the key is first read, so the memo costs nothing to build."""
 
-    def __init__(self, subspaces: Sequence[SubspaceQ], field: FieldSpec):
+    def __init__(self, subspaces: np.ndarray, field: FieldSpec):
         super().__init__()
         self.subspaces = subspaces
         self.field = field
 
     def __missing__(self, key: tuple[int, ...]) -> int:
-        picked = [self.subspaces[i] for i in set(key)]
+        picked = list(set(key))
         if len(picked) == 1:
-            return picked[0].dim
-        rows = [row for s in picked for row in s.basis]
-        # shaped by the ambient n, so that no rows still make n columns
-        stack = np.array(rows, dtype=np.int16).reshape(len(rows), picked[0].ambient)
+            return self.subspaces.shape[1]
+        stack = self.subspaces.take(picked, axis=0).reshape(-1, self.subspaces.shape[2])
         got = self[key] = rank_of_array(stack, self.field)
         return got
 
@@ -456,6 +492,6 @@ def max_covering_code(
 
     exact = certified_by == "exhausted" or certified_by.startswith("bound:")
     code = CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha,
-                        codewords=tuple(candidates[i] for i in best)) if best else None
+                        codewords=candidates[best]) if best else None
     return SearchResult(size=len(best), code=code, exact=exact, nodes=nodes,
                         certified_by=certified_by)

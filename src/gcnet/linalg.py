@@ -9,10 +9,12 @@ them in bounded batched passes.  The reduced form comes back as the
 kernel's Python row lists and pivot columns; no call modifies the
 arrays it is given.
 
-Subspaces of GF(q)^n are kept in a canonical form: the unique reduced
-row echelon basis with zero rows dropped.  Equality, hashing and the
-total order used for deterministic enumeration all read that canonical
-basis row-major.
+A subspace of GF(q)^n of dimension at most k has one format: its
+canonical basis, the reduced row echelon form of any k generating rows,
+as a ``(k, n)`` int16 index array with its zero rows last.  A list of
+such subspaces, such as a covering code's codewords, is one
+``(N, k, n)`` array; two of its rows are the same subspace exactly when
+they are equal.
 """
 
 from __future__ import annotations
@@ -171,83 +173,13 @@ def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[list[list[int]], t
 # ---------------------------------------------------------------------------
 
 
-class SubspaceQ:
-    """A subspace of GF(q)^n in canonical reduced-echelon form.
-
-    Construction reduces the generating rows, so any generating set of
-    the same subspace yields an identical object.  ``basis`` is a tuple
-    of ``dim`` row tuples; the zero subspace has an empty basis.
-    """
-
-    __slots__ = ("field", "ambient", "basis")
-
-    def __init__(self, field: FieldSpec, ambient: int, rows):
-        if ambient < 0:
-            raise ValueError("ambient dimension must be >= 0")
-        arr = np.array(list(rows))
-        if arr.size == 0:
-            arr = np.zeros((0, ambient), dtype=np.int16)
-        if arr.ndim != 2 or arr.shape[1] != ambient:
-            raise ValueError(f"generating rows must have length {ambient}")
-        red, pivots = rref_of_array(_as_element_array(field, arr), field)
-        self.field = field
-        self.ambient = ambient
-        self.basis = tuple(map(tuple, red[: len(pivots)]))
-
-    @classmethod
-    def _from_canonical(cls, field: FieldSpec, ambient: int, basis: tuple[tuple[int, ...], ...]) -> "SubspaceQ":
-        # trusted constructor: rows are already a reduced echelon basis
-        obj = cls.__new__(cls)
-        obj.field = field
-        obj.ambient = ambient
-        obj.basis = basis
-        return obj
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def basis_array(self) -> np.ndarray:
-        """Canonical basis as an int16 array of shape ``(dim, ambient)``."""
-        if not self.basis:
-            return np.zeros((0, self.ambient), dtype=np.int16)
-        return np.array(self.basis, dtype=np.int16)
-
-    def sort_key(self) -> tuple:
-        """Row-major flattening of the canonical basis, for total ordering."""
-        return (self.dim,) + tuple(v for row in self.basis for v in row)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubspaceQ)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.ambient, self.basis))
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, SubspaceQ) or self.field != other.field or self.ambient != other.ambient:
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self) -> str:
-        return f"SubspaceQ(GF({self.field.q})^{self.ambient}, dim={self.dim})"
-
-
-def span_dim(subspaces: Iterable[SubspaceQ]) -> int:
-    """Dimension of the span of the given subspaces (at least one)."""
-    subs = list(subspaces)
-    if not subs:
+def span_dim(bases: Iterable[np.ndarray], field: FieldSpec) -> int:
+    """Dimension of the span of the row spaces of the given ``(rows, n)``
+    index arrays (at least one)."""
+    bases = list(bases)
+    if not bases:
         raise ValueError("span of an empty collection is undefined here")
-    f, n = subs[0].field, subs[0].ambient
-    for s in subs[1:]:
-        if s.field != f or s.ambient != n:
-            raise ValueError("span requires a common field and ambient space")
-    stacked = np.vstack([s.basis_array() for s in subs])
-    return rank_of_array(stacked, f)
+    return rank_of_array(np.vstack(bases), field)
 
 
 def _null_rows(red: Sequence[Sequence[int]], pivots: Sequence[int], n: int, field: FieldSpec) -> np.ndarray:
@@ -273,14 +205,14 @@ def null_space(m: MatrixQ) -> MatrixQ:
     return MatrixQ(m.field, _null_rows(red, pivots, m.cols, m.field))
 
 
-def dual(s: SubspaceQ) -> SubspaceQ:
-    """Orthogonal complement under the standard bilinear form.
-
-    The canonical basis is already reduced, so its pivots are read off
-    (the first 1 of each row) and only the null rows are reduced."""
-    pivots = [row.index(1) for row in s.basis]
-    red, pivots = rref_of_array(_null_rows(s.basis, pivots, s.ambient, s.field), s.field)
-    return SubspaceQ._from_canonical(s.field, s.ambient, tuple(map(tuple, red[: len(pivots)])))
+def dual(basis: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Canonical basis of the orthogonal complement, under the standard
+    bilinear form, of the row space of the ``(rows, n)`` index array
+    ``basis``: an ``(n - rank, n)`` array with no zero rows."""
+    n = basis.shape[1]
+    red, pivots = rref_of_array(basis, field)
+    red, pivots = rref_of_array(_null_rows(red, pivots, n, field), field)
+    return np.array(red[: len(pivots)], dtype=np.int16).reshape(len(pivots), n)
 
 
 def random_matrix(field: FieldSpec, rows: int, cols: int, rng: np.random.Generator) -> MatrixQ:

@@ -10,15 +10,17 @@ matrices (``m >= n``) with q-degree bound ``k_g = n - delta + 1`` has
 the transposed orientation covers ``m < n``.  The code is GF(q)-linear
 in the base-q digits of the coefficients, so it is ``digits @ G`` over
 GF(q), with ``G`` read off the companion matrix of the extension's
-modulus, and it is expanded one digit at a time.
+modulus, and it is expanded one digit at a time.  A code's words are
+one ``(size, m, n)`` index array.
 
 Lifting prepends an identity block, turning a ``k x (n-k)`` matrix
-into a k-dimensional subspace of GF(q)^n.  Two distinct lifts
-``[I | A]`` and ``[I | B]`` meet in dimension ``k - rank(A - B)``, at
-most ``k - delta``, so they span at least ``k + delta``: a lifted MRD
-code is a covering code at ``alpha = 2``.  The covering construction
-repeats it ``alpha - 1`` times, so that any ``alpha`` of its codewords
-hold two distinct ones.
+``A`` into a k-dimensional subspace of GF(q)^n whose canonical basis is
+``[I | A]`` itself; lifting a whole code is one concatenation.  Two
+distinct lifts ``[I | A]`` and ``[I | B]`` meet in dimension
+``k - rank(A - B)``, at most ``k - delta``, so they span at least
+``k + delta``: a lifted MRD code is a covering code at ``alpha = 2``.
+The covering construction repeats it ``alpha - 1`` times, so that any
+``alpha`` of its codewords hold two distinct ones.
 """
 
 from __future__ import annotations
@@ -30,21 +32,22 @@ import numpy as np
 from .ffield import FieldSpec, _smallest_irreducible, field_from_size, power_exceeds
 from . import grasscode
 from .grasscode import CoveringCode
-from .linalg import MatrixQ, SubspaceQ, product_of_arrays, ranks_of_selections
+from .linalg import product_of_arrays, ranks_of_selections
 
 #: Refuse to materialize rank-metric codes larger than this.
 CARDINALITY_LIMIT = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankMetricCode:
-    """A linear code of ``m x n`` matrices with a certified rank distance."""
+    """A linear code of ``m x n`` matrices with a certified rank distance;
+    ``codewords`` is a read-only ``(size, m, n)`` index array."""
 
     field: FieldSpec
     m: int
     n: int
     delta: int
-    codewords: tuple[MatrixQ, ...]
+    codewords: np.ndarray
 
     @property
     def size(self) -> int:
@@ -99,8 +102,8 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
     least = ranks_of_selections(words, np.arange(1, size)[:, None], base).min()
     if least != delta:
         raise RuntimeError(f"construction bug: minimum nonzero rank {least} != delta {delta}")
-    codewords = tuple(MatrixQ(base, w) for w in words)
-    return RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=codewords)
+    words.setflags(write=False)
+    return RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=words)
 
 
 def _powers(a: np.ndarray, count: int, field: FieldSpec) -> np.ndarray:
@@ -111,21 +114,9 @@ def _powers(a: np.ndarray, count: int, field: FieldSpec) -> np.ndarray:
     return np.array(out)
 
 
-def lift(a: MatrixQ) -> SubspaceQ:
-    """The row space of ``[I | a]``, a ``rows``-dimensional subspace.
-
-    The lifted basis is already in reduced echelon form, so lifting is
-    injective: distinct matrices give distinct subspaces.
-    """
-    k = a.rows
-    basis = tuple(
-        (0,) * i + (1,) + (0,) * (k - 1 - i) + tuple(row) for i, row in enumerate(a.data.tolist())
-    )
-    return SubspaceQ._from_canonical(a.field, k + a.cols, basis)
-
-
 def lifted_mrd_code(q: int, n: int, k: int, delta: int) -> CoveringCode:
-    """Lift an MRD code of ``k x (n-k)`` matrices into G_q(n, k).
+    """Lift an MRD code of ``k x (n-k)`` matrices into G_q(n, k), word
+    ``A`` to ``[I | A]`` in the code's order.
 
     Any two distinct codewords meet in dimension at most ``k - delta``,
     so the result is a covering code with ``alpha = 2``.
@@ -133,14 +124,9 @@ def lifted_mrd_code(q: int, n: int, k: int, delta: int) -> CoveringCode:
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     mrd = gabidulin_code(q, k, n - k, delta)
-    return CoveringCode(
-        field=mrd.field,
-        n=n,
-        k=k,
-        delta=delta,
-        alpha=2,
-        codewords=tuple(lift(c) for c in mrd.codewords),
-    )
+    eye = np.broadcast_to(np.eye(k, dtype=np.int16), (mrd.size, k, k))
+    return CoveringCode(field=mrd.field, n=n, k=k, delta=delta, alpha=2,
+                        codewords=np.concatenate([eye, mrd.codewords], axis=2))
 
 
 def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> CoveringCode:
@@ -168,4 +154,4 @@ def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> Co
         raise ValueError(f"covering code has {(alpha - 1) * q**e} codewords, above the cap "
                          f"{grasscode.ENUMERATION_LIMIT}")
     lifted = lifted_mrd_code(q, n, k, delta)
-    return replace(lifted, alpha=alpha, codewords=lifted.codewords * (alpha - 1))
+    return replace(lifted, alpha=alpha, codewords=np.tile(lifted.codewords, (alpha - 1, 1, 1)))

@@ -21,7 +21,7 @@ from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
 from gcnet.fileio import parse_code, render_code, render_solution
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import NODE_LIMIT, CoveringCode, max_covering_code
-from gcnet.linalg import MatrixQ, SubspaceQ
+from gcnet.linalg import MatrixQ
 from gcnet.combnet import LinearSolution
 
 
@@ -245,8 +245,8 @@ def test_verify_missing_file(tmp_path, capsys):
 def test_verify_failing_code_names_the_worst_witness(tmp_path, capsys):
     # codewords 1 and 2 are one line, so together they span 1 < 2
     f2 = field_from_size(2)
-    lines = [SubspaceQ(f2, 2, [v]) for v in ([1, 0], [1, 0], [0, 1])]
-    code = CoveringCode(field=f2, n=2, k=1, delta=1, alpha=2, codewords=tuple(lines))
+    lines = np.array([[[1, 0]], [[1, 0]], [[0, 1]]])
+    code = CoveringCode(field=f2, n=2, k=1, delta=1, alpha=2, codewords=lines)
     path = tmp_path / "code.txt"
     path.write_text(render_code(code))
     rc, out, err = run(capsys, "verify", "--code", str(path))
@@ -261,6 +261,20 @@ def test_verify_code_of_zero_subspaces_names_its_witness(tmp_path, capsys):
     path.write_text("3 0 2 2 2 2\n")
     rc, out, err = run(capsys, "verify", "--code", str(path))
     assert (rc, out, err) == (1, "FAIL: codewords 1,2 span 0 < 2\n", "")
+
+
+def test_verify_code_of_zero_subspaces_reduces_no_block(tmp_path, capsys, monkeypatch):
+    # k = 0: a million codewords at the count cap, each the zero subspace
+    # with no block to reduce
+    def refuse(*args):
+        raise AssertionError("a k = 0 codeword was reduced")
+
+    monkeypatch.setattr(backend, "rref_destructive", refuse)
+    path = tmp_path / "code.txt"
+    path.write_text("3 0 1 2 2 1000000\n")
+    assert parse_code(path.read_text()).codewords.shape == (10**6, 0, 3)
+    rc, out, err = run(capsys, "verify", "--code", str(path))
+    assert (rc, out, err) == (1, "FAIL: codewords 1,2 span 0 < 1\n", "")
 
 
 def test_verify_failing_solution(tmp_path, capsys):

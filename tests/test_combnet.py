@@ -25,7 +25,7 @@ from gcnet.combnet import (
 )
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import CoveringCode, is_covering_code
-from gcnet.linalg import MatrixQ, SubspaceQ, random_matrix, rank_of_array
+from gcnet.linalg import MatrixQ, random_matrix, rank_of_array
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -129,7 +129,7 @@ def test_code_solution_round_trip():
     assert NetworkParams(h=4, r=6, alpha=3, ell=2, epsilon=1).code_params(3) == (12, 6, 3, 3)
     # the row spaces of the coding matrices form the network's covering code
     code = CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2,
-                        codewords=tuple(SubspaceQ(m.field, m.cols, m.data) for m in sol.matrices))
+                        codewords=np.array([m.rref()[0].data for m in sol.matrices]))
     ok, _ = is_covering_code(code)
     assert ok
     back = solution_from_code(code, THREE_LINE, 1)

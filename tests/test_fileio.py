@@ -71,7 +71,9 @@ def test_matrix_errors_carry_line_numbers(text, line):
 def test_code_round_trip():
     code = covering_code_from_mrd(3, 1, 1, 2, 2)
     back = parse_code(render_code(code))
-    assert back == code
+    assert (back.field, back.n, back.k, back.delta, back.alpha) == \
+        (code.field, code.n, code.k, code.delta, code.alpha)
+    assert np.array_equal(back.codewords, code.codewords)
     ok, _ = is_covering_code(back)
     assert ok
 
@@ -98,6 +100,18 @@ def test_code_errors_carry_line_numbers(text, line, message):
         parse_code(text)
     assert err.value.line == line
     assert str(err.value) == f"{message} (line {line})"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("-3 0 1 2 2 2\n", "bad ambient/dimension pair (n=-3, k=0)"),
+    ("3 -1 1 2 2 2\n", "bad ambient/dimension pair (n=3, k=-1)"),
+    ("3 4 1 2 2 1\n1 0 0\n", "bad ambient/dimension pair (n=3, k=4)"),
+], ids=["negative-n", "negative-k", "k-above-n"])
+def test_code_bad_dimensions_point_at_header(text, message):
+    # the header shapes the code's array, so it is refused before any block
+    with pytest.raises(FileFormatError) as err:
+        parse_code(text)
+    assert str(err.value) == f"{message} (line 1)"
 
 
 def test_code_negative_count_points_at_header():

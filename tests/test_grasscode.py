@@ -1,8 +1,9 @@
 """Covering Grassmannian codes: enumeration, verification, exhaustive search."""
 
 import sys
+import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -18,7 +19,7 @@ from gcnet.grasscode import (
     max_covering_code,
     proven_upper,
 )
-from gcnet.linalg import MatrixQ, SubspaceQ, gaussian_binomial, random_matrix, span_dim
+from gcnet.linalg import MatrixQ, gaussian_binomial, random_matrix, rref_of_array, span_dim
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -29,16 +30,44 @@ def test_enumeration_order_is_pivot_then_counter():
     # pivot column sets in lexicographic order, free entries counted
     # row-major in base q
     lines = enumerate_grassmannian(2, 1, F2)
-    assert [s.basis for s in lines] == [((1, 0),), ((1, 1),), ((0, 1),)]
+    assert lines.tolist() == [[[1, 0]], [[1, 1]], [[0, 1]]]
 
 
 @pytest.mark.parametrize("n,k,q", [(3, 1, 2), (4, 2, 2), (4, 2, 3), (5, 3, 2), (4, 0, 2), (3, 3, 2)])
 def test_enumeration_count_matches_q_binomial(n, k, q):
     field = field_from_size(q)
     subs = enumerate_grassmannian(n, k, field)
-    assert len(subs) == gaussian_binomial(n, k, q)
-    assert len(set(subs)) == len(subs)
-    assert all(s.dim == k for s in subs)
+    assert subs.shape == (gaussian_binomial(n, k, q), k, n)
+    assert len({s.tobytes() for s in subs}) == len(subs)
+    assert all(MatrixQ(field, s).rank() == k for s in subs)
+
+
+def reference_grassmannian(n, k, field):
+    """Brute force: the reduced form of every rank-k ``k x n`` matrix,
+    without repeats, sorted by pivot columns and then by the entries
+    off the pivot columns, read row-major."""
+    found = {}
+    for entries in product(range(field.q), repeat=k * n):
+        rows, pivots = rref_of_array(np.array(entries, dtype=np.int16).reshape(k, n), field)
+        if len(pivots) == k:
+            free = tuple(row[j] for row in rows for j in range(n) if j not in pivots)
+            found[pivots, free] = rows
+    return np.array([found[key] for key in sorted(found)], dtype=np.int16).reshape(len(found), k, n)
+
+
+@pytest.mark.parametrize("n,k,q", [(5, 2, 2), (4, 2, 3), (3, 1, 4), (4, 0, 2), (4, 4, 2), (6, 3, 2)])
+def test_enumeration_matches_the_brute_force_order(n, k, q):
+    field = field_from_size(q)
+    assert np.array_equal(enumerate_grassmannian(n, k, field), reference_grassmannian(n, k, field))
+
+
+def test_enumeration_of_a_large_grassmannian_is_fast():
+    # G_2(9, 3) has 788 035 subspaces, filled block by block from counters
+    start = time.perf_counter()
+    subs = enumerate_grassmannian(9, 3, F2)
+    assert time.perf_counter() - start < 1.0
+    assert subs.shape == (788035, 3, 9)
+    assert np.array_equal(subs[[0, -1]], [np.eye(9, dtype=int)[:3], np.eye(9, dtype=int)[6:]])
 
 
 def test_enumeration_cap():
@@ -50,16 +79,27 @@ def test_enumeration_cap():
         enumerate_grassmannian(20, 1, F2)
 
 
-def one_dim(field, vec):
-    return SubspaceQ(field, len(vec), [vec])
+def canonical(field, k, rows):
+    """The canonical basis, shape ``(k, n)``, of the span of the rows of
+    the 2-d ``rows``, which is at most k-dimensional: the rows padded
+    with k zero rows, reduced, and cut to their first k."""
+    rows = np.asarray(rows)
+    padded = np.vstack([rows, np.zeros((k, rows.shape[1]), dtype=rows.dtype)])
+    return MatrixQ(field, padded).rref()[0].data[:k]
+
+
+def one_dim(field, vec, k=1):
+    return canonical(field, k, [vec])
+
+
+def dim(word):
+    return int(np.count_nonzero(word.any(axis=1)))
 
 
 def test_is_covering_code_accepts_spread():
     # the three lines of GF(2)^2: every pair spans the plane
-    code = CoveringCode(
-        field=F2, n=2, k=1, delta=1, alpha=2,
-        codewords=tuple(enumerate_grassmannian(2, 1, F2)),
-    )
+    code = CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2,
+                        codewords=enumerate_grassmannian(2, 1, F2))
     ok, witness = is_covering_code(code)
     assert ok and witness is None
 
@@ -67,7 +107,7 @@ def test_is_covering_code_accepts_spread():
 def test_is_covering_code_reports_worst_witness():
     e1 = one_dim(F2, [1, 0, 0])
     code = CoveringCode(field=F2, n=3, k=1, delta=1, alpha=2,
-                        codewords=(e1, e1, one_dim(F2, [0, 1, 0])))
+                        codewords=np.array([e1, e1, one_dim(F2, [0, 1, 0])]))
     ok, witness = is_covering_code(code)
     assert not ok
     assert witness.indices == (0, 1)
@@ -78,9 +118,32 @@ def test_is_covering_code_reports_worst_witness():
 def test_is_covering_code_domain_errors():
     e1 = one_dim(F2, [1, 0])
     with pytest.raises(ValueError):
-        is_covering_code(CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=(e1,)))
+        is_covering_code(CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=[e1]))
     with pytest.raises(ValueError):
-        is_covering_code(CoveringCode(field=F2, n=2, k=1, delta=2, alpha=2, codewords=(e1, e1)))
+        is_covering_code(CoveringCode(field=F2, n=2, k=1, delta=2, alpha=2, codewords=[e1, e1]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0, 0]],  # a line under a pivot of 2
+    [[2, 0, 0], [0, 1, 0]],  # a plane under a pivot of 2
+    [[1, 1, 0], [0, 1, 0]],  # a pivot column not cleared above
+    [[1, 0, 2], [1, 0, 0]],  # a pivot column not cleared below
+    [[0, 1, 0], [1, 0, 0]],  # pivots falling
+    [[0, 0, 0], [1, 0, 0]],  # a zero row first
+], ids=["line", "pivot-2", "above", "below", "falling", "zero-first"])
+def test_verifier_refuses_one_subspace_in_two_bases(rows):
+    # the rows span the subspace that the other codeword holds in
+    # canonical form: grouped by rows, the two would count as distinct,
+    # while two copies of one subspace span less than delta + k
+    word = np.array(rows)
+    k = len(rows)
+    same = canonical(F3, k, word)
+    assert not np.array_equal(word, same) and dim(same) == MatrixQ(F3, word).rank()
+    code = CoveringCode(field=F3, n=3, k=k, delta=1, alpha=2, codewords=np.array([same, word]))
+    with pytest.raises(ValueError, match="not canonical"):
+        is_covering_code(code)
+    twice = CoveringCode(field=F3, n=3, k=k, delta=1, alpha=2, codewords=np.array([same, same]))
+    assert is_covering_code(twice)[0] is False
 
 
 def reference_worst_witness(code):
@@ -88,7 +151,7 @@ def reference_worst_witness(code):
     keeping the least (achieved_dim, indices) among those that fall
     short."""
     need = code.delta + code.k
-    spans = [(span_dim([code.codewords[i] for i in sel]), sel)
+    spans = [(span_dim([code.codewords[i] for i in sel], code.field), sel)
              for sel in combinations(range(code.size), code.alpha)]
     short = [(got, sel) for got, sel in spans if got < need]
     if not short:
@@ -115,15 +178,15 @@ def random_code(rng, field, alpha):
         if words and pick < 0.4:
             src = words[int(rng.integers(len(words)))]
             rows = zero
-            if src.dim:
-                mix = random_matrix(field, int(rng.integers(1, src.dim + 2)), src.dim, rng)
-                rows = (mix @ MatrixQ(field, src.basis_array())).data
+            if dim(src):
+                mix = random_matrix(field, int(rng.integers(1, dim(src) + 2)), dim(src), rng)
+                rows = (mix @ MatrixQ(field, src[:dim(src)])).data
         elif pick < 0.5:
             rows = zero
         else:
             rows = random_matrix(field, k if fresh_only else int(rng.integers(1, k + 1)), n, rng).data
-        words.append(SubspaceQ(field, n, rows))
-    return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=tuple(words))
+        words.append(canonical(field, k, rows))
+    return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=np.array(words))
 
 
 @pytest.mark.parametrize("alpha", [2, 3, 4])
@@ -137,10 +200,10 @@ def test_is_covering_code_matches_per_subset_reference(q, alpha):
         verdict = is_covering_code(code)
         assert verdict == reference_worst_witness(code)
         words = code.codewords
-        dims = [c.dim for c in words]
+        dims = [dim(c) for c in words]
         need = code.delta + code.k
         seen.add("passes" if verdict[0] else "fails")
-        if len(set(words)) < len(words):
+        if len({c.tobytes() for c in words}) < len(words):
             seen.add("repeat")
         if min(dims) < code.k:
             seen.add("below k")
@@ -150,7 +213,7 @@ def test_is_covering_code_matches_per_subset_reference(q, alpha):
             seen.add("mixed around need - 1")
         if code.delta >= 2:
             seen.add("delta >= 2")
-        if any(a.dim < b.dim and span_dim([a, b]) == b.dim for a in words for b in words):
+        if any(dim(a) < dim(b) and span_dim([a, b], field) == dim(b) for a in words for b in words):
             seen.add("nested")
     assert seen >= {"passes", "fails", "repeat", "below k", "dimension 0",
                     "mixed around need - 1", "delta >= 2", "nested"}
@@ -165,10 +228,11 @@ def test_repeated_codewords_of_one_dimension_match_the_scan(q, alpha):
     rng = np.random.default_rng(100 * q + alpha)
     seen = set()
     for d, delta in [(2, 1), (2, 0), (1, 0)]:
-        pool = enumerate_grassmannian(4, d, field)
+        # the d-dimensional subspaces, padded to k = 2 rows
+        pool = np.pad(enumerate_grassmannian(4, d, field), ((0, 0), (0, 2 - d), (0, 0)))
         for _ in range(15):
             picks = rng.choice(len(pool), size=3, replace=False)
-            words = tuple(pool[picks[j]] for j in rng.integers(0, 3, size=rng.integers(alpha, 9)))
+            words = pool[picks[rng.integers(0, 3, size=rng.integers(alpha, 9))]]
             code = CoveringCode(field=field, n=4, k=2, delta=delta, alpha=alpha, codewords=words)
             verdict = is_covering_code(code)
             assert verdict == reference_worst_witness(code)
@@ -176,7 +240,7 @@ def test_repeated_codewords_of_one_dimension_match_the_scan(q, alpha):
                 seen.add(("fails", d))
                 if verdict[1].indices[0] > 0:
                     seen.add("witness after the first codeword")
-            elif len(set(words)) < len(words):
+            elif len({c.tobytes() for c in words}) < len(words):
                 seen.add(("repeats pass", delta))
     assert seen >= {("fails", 2), ("fails", 1), ("repeats pass", 0),
                     "witness after the first codeword"}
@@ -213,9 +277,9 @@ def test_is_covering_code_tells_selections_apart_at_a_large_alpha():
     # out of 31, and the one without the line off the plane must not
     # share a rank with those that hold it
     lines = enumerate_grassmannian(3, 1, F2)
-    plane = [c for c in lines if span_dim([c, lines[0], lines[1]]) == 2]
-    off = next(c for c in lines if c not in plane)
-    words = (off,) + tuple(plane[i % 3] for i in range(31))
+    in_plane = np.array([span_dim([c, lines[0], lines[1]], F2) == 2 for c in lines])
+    plane = lines[in_plane]
+    words = np.concatenate([lines[~in_plane][:1], plane[np.arange(31) % 3]])
     code = CoveringCode(field=F2, n=3, k=1, delta=2, alpha=31, codewords=words)
     assert is_covering_code(code) == reference_worst_witness(code)
     assert is_covering_code(code)[1].indices == tuple(range(1, 32))
@@ -265,15 +329,14 @@ def test_delta_one_verifier_ranks_only_selections_with_the_lower_codeword(rank_c
     field = field_from_size(3)
     planes = enumerate_grassmannian(4, 2, field)
     rng = np.random.default_rng(alpha)
-    line = one_dim(field, [1, 1, 0, 2])
+    line = one_dim(field, [1, 1, 0, 2], k=2)
     for place in (0, 3, 7):
-        words = [planes[i] for i in rng.integers(0, 6, size=7)]
-        words.insert(place, line)
-        code = CoveringCode(field=field, n=4, k=2, delta=1, alpha=alpha, codewords=tuple(words))
+        words = np.insert(planes[rng.integers(0, 6, size=7)], place, line, axis=0)
+        code = CoveringCode(field=field, n=4, k=2, delta=1, alpha=alpha, codewords=words)
         rank_calls.clear()
         verdict = is_covering_code(code)
         assert 0 < len(rank_calls) <= comb(code.size - 1, alpha - 1)
-        assert all(list(line.basis[0]) in rows for rows in rank_calls)
+        assert all(line[0].tolist() in rows for rows in rank_calls)
         assert verdict == reference_worst_witness(code)
 
 
@@ -286,7 +349,8 @@ def test_memo_hands_the_kernel_rows_by_n_columns(rank_calls):
     # the zero subspace, a line and planes makes the memo stack all three
     field = field_from_size(3)
     planes = enumerate_grassmannian(4, 2, field)
-    words = (SubspaceQ(field, 4, []), one_dim(field, [1, 2, 0, 1]), planes[0], planes[5], planes[9])
+    words = np.array([np.zeros((2, 4), dtype=np.int16), one_dim(field, [1, 2, 0, 1], k=2),
+                      planes[0], planes[5], planes[9]])
     code = CoveringCode(field=field, n=4, k=2, delta=2, alpha=3, codewords=words)
     assert is_covering_code(code) == reference_worst_witness(code)
     assert rank_calls and _stacks_n_columns(rank_calls, 4)
@@ -295,18 +359,10 @@ def test_memo_hands_the_kernel_rows_by_n_columns(rank_calls):
     assert rank_calls and _stacks_n_columns(rank_calls, 4)
 
 
-def test_delta_one_search_stays_small(monkeypatch):
+def test_delta_one_search_stays_small():
     # a level reads its parent's list, so the dive through 2850 planes
-    # holds no copy per level and builds no basis array
+    # holds no copy per level
     field = field_from_size(7)
-    calls = []
-    basis_array = SubspaceQ.basis_array
-
-    def counting(self):
-        calls.append(self)
-        return basis_array(self)
-
-    monkeypatch.setattr(SubspaceQ, "basis_array", counting)
     tracemalloc.start()
     try:
         result = max_covering_code(4, 2, 1, 2, field)
@@ -315,7 +371,6 @@ def test_delta_one_search_stays_small(monkeypatch):
         tracemalloc.stop()
     assert (result.size, result.nodes, result.certified_by) == (2850, 2850, "bound:multiplicity")
     assert peak < 4 * 2**20
-    assert calls == []
 
 
 def test_verifier_shares_spans_between_repeated_codewords(rank_calls):
@@ -339,7 +394,7 @@ def test_verifier_builds_only_the_multisets_the_code_holds(rank_calls):
     # the 31 points of PG(4, 2) once each at alpha = 30: the code holds
     # 31 multisets of 30 points, although 30 picks from 31 points with
     # repetition number C(60, 30)
-    points = tuple(enumerate_grassmannian(5, 1, F2))
+    points = enumerate_grassmannian(5, 1, F2)
     code = CoveringCode(field=F2, n=5, k=1, delta=2, alpha=30, codewords=points)
     assert is_covering_code(code) == (True, None)
     assert len(rank_calls) == 31
@@ -351,17 +406,18 @@ def test_verifier_ranks_exactly_the_multisets_that_hold_the_lower_codeword(rank_
     # delta = 1: every multiset without the line is decided by the groups
     # of equal planes, and each multiset with it is ranked once
     planes = enumerate_grassmannian(4, 2, F2)
-    line = one_dim(F2, [1, 0, 1, 1])
-    words = tuple(planes[i] for i in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]) + (line,)
+    line = one_dim(F2, [1, 0, 1, 1], k=2)
+    words = np.concatenate([planes[[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]], [line]])
     code = CoveringCode(field=F2, n=4, k=2, delta=1, alpha=alpha, codewords=words)
-    ids = {c: i for i, c in enumerate(dict.fromkeys(words))}
-    holding = {tuple(sorted(ids[words[i]] for i in sel))
+    keys = [c.tobytes() for c in code.codewords]
+    ids = {c: i for i, c in enumerate(dict.fromkeys(keys))}
+    holding = {tuple(sorted(ids[keys[i]] for i in sel))
                for sel in combinations(range(code.size), alpha) if code.size - 1 in sel}
     expected = reference_worst_witness(code)
     rank_calls.clear()
     assert is_covering_code(code) == expected
     assert len(rank_calls) == len(holding)
-    assert all(list(line.basis[0]) in rows for rows in rank_calls)
+    assert all(line[0].tolist() in rows for rows in rank_calls)
 
 
 def test_max_code_binary_line_cases():
@@ -390,7 +446,7 @@ def test_max_code_multiset_duplicates():
     assert result.exact
     ok, _ = is_covering_code(result.code)
     assert ok
-    distinct = set(result.code.codewords)
+    distinct = {c.tobytes() for c in result.code.codewords}
     assert len(distinct) == 3 and len(result.code.codewords) == 6
 
 
@@ -435,7 +491,7 @@ def test_max_code_found_code_verifies():
     # every pair of planes spans >= 3 dimensions
     for i, a in enumerate(result.code.codewords):
         for b in result.code.codewords[i + 1:]:
-            assert span_dim([a, b]) >= 3
+            assert span_dim([a, b], F2) >= 3
 
 
 def unpruned_max(n, k, delta, alpha, field):
@@ -449,7 +505,7 @@ def unpruned_max(n, k, delta, alpha, field):
     def spans_enough(sel):
         key = frozenset(sel)
         if key not in dims:
-            dims[key] = span_dim([cands[i] for i in key])
+            dims[key] = span_dim([cands[i] for i in key], field)
         return dims[key] >= need
 
     best = 0
@@ -481,7 +537,7 @@ def test_max_code_matches_unpruned_reference(n, k, delta, alpha, q):
     assert result.size == unpruned_max(n, k, delta, alpha, field)
     assert proven_upper(n, k, delta, alpha, q)[0] >= result.size
     # the first codeword is fixed to candidate 0
-    assert result.code.codewords[0] == enumerate_grassmannian(n, k, field)[0]
+    assert np.array_equal(result.code.codewords[0], enumerate_grassmannian(n, k, field)[0])
     if result.size >= alpha:
         assert is_covering_code(result.code)[0]
 
@@ -517,7 +573,7 @@ def test_proven_upper_holds_where_the_search_finishes(monkeypatch, point):
     assert upper[0] >= full.size
     # the best code is replaced only by a larger one, so the search that
     # meets the bound stops with the code the finished tree returns
-    assert stopped.exact and stopped.code == full.code
+    assert stopped.exact and np.array_equal(stopped.code.codewords, full.code.codewords)
     assert stopped.nodes <= full.nodes
 
 
@@ -604,6 +660,10 @@ def test_max_code_domain_errors():
 def test_covering_code_validation():
     e1 = one_dim(F2, [1, 0])
     with pytest.raises(ValueError):
-        CoveringCode(field=F2, n=2, k=1, delta=1, alpha=1, codewords=(e1, e1))
+        CoveringCode(field=F2, n=2, k=1, delta=1, alpha=1, codewords=[e1, e1])
     with pytest.raises(ValueError):
-        CoveringCode(field=F2, n=3, k=1, delta=1, alpha=2, codewords=(e1, e1))
+        CoveringCode(field=F2, n=3, k=1, delta=1, alpha=2, codewords=[e1, e1])
+    with pytest.raises(ValueError):
+        CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=[e1, [[0, 2]]])
+    code = CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=[e1, e1])
+    assert code.codewords.dtype == np.int16 and not code.codewords.flags.writeable

@@ -9,9 +9,9 @@ import pytest
 
 from gcnet.bounds import EXACT_LIMIT
 from gcnet.ffield import comb_exceeds, field_from_size, power_exceeds
+from gcnet.grasscode import CoveringCode
 from gcnet.linalg import (
     MatrixQ,
-    SubspaceQ,
     count_rank_matrices,
     dual,
     gaussian_binomial,
@@ -57,11 +57,12 @@ def test_matrix_construction_and_validation():
     ids=["wraps-to-1", "int16-overflow", "float", "negative", "above-q"],
 )
 def test_matrix_and_subspace_reject_entries_outside_the_field(data):
-    # checked on the values given, before the int16 cast could alter them
+    # checked on the values given, before the int16 cast could alter them;
+    # a subspace is a codeword of a code's array
     with pytest.raises(ValueError):
         MatrixQ(F2, data)
     with pytest.raises(ValueError):
-        SubspaceQ(F2, 2, data)
+        CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=[data, [[1, 0]]])
     with pytest.raises(ValueError):
         MatrixQ(F2, np.array(data))
 
@@ -199,7 +200,7 @@ def test_gaussian_binomial_counts_subspaces():
     for bits in itertools.product(range(2), repeat=8):
         m = MatrixQ(F2, np.array(bits, dtype=np.int16).reshape(2, 4))
         if m.rank() == 2:
-            seen.add(SubspaceQ(m.field, m.cols, m.data))
+            seen.add(m.rref()[0])
     assert len(seen) == gaussian_binomial(4, 2, 2)
 
 
@@ -224,47 +225,38 @@ def test_rank_count_partition(q):
 
 
 def test_subspace_canonical_form():
-    s1 = SubspaceQ(F2, 3, [[1, 1, 0], [0, 1, 1]])
-    s2 = SubspaceQ(F2, 3, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
-    assert s1 == s2
-    assert s1.dim == 2
-    assert hash(s1) == hash(s2)
+    # two generating sets of one plane, the second with a third row
+    s1, _ = MatrixQ(F2, [[1, 1, 0], [0, 1, 1]]).rref()
+    s2, _ = MatrixQ(F2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]]).rref()
+    assert s1.data.tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert s2.data.tolist() == s1.data.tolist() + [[0, 0, 0]]
     # (1, 0, 1) lies in the plane and (1, 0, 0) does not
-    assert span_dim([s1, SubspaceQ(F2, 3, [[1, 0, 1]])]) == 2
-    assert span_dim([s1, SubspaceQ(F2, 3, [[1, 0, 0]])]) == 3
-    zero = SubspaceQ(F2, 3, [])
-    assert zero.dim == 0 and zero.basis == ()
-    assert SubspaceQ(F2, 3, [[0, 0, 0]]) == zero
-
-
-def test_subspace_ordering_is_total():
-    subs = set()
-    for bits in itertools.product(range(2), repeat=6):
-        subs.add(SubspaceQ(F2, 3, np.array(bits, dtype=np.int16).reshape(2, 3)))
-    ordered = sorted(subs)
-    assert len(ordered) == len(subs)
-    for a, b in zip(ordered, ordered[1:]):
-        assert a.sort_key() < b.sort_key()
+    assert span_dim([s1.data, [[1, 0, 1]]], F2) == 2
+    assert span_dim([s1.data, [[1, 0, 0]]], F2) == 3
+    zero, pivots = MatrixQ(F2, [[0, 0, 0]]).rref()
+    assert zero.data.tolist() == [[0, 0, 0]] and pivots == ()
+    with pytest.raises(ValueError):
+        span_dim([], F2)
 
 
 def test_span_and_intersection_dims():
-    e1 = SubspaceQ(F2, 4, [[1, 0, 0, 0]])
-    e2 = SubspaceQ(F2, 4, [[0, 1, 0, 0]])
-    plane = SubspaceQ(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert span_dim([e1, e2]) == 2
-    assert span_dim([e1, e1]) == 1
+    e1 = np.array([[1, 0, 0, 0]])
+    e2 = np.array([[0, 1, 0, 0]])
+    plane = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert span_dim([e1, e2], F2) == 2
+    assert span_dim([e1, e1], F2) == 1
     # dim(U^W) = dim U + dim W - dim(U+W): e1 lies in the plane, e2 meets e1 in 0
-    assert span_dim([e1, plane]) == 2
-    assert span_dim([e1, e2]) == e1.dim + e2.dim
-    # the span of two row spaces is the row space of their stacked
-    # generators, on a seeded sweep
+    assert span_dim([e1, plane], F2) == 2
+    assert span_dim([e1, e2], F2) == span_dim([e1], F2) + span_dim([e2], F2)
+    # the span of two row spaces is the rank of their stacked generators,
+    # and a zero row changes neither, on a seeded sweep
     rng = np.random.default_rng(21)
     for _ in range(30):
         a = random_matrix(F3, 2, 4, rng)
         b = random_matrix(F3, 2, 4, rng)
-        u = SubspaceQ(F3, 4, a.data)
-        w = SubspaceQ(F3, 4, b.data)
-        assert span_dim([u, w]) == MatrixQ(F3, np.vstack([a.data, b.data])).rank()
+        expect = MatrixQ(F3, np.vstack([a.data, b.data])).rank()
+        assert span_dim([a.data, b.data], F3) == expect
+        assert span_dim([a.rref()[0].data, np.zeros((1, 4), dtype=np.int16), b.data], F3) == expect
 
 
 def test_null_space_annuls_matrix():
@@ -283,22 +275,24 @@ def test_dual_is_involution_on_all_planes():
     for bits in itertools.product(range(2), repeat=8):
         m = MatrixQ(F2, np.array(bits, dtype=np.int16).reshape(2, 4))
         if m.rank() == 2:
-            planes.add(SubspaceQ(m.field, m.cols, m.data))
+            planes.add(m.rref()[0])
     assert len(planes) == 35
     for s in planes:
-        d = dual(s)
-        assert d.dim == 2
-        assert dual(d) == s
+        d = dual(s.data, F2)
+        assert d.shape == (2, 4)
+        assert MatrixQ(F2, d).rref()[0].data.tolist() == d.tolist()
+        assert np.array_equal(dual(d, F2), s.data)
         # every pairing of basis vectors is orthogonal
-        prod = MatrixQ(s.field, s.basis_array()) @ MatrixQ(d.field, d.basis_array()).transpose()
+        prod = s @ MatrixQ(F2, d).transpose()
         assert prod.rank() == 0
 
 
 def test_dual_of_trivial_spaces():
-    zero = SubspaceQ(F3, 3, [])
-    assert dual(zero).dim == 3
-    full = SubspaceQ(F3, 3, np.eye(3, dtype=np.int16))
-    assert dual(full).dim == 0
+    zero = np.zeros((1, 3), dtype=np.int16)
+    assert np.array_equal(dual(zero, F3), np.eye(3))
+    assert np.array_equal(dual(np.zeros((0, 3), dtype=np.int16), F3), np.eye(3))
+    full = np.eye(3, dtype=np.int16)
+    assert dual(full, F3).shape == (0, 3)
 
 
 def test_solve_exact_round_trip():

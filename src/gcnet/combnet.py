@@ -5,9 +5,10 @@ fed by ``ell`` parallel links each, and one receiver per ``alpha``-subset
 of middle nodes; a receiver sees the ``alpha * ell`` links of its middle
 nodes plus ``epsilon`` direct links from the source.  A ``(q, t)``-linear
 solution assigns to middle node ``i`` a coding matrix ``A_i`` of shape
-``(ell*t, h*t)`` over GF(q); it is valid when every receiver's stacked
-coding matrix has rank at least ``(h - epsilon) * t``; its direct links,
-unit vectors read off one echelon pass per receiver, complete decoding.
+``(ell*t, h*t)`` over GF(q), row ``i`` of one ``(r, ell*t, h*t)``
+array; it is valid when every receiver's stacked coding matrix has rank
+at least ``(h - epsilon) * t``; its direct links, unit vectors read off
+one echelon pass per receiver, complete decoding.
 
 Solutions correspond exactly to covering subspace codes: the row spaces
 of valid ``A_i`` form a code in G_q(h*t, ell*t) in which every ``alpha``
@@ -32,7 +33,7 @@ import numpy as np
 from .ffield import ORDER_LIMIT, FieldSpec, comb_exceeds, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
 from . import grasscode, linalg
-from .linalg import MatrixQ, product_of_arrays, ranks_of_selections, rref_of_array
+from .linalg import MatrixQ, element_array, product_of_arrays, ranks_of_selections, rref_of_array
 
 
 class SolvabilityClass(enum.Enum):
@@ -77,7 +78,10 @@ class NetworkParams:
     def code_params(self, t: int) -> tuple[int, int, int, int]:
         """``(n, k, delta, alpha)`` of the covering codes that are the
         (q, t)-linear solutions: ambient ``h*t``, dimension ``ell*t``,
-        surplus ``(h - ell - epsilon) * t`` and the same ``alpha``."""
+        surplus ``(h - ell - epsilon) * t`` and the same ``alpha``.
+        Raises ValueError for a blocklength ``t`` below 1."""
+        if t < 1:
+            raise ValueError("blocklength t must be >= 1")
         return self.h * t, self.ell * t, (self.h - self.ell - self.epsilon) * t, self.alpha
 
 
@@ -90,29 +94,25 @@ def classify(params: NetworkParams) -> SolvabilityClass:
     return SolvabilityClass.NONTRIVIAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSolution:
-    """Middle-node coding matrices for a network at blocklength ``t``."""
+    """Middle-node coding matrices for a network at blocklength ``t``.
+
+    ``matrices`` is a read-only ``(r, ell*t, h*t)`` int16 array, row
+    ``i`` the coding matrix of middle node ``i``; storage checks the
+    blocklength, the shape and that every entry lies in GF(q).
+    Solutions compare by identity.
+    """
 
     params: NetworkParams
     field: FieldSpec
     t: int
-    matrices: tuple[MatrixQ, ...]
+    matrices: np.ndarray
 
     def __post_init__(self):
-        p = self.params
-        if self.t < 1:
-            raise ValueError("blocklength t must be >= 1")
-        if len(self.matrices) != p.r:
-            raise ValueError(f"expected {p.r} coding matrices, got {len(self.matrices)}")
-        want = (p.ell * self.t, p.h * self.t)
-        for i, a in enumerate(self.matrices):
-            if a.field != self.field:
-                raise ValueError(f"matrix {i} is over the wrong field")
-            if (a.rows, a.cols) != want:
-                raise ValueError(
-                    f"matrix {i} has shape {a.rows}x{a.cols}, expected {want[0]}x{want[1]}"
-                )
+        n, k, _, _ = self.params.code_params(self.t)
+        object.__setattr__(self, "matrices",
+                           element_array(self.field, self.matrices, (self.params.r, k, n)))
 
     @cached_property
     def decoder_plan(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,9 +148,8 @@ def verify_solution(sol: LinearSolution) -> tuple[bool, Optional[tuple[int, ...]
     Raises ValueError on UNSOLVABLE parameters.
     """
     need = _need(sol.params, sol.t)
-    coding = np.stack([a.data for a in sol.matrices])
     subsets = np.array(sol.params.receivers(), dtype=np.intp)
-    short = np.flatnonzero(ranks_of_selections(coding, subsets, sol.field) < need)
+    short = np.flatnonzero(ranks_of_selections(sol.matrices, subsets, sol.field) < need)
     if short.size:
         return False, tuple(subsets[short[0]].tolist())
     return True, None
@@ -171,8 +170,7 @@ def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> Lin
         raise ValueError(f"code parameters {got} do not match the network's {want}")
     if code.size != p.r:
         raise ValueError(f"need exactly r={p.r} codewords, got {code.size}")
-    return LinearSolution(params=p, field=code.field, t=t,
-                          matrices=tuple(MatrixQ(code.field, m) for m in code.codewords))
+    return LinearSolution(params=p, field=code.field, t=t, matrices=code.codewords)
 
 
 def _receiver_decoders(sol: LinearSolution):
@@ -201,9 +199,8 @@ def _receiver_decoders(sol: LinearSolution):
     need = _need(p, sol.t)
     n, a_rows, e = p.h * sol.t, p.alpha * p.ell * sol.t, p.epsilon * sol.t
     ident = np.eye(a_rows, dtype=np.int16)
-    coding = np.stack([m.data for m in sol.matrices])
     for subset in p.receivers():
-        a = coding[list(subset)].reshape(a_rows, n)
+        a = sol.matrices[list(subset)].reshape(a_rows, n)
         red, pivots = rref_of_array(np.hstack([a[:, ::-1], ident]), sol.field)
         rho = sum(c < n for c in pivots)
         if rho < need:
@@ -215,16 +212,9 @@ def _receiver_decoders(sol: LinearSolution):
         b[links, picked] = 1
         d = np.zeros((n, a_rows + e), dtype=np.int16)
         d[picked, a_rows + links] = 1
-        red = np.array(red, dtype=np.int16)[:rho]
-        d[ends, :a_rows] = red[:, n:]
-        d[ends[:, None], a_rows + links] = sol.field.neg_table[red[:, n - 1 - picked]]
+        d[ends, :a_rows] = red[:rho, n:]
+        d[ends[:, None], a_rows + links] = sol.field.neg_table[red[:rho, n - 1 - picked]]
         yield a, b, d
-
-
-def derive_direct_link_matrices(sol: LinearSolution) -> list[MatrixQ]:
-    """Each receiver's ``(epsilon*t, h*t)`` direct-link matrix, in
-    ``receivers()`` order; raises as ``_receiver_decoders`` does."""
-    return [MatrixQ(sol.field, b) for _, b, _ in _receiver_decoders(sol)]
 
 
 def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:
@@ -239,7 +229,7 @@ def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:
     solution is invalid.
     """
     p = sol.params
-    if (messages.rows, messages.cols) != (p.h, sol.t):
+    if messages.data.shape != (p.h, sol.t):
         raise ValueError(f"messages must be {p.h}x{sol.t}")
     if messages.field != sol.field:
         raise ValueError("messages are over the wrong field")
@@ -265,38 +255,37 @@ def random_solution_search(
     one ``ranks_of_selections`` call; a block holds at most
     ``linalg.CHUNK_ENTRIES`` receiver entries, one trial at least, and no
     block draws past ``trials``.
-    The first verifying trial in order is wrapped and returned.  Returns
+    The first verifying trial's draw, in order, becomes the returned
+    solution's array, the one draw that is validated and cast.  Returns
     None after ``trials`` draws (absence is an outcome, not an error).
     Raises ValueError, before any draw, for a blocklength ``t`` below 1,
     for a trial of more than ``grasscode.ENUMERATION_LIMIT`` entries and
     for more receivers than ``NetworkParams.receivers`` lists.
     """
-    if t < 1:
-        raise ValueError("blocklength t must be >= 1")
+    n, k, _, _ = params.code_params(t)
     if classify(params) is not SolvabilityClass.NONTRIVIAL:
         raise ValueError("random search expects a NONTRIVIAL network")
     p = params
-    entries = p.r * p.ell * t * p.h * t
+    entries = p.r * k * n
     if entries > grasscode.ENUMERATION_LIMIT:
         raise ValueError(f"one trial draws {entries} entries, above the cap "
                          f"{grasscode.ENUMERATION_LIMIT}")
     need = _need(p, t)
     subsets = np.array(p.receivers(), dtype=np.intp)
-    most = linalg.items_per_pass(subsets.size * p.ell * t * p.h * t)
+    most = linalg.items_per_pass(subsets.size * k * n)
     trial, block = 0, 1
     while trial < trials:
         count = min(block, most, trials - trial)
         codings = np.stack([
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            .integers(0, field.q, size=(p.r, p.ell * t, p.h * t), dtype=np.int64)
+            .integers(0, field.q, size=(p.r, k, n), dtype=np.int64)
             for i in range(trial, trial + count)])
         # receiver j of trial i is blocks subsets[j] + i*r of the flattened codings
         pairs = (subsets + p.r * np.arange(count)[:, None, None]).reshape(-1, p.alpha)
-        ranks = ranks_of_selections(codings.reshape(-1, p.ell * t, p.h * t), pairs, field)
+        ranks = ranks_of_selections(codings.reshape(-1, k, n), pairs, field)
         passed = np.flatnonzero((ranks.reshape(count, -1) >= need).all(axis=1))
         if passed.size:
-            return LinearSolution(params=p, field=field, t=t,
-                                  matrices=tuple(MatrixQ(field, a) for a in codings[passed[0]]))
+            return LinearSolution(params=p, field=field, t=t, matrices=codings[passed[0]])
         trial += count
         block *= 2
     return None

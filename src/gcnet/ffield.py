@@ -15,8 +15,9 @@ therefore reproducible across runs and machines, and two fields of the
 same order always agree element by element.
 
 Every field carries dense NumPy lookup tables for addition,
-multiplication, negation and inversion, built once at creation; scalar
-operations and the matrix kernels index these tables directly.  At the
+multiplication, negation and inversion, built once at creation; the
+matrix kernels and the polynomial helpers index these tables directly,
+and a field has no scalar operation methods.  At the
 largest order, 1024, the two ``(q, q)`` int16 tables take 4 MiB.
 These tables are the program's one field arithmetic.  The polynomial
 helpers (``_poly_*``) serve only the modulus search; an extension
@@ -113,10 +114,10 @@ def prime_powers(limit: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Generic polynomial helpers over an arbitrary coefficient field.
+# Polynomial helpers over a coefficient field.
 #
-# ``base`` is any object with scalar ``add``, ``sub`` and ``mul`` methods
-# and a ``q`` attribute; coefficients are base-field indices and
+# ``base`` is a :class:`FieldSpec`, whose operation tables do the
+# coefficient arithmetic; coefficients are its element indices and
 # polynomials are lists ordered by ascending degree.  These helpers serve
 # only the modulus search: of a prime-power field over GF(p), and of the
 # extension GF(q^m) whose companion matrix builds a Gabidulin code over
@@ -130,21 +131,23 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mod(a: Sequence[int], mod: Sequence[int], base) -> list[int]:
+def _poly_mod(a: Sequence[int], mod: Sequence[int], base: FieldSpec) -> list[int]:
     # mod must be monic; the leading term cancels exactly each round
+    _, neg, add, mul = base.kernel_views
+    q = base.q
     rem = _poly_trim(list(a))
     dm = len(mod) - 1
     while rem and len(rem) - 1 >= dm:
-        lead = rem[-1]
+        lead = neg[rem[-1]] * q  # row of -lead in the flat product table
         shift = len(rem) - 1 - dm
         for i in range(dm + 1):
             if mod[i]:
-                rem[shift + i] = base.sub(rem[shift + i], base.mul(lead, mod[i]))
+                rem[shift + i] = add[rem[shift + i] * q + mul[lead + mod[i]]]
         _poly_trim(rem)
     return rem
 
 
-def _monic_polys(degree: int, base) -> Iterator[list[int]]:
+def _monic_polys(degree: int, base: FieldSpec) -> Iterator[list[int]]:
     # ascending integer encoding of the low coefficients
     q = base.q
     for n in range(q**degree):
@@ -153,7 +156,7 @@ def _monic_polys(degree: int, base) -> Iterator[list[int]]:
         yield coeffs
 
 
-def _is_irreducible(f: Sequence[int], base) -> bool:
+def _is_irreducible(f: Sequence[int], base: FieldSpec) -> bool:
     deg = len(f) - 1
     if deg < 1:
         return False
@@ -166,7 +169,7 @@ def _is_irreducible(f: Sequence[int], base) -> bool:
     return True
 
 
-def _smallest_irreducible(degree: int, base) -> tuple[int, ...]:
+def _smallest_irreducible(degree: int, base: FieldSpec) -> tuple[int, ...]:
     for f in _monic_polys(degree, base):
         if _is_irreducible(f, base):
             return tuple(f)
@@ -224,7 +227,6 @@ class FieldSpec:
             self.modulus = (0, 1)
         else:
             self.modulus = _smallest_irreducible(m, FieldSpec(p, 1))
-        self._weights = tuple(p**i for i in range(m))
         self._build_tables()
 
     # -- construction ------------------------------------------------------
@@ -236,7 +238,7 @@ class FieldSpec:
         digits = np.zeros((q, m), dtype=np.int32)
         for i in range(m):
             digits[:, i] = (idx // p**i) % p
-        weights = np.array(self._weights, dtype=np.int32)
+        weights = p ** np.arange(m, dtype=np.int32)
 
         # Both (q, q) tables grow one digit at a time, the new digit on
         # top: index c*p^i + low for c in GF(p) and low < p^i.  No
@@ -286,67 +288,6 @@ class FieldSpec:
         for t in tables:
             t.setflags(write=False)
         self.kernel_views = tuple(memoryview(t).cast("B").cast("h") for t in tables)
-
-    # -- element codec -----------------------------------------------------
-
-    def to_coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of ``a``, ascending degree, length ``m``."""
-        a = self.check(a)
-        return tuple((a // w) % self.p for w in self._weights)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        """Element index for a coefficient vector of length at most ``m``."""
-        if len(coeffs) > self.m:
-            raise ValueError("coefficient vector longer than the field degree")
-        return sum((c % self.p) * w for c, w in zip(coeffs, self._weights))
-
-    def elements(self) -> range:
-        """All element indices, ascending."""
-        return range(self.q)
-
-    # -- scalar operations ---------------------------------------------------
-
-    def check(self, a: int) -> int:
-        """Validate an element index and return it as a plain int."""
-        a = int(a)
-        if not 0 <= a < self.q:
-            raise ValueError(f"element {a} out of range for GF({self.q})")
-        return a
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[self.check(a), self.check(b)])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[self.check(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[self.check(a), self.check(b)])
-
-    def inv(self, a: int) -> int:
-        a = self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
-        return int(self.inv_table[a])
-
-    def pow(self, a: int, e: int) -> int:
-        """Raise ``a`` to an integer power (negative allowed for ``a != 0``)."""
-        a = self.check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
 
     @property
     def modulus_text(self) -> str:

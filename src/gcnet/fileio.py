@@ -10,7 +10,9 @@ are ignored, and every other line is whitespace-separated integers.
   code's ``(count, k, n)`` array; the parser reduces each block to it.
 - solution: header ``h r alpha ell epsilon q t`` then ``r`` matrix
   blocks, each a line ``rows cols q`` then ``rows`` lines of ``cols``
-  entries.
+  entries.  Block ``i`` is row ``i`` of the solution's
+  ``(r, ell*t, h*t)`` array; the parser reads every block, checks its
+  shape and then stacks them.
 - network parameters: a JSON object with keys h, r, alpha, ell, epsilon.
 
 Parse errors raise :class:`FileFormatError` carrying the 1-based line
@@ -25,10 +27,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .combnet import LinearSolution, NetworkParams
-from .ffield import field_from_size
+from .ffield import FieldSpec, field_from_size
 from . import grasscode, linalg
 from .grasscode import CoveringCode
-from .linalg import MatrixQ, rref_of_array
+from .linalg import rref_of_array
 
 
 class FileFormatError(ValueError):
@@ -81,11 +83,9 @@ def _format_rows(rows) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_lines(m: MatrixQ) -> list[str]:
-    return [f"{m.rows} {m.cols} {m.field.q}"] + _format_rows(m.data.tolist())
-
-
-def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
+def _parse_matrix_block(reader: _LineReader) -> tuple[FieldSpec, np.ndarray]:
+    """One block: its header's field and its entries, each checked
+    against that field, as an int16 array of the header's shape."""
     rows, cols, q = reader.next_ints(expect=3)
     if rows < 0 or cols < 0:
         raise FileFormatError("matrix shape must be non-negative", reader.pos)
@@ -101,10 +101,7 @@ def _parse_matrix_block(reader: _LineReader) -> MatrixQ:
         if any(v < 0 or v >= field.q for v in values):
             raise FileFormatError(f"matrix entries out of range for GF({field.q})", reader.pos)
         read.append(values)
-    data = np.zeros((rows, cols), dtype=np.int16)
-    for i, values in enumerate(read):
-        data[i] = values
-    return MatrixQ(field, data)
+    return field, np.array(read, dtype=np.int16).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +160,7 @@ def parse_code(text: str) -> CoveringCode:
             raise FileFormatError(
                 f"codeword {i} basis has rank {len(pivots)}, expected {k}", reader.pos
             )
-        blocks.append(np.array(red, dtype=np.int16))
+        blocks.append(red)
     if not reader.at_eof():
         raise FileFormatError("trailing content after code", reader.pos + 1)
     codewords = np.array(blocks, dtype=np.int16).reshape(count, k, n)
@@ -182,8 +179,10 @@ def render_solution(sol: LinearSolution, header: Iterable[str] = ()) -> str:
     p = sol.params
     lines = [f"# {h}" for h in header]
     lines.append(f"{p.h} {p.r} {p.alpha} {p.ell} {p.epsilon} {sol.field.q} {sol.t}")
+    _, k, n = sol.matrices.shape
     for a in sol.matrices:
-        lines.extend(_matrix_lines(a))
+        lines.append(f"{k} {n} {sol.field.q}")
+        lines.extend(_format_rows(a.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -196,16 +195,22 @@ def parse_solution(text: str) -> LinearSolution:
         field = field_from_size(q)
     except ValueError as exc:
         raise FileFormatError(str(exc), header_line) from None
-    matrices = []
+    blocks = []
     for i in range(r):
-        m = _parse_matrix_block(reader)
-        if m.field != field:
-            raise FileFormatError(f"matrix {i} is over GF({m.field.q}), expected GF({q})", reader.pos)
-        matrices.append(m)
+        block_field, block = _parse_matrix_block(reader)
+        if block_field != field:
+            raise FileFormatError(f"matrix {i} is over GF({block_field.q}), expected GF({q})",
+                                  reader.pos)
+        blocks.append(block)
     if not reader.at_eof():
         raise FileFormatError("trailing content after solution", reader.pos + 1)
     try:
-        return LinearSolution(params=params, field=field, t=t, matrices=tuple(matrices))
+        n, k, _, _ = params.code_params(t)
+        for i, block in enumerate(blocks):
+            if block.shape != (k, n):
+                rows, cols = block.shape
+                raise ValueError(f"matrix {i} has shape {rows}x{cols}, expected {k}x{n}")
+        return LinearSolution(params=params, field=field, t=t, matrices=np.stack(blocks))
     except ValueError as exc:
         raise FileFormatError(str(exc), header_line) from None
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .ffield import FieldSpec, power_exceeds
 from . import linalg
-from .linalg import gaussian_binomial, rank_of_array, ranks_of_selections
+from .linalg import element_array, gaussian_binomial, rank_of_array, ranks_of_selections
 
 #: Refuse to list more than this many items at once: the subspaces of
 #: a Grassmannian, a network's receivers, the codewords ``construct``
@@ -83,17 +83,8 @@ class CoveringCode:
             raise ValueError(f"bad ambient/dimension pair (n={self.n}, k={self.k})")
         if self.alpha < 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-        words = np.asarray(self.codewords)
-        if words.ndim != 3 or words.shape[1:] != (self.k, self.n):
-            raise ValueError(f"codewords must form a (size, {self.k}, {self.n}) array, "
-                             f"got shape {words.shape}")
-        # checked before the int16 cast, which would wrap big ints and truncate floats
-        if words.size and (words.dtype.kind not in "iu" or words.min() < 0
-                           or words.max() >= self.field.q):
-            raise ValueError(f"codeword entries must be integers in range for GF({self.field.q})")
-        words = words.astype(np.int16, copy=False).view()
-        words.setflags(write=False)
-        object.__setattr__(self, "codewords", words)
+        object.__setattr__(self, "codewords",
+                           element_array(self.field, self.codewords, (None, self.k, self.n)))
 
     @property
     def size(self) -> int:

@@ -1,13 +1,15 @@
-"""Matrices and subspaces over GF(q), with exact counting helpers.
+"""Arrays and subspaces over GF(q), with exact counting helpers.
 
-Matrices store int16 element indices in a NumPy array plus a reference
-to their field.  Products index the field's dense operation tables, and
-rank and reduced row echelon form run the table-driven elimination
-kernel in :mod:`gcnet.backend`, for every field order alike;
-``ranks_of_selections`` gathers same-shape stacks by index and ranks
-them in bounded batched passes.  The reduced form comes back as the
-kernel's Python row lists and pivot columns; no call modifies the
-arrays it is given.
+An array over GF(q) holds int16 element indices; ``element_array`` is
+the one check that makes one, for every stored format: a covering
+code's codewords, a solution's coding matrices and the ``MatrixQ``
+messages of :func:`gcnet.combnet.simulate`.  Products index the field's
+dense operation tables, and rank and reduced row echelon form run the
+table-driven elimination kernel in :mod:`gcnet.backend`, for every field
+order alike; ``ranks_of_selections`` gathers same-shape stacks by index
+and ranks them in bounded batched passes.  The reduced form comes back
+as an int16 array of its input's shape and the pivot columns; no call
+modifies the arrays it is given.
 
 A subspace of GF(q)^n of dimension at most k has one format: its
 canonical basis, the reduced row echelon form of any k generating rows,
@@ -19,7 +21,7 @@ they are equal.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -39,49 +41,41 @@ def items_per_pass(entries: int) -> int:
     return max(1, CHUNK_ENTRIES // max(1, entries))
 
 
-def _as_element_array(field: FieldSpec, data) -> np.ndarray:
-    # checked before the int16 cast, which would wrap big ints and truncate floats
+def element_array(field: FieldSpec, data, shape: tuple) -> np.ndarray:
+    """``data`` as a read-only int16 array of element indices of
+    ``field``, after checking that it has ``shape`` (``None`` matches any
+    extent) and integer entries in ``[0, q)``.  The entries are checked
+    before the int16 cast, which would wrap big ints and truncate floats;
+    an int16 input is viewed, not copied."""
     src = np.asarray(data)
-    if src.ndim != 2:
-        raise ValueError(f"matrix data must be 2-dimensional, got shape {src.shape}")
+    fits = src.ndim == len(shape)
+    for want, got in zip(shape, src.shape):
+        fits = fits and want in (None, got)
+    if not fits:
+        want = ", ".join("*" if w is None else str(w) for w in shape)
+        raise ValueError(f"expected an array of shape ({want}), got shape {src.shape}")
     if src.size and (src.dtype.kind not in "iu" or src.min() < 0 or src.max() >= field.q):
-        raise ValueError(f"matrix entries must be integers in range for GF({field.q})")
-    return src.astype(np.int16)
+        raise ValueError(f"entries must be integers in range for GF({field.q})")
+    arr = src.astype(np.int16, copy=False).view()
+    arr.setflags(write=False)
+    return arr
 
 
 class MatrixQ:
-    """A dense matrix over a fixed finite field.
+    """A dense matrix over a fixed finite field: ``simulate``'s message
+    and decoded matrices.
 
     Args:
         field: The coefficient field.
-        data: Any 2-d array-like of element indices; copied and validated.
+        data: Any 2-d array-like of element indices; validated by
+            ``element_array``.
     """
 
     __slots__ = ("field", "data")
 
     def __init__(self, field: FieldSpec, data):
         self.field = field
-        self.data = _as_element_array(field, data)
-        self.data.setflags(write=False)
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "MatrixQ":
-        return cls(field, np.zeros((rows, cols), dtype=np.int16))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "MatrixQ":
-        return cls(field, np.eye(n, dtype=np.int16))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ(self.field, self.data.T)
+        self.data = element_array(field, data, (None, None))
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,31 +85,8 @@ class MatrixQ:
             and np.array_equal(self.data, other.data)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.data.shape, self.data.tobytes()))
-
     def __repr__(self) -> str:
-        return f"MatrixQ(GF({self.field.q}), {self.rows}x{self.cols})"
-
-    def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
-        return matmul(self, other)
-
-    def rank(self) -> int:
-        return rank_of_array(self.data, self.field)
-
-    def rref(self) -> tuple["MatrixQ", tuple[int, ...]]:
-        rows, pivots = rref_of_array(self.data, self.field)
-        red = np.array(rows, dtype=np.int16).reshape(self.data.shape)
-        return MatrixQ(self.field, red), pivots
-
-
-def matmul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    """Matrix product over the common field."""
-    if a.field != b.field:
-        raise ValueError("matrix product requires matching fields")
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    return MatrixQ(a.field, product_of_arrays(a.data, b.data, a.field))
+        return f"MatrixQ(GF({self.field.q}), {self.data.shape[0]}x{self.data.shape[1]})"
 
 
 def product_of_arrays(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -160,12 +131,12 @@ def ranks_of_selections(blocks: np.ndarray, selections: np.ndarray, field: Field
     return ranks
 
 
-def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Reduced row echelon form of ``arr`` as ``(rows, pivots)``: one list
-    of element indices per row of ``arr``, zero rows last, and the pivot
-    column of each nonzero row.  The array is not modified."""
+def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of ``arr`` as ``(red, pivots)``: an int16
+    array of ``arr``'s shape, zero rows last, and the pivot column of
+    each nonzero row.  The array is not modified."""
     rows, pivots = backend.rref_destructive(arr, *field.kernel_views)
-    return rows, tuple(pivots)
+    return np.array(rows, dtype=np.int16).reshape(arr.shape), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +153,21 @@ def span_dim(bases: Iterable[np.ndarray], field: FieldSpec) -> int:
     return rank_of_array(np.vstack(bases), field)
 
 
-def _null_rows(red: Sequence[Sequence[int]], pivots: Sequence[int], n: int, field: FieldSpec) -> np.ndarray:
-    """Rows spanning ``{x : red @ x^T = 0}`` for reduced echelon rows
-    ``red`` of length ``n`` whose leading rows have the given pivot
-    columns: one row per free column, 1 there and minus that column's
-    entries at the pivots."""
-    pivot_set = set(pivots)
-    rows = []
-    for fc in range(n):
-        if fc not in pivot_set:
-            row = [0] * n
-            row[fc] = 1
-            for r, pc in zip(red, pivots):
-                row[pc] = field.neg_table[r[fc]]
-            rows.append(row)
-    return np.array(rows, dtype=np.int16).reshape(len(rows), n)
-
-
-def null_space(m: MatrixQ) -> MatrixQ:
-    """A basis of ``{x : m @ x^T = 0}`` as rows of a ``(cols - rank) x cols`` matrix."""
-    red, pivots = rref_of_array(m.data, m.field)
-    return MatrixQ(m.field, _null_rows(red, pivots, m.cols, m.field))
-
-
 def dual(basis: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Canonical basis of the orthogonal complement, under the standard
     bilinear form, of the row space of the ``(rows, n)`` index array
-    ``basis``: an ``(n - rank, n)`` array with no zero rows."""
+    ``basis``: an ``(n - rank, n)`` array with no zero rows.
+
+    The complement is ``{x : red @ x^T = 0}`` for the reduced form
+    ``red``: one row per free column, 1 there and minus that column's
+    entries at the pivots, reduced once more to its canonical basis."""
     n = basis.shape[1]
     red, pivots = rref_of_array(basis, field)
-    red, pivots = rref_of_array(_null_rows(red, pivots, n, field), field)
-    return np.array(red[: len(pivots)], dtype=np.int16).reshape(len(pivots), n)
+    free = np.setdiff1d(np.arange(n), pivots)
+    null = np.zeros((len(free), n), dtype=np.int16)
+    null[np.arange(len(free)), free] = 1
+    null[:, list(pivots)] = field.neg_table[red[: len(pivots)][:, free]].T
+    return rref_of_array(null, field)[0]
 
 
 def random_matrix(field: FieldSpec, rows: int, cols: int, rng: np.random.Generator) -> MatrixQ:
@@ -258,28 +213,3 @@ def count_rank_matrices(m: int, n: int, s: int, q: int) -> int:
         den *= q**s - q**j
     assert num % den == 0
     return num // den
-
-
-# ---------------------------------------------------------------------------
-# Exact solving.
-# ---------------------------------------------------------------------------
-
-
-def solve_exact(m: MatrixQ, y: MatrixQ) -> MatrixQ:
-    """Solve ``m @ x = y`` when the solution is unique, from one
-    reduction of ``[m | y]``.
-
-    Raises ValueError if the system is inconsistent or the coefficient
-    matrix has rank below its column count.
-    """
-    if m.field != y.field or m.rows != y.rows:
-        raise ValueError("coefficient matrix and right-hand side do not conform")
-    red, pivots = rref_of_array(np.hstack([m.data, y.data]), m.field)
-    # a pivot right of m's columns is a row 0 = nonzero
-    if pivots and pivots[-1] >= m.cols:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < m.cols:
-        raise ValueError("matrix has rank below its column count; the solution is not unique")
-    # with pivots 0..cols-1, reduced row i reads x_i = its right block
-    x = np.array([row[m.cols :] for row in red[: m.cols]], dtype=np.int16)
-    return MatrixQ(m.field, x.reshape(m.cols, y.cols))

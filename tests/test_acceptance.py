@@ -38,7 +38,6 @@ from gcnet.combnet import (
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import CoveringCode, enumerate_grassmannian, is_covering_code, max_covering_code
 from gcnet.linalg import (
-    MatrixQ,
     count_rank_matrices,
     gaussian_binomial,
     random_matrix,
@@ -154,7 +153,7 @@ def test_simulation_decodes_everywhere():
         three_line = LinearSolution(
             params=NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0),
             field=F2, t=1,
-            matrices=(MatrixQ(F2, [[1, 0]]), MatrixQ(F2, [[0, 1]]), MatrixQ(F2, [[1, 1]])),
+            matrices=[[[1, 0]], [[0, 1]], [[1, 1]]],
         )
         constructed = solution_from_code(
             covering_code_from_mrd(3, 1, 1, 2, 2),

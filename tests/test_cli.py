@@ -21,7 +21,6 @@ from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
 from gcnet.fileio import parse_code, render_code, render_solution
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import NODE_LIMIT, CoveringCode, max_covering_code
-from gcnet.linalg import MatrixQ
 from gcnet.combnet import LinearSolution
 
 
@@ -280,9 +279,7 @@ def test_verify_code_of_zero_subspaces_reduces_no_block(tmp_path, capsys, monkey
 def test_verify_failing_solution(tmp_path, capsys):
     f2 = field_from_size(2)
     p = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
-    a = MatrixQ(f2, [[1, 0]])
-    sol = LinearSolution(params=p, field=f2, t=1,
-                         matrices=(a, a, MatrixQ(f2, [[0, 1]])))
+    sol = LinearSolution(params=p, field=f2, t=1, matrices=[[[1, 0]], [[1, 0]], [[0, 1]]])
     path = tmp_path / "sol.txt"
     path.write_text(render_solution(sol))
     code, out, _ = run(capsys, "verify", "--solution", str(path))
@@ -295,9 +292,7 @@ def test_simulate_invalid_solution_fails_like_verify(tmp_path, capsys):
     # middle nodes 1 and 2 carry the same line, so receiver 1,2 cannot decode
     f2 = field_from_size(2)
     p = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
-    a = MatrixQ(f2, [[1, 0]])
-    sol = LinearSolution(params=p, field=f2, t=1,
-                         matrices=(a, a, MatrixQ(f2, [[0, 1]])))
+    sol = LinearSolution(params=p, field=f2, t=1, matrices=[[[1, 0]], [[1, 0]], [[0, 1]]])
     path = tmp_path / "sol.txt"
     path.write_text(render_solution(sol))
     code, verify_out, _ = run(capsys, "verify", "--solution", str(path))
@@ -310,7 +305,7 @@ def test_simulate_invalid_solution_fails_like_verify(tmp_path, capsys):
         assert err == ""
     # h > alpha*ell + eps: no solution exists, so there is nothing to check
     unsolvable = LinearSolution(params=NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=0),
-                                field=f2, t=1, matrices=(MatrixQ(f2, [[1, 0, 0]]),) * 3)
+                                field=f2, t=1, matrices=[[[1, 0, 0]]] * 3)
     path.write_text(render_solution(unsolvable))
     code, out, err = run(capsys, "simulate", "--solution", str(path), "--seed", "9")
     assert (code, out) == (2, "")
@@ -320,8 +315,7 @@ def test_simulate_invalid_solution_fails_like_verify(tmp_path, capsys):
 def test_simulate_negative_count_is_usage_error(tmp_path, capsys):
     f2 = field_from_size(2)
     p = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
-    sol = LinearSolution(params=p, field=f2, t=1, matrices=(
-        MatrixQ(f2, [[1, 0]]), MatrixQ(f2, [[0, 1]]), MatrixQ(f2, [[1, 1]])))
+    sol = LinearSolution(params=p, field=f2, t=1, matrices=[[[1, 0]], [[0, 1]], [[1, 1]]])
     path = tmp_path / "sol.txt"
     path.write_text(render_solution(sol))
     code, out, err = run(capsys, "simulate", "--solution", str(path), "--seed", "9",
@@ -989,3 +983,31 @@ def test_handlers_look_up_simulate_at_call_time(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == "OK: 3 random messages decoded at all 3 receivers (seed 1)\n"
     assert len(calls) == 3
+
+
+def test_simulate_messages_keep_the_data_rows_the_benchmark_reads(tmp_path, capsys, monkeypatch):
+    # perfbench/run.py's Runner wraps cli.simulate like this: it reads
+    # ``.data`` from the message and from each decoded matrix and iterates
+    # their rows, which a plain ndarray's ``.data`` memoryview cannot do
+    path = tmp_path / "sol.txt"
+    assert main(["search", *NET, "--q", "11", "--seed", "0", "-o", str(path)]) == 0
+    capsys.readouterr()
+    captured = []
+    plain = cli.simulate
+
+    def capture(sol, messages):
+        decoded = plain(sol, messages)
+        captured.append((sol, messages.data, [d.data for d in decoded]))
+        return decoded
+
+    monkeypatch.setattr(cli, "simulate", capture)
+    code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "1",
+                       "--count", "3")
+    assert code == 0
+    assert len(captured) == 3
+    for sol, message, decoded in captured:
+        assert len(decoded) == sol.params.n_receivers
+        for data in (message, *decoded):
+            assert isinstance(data, np.ndarray) and data.shape == (sol.params.h, sol.t)
+            assert [[int(v) for v in row] for row in data] == data.tolist()
+            assert np.array_equal(data, message)

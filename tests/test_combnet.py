@@ -16,7 +16,6 @@ from gcnet.combnet import (
     classify,
     compute_qs,
     compute_qv,
-    derive_direct_link_matrices,
     estimate_gap,
     random_solution_search,
     simulate,
@@ -25,7 +24,7 @@ from gcnet.combnet import (
 )
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import CoveringCode, is_covering_code
-from gcnet.linalg import MatrixQ, random_matrix, rank_of_array
+from gcnet.linalg import MatrixQ, product_of_arrays, random_matrix, rank_of_array, rref_of_array
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -35,8 +34,7 @@ THREE_LINE = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
 
 
 def three_line_solution() -> LinearSolution:
-    mats = (MatrixQ(F2, [[1, 0]]), MatrixQ(F2, [[0, 1]]), MatrixQ(F2, [[1, 1]]))
-    return LinearSolution(params=THREE_LINE, field=F2, t=1, matrices=mats)
+    return LinearSolution(params=THREE_LINE, field=F2, t=1, matrices=[[[1, 0]], [[0, 1]], [[1, 1]]])
 
 
 def test_classify_three_regimes():
@@ -70,8 +68,8 @@ def test_receivers_above_the_enumeration_limit_are_refused(monkeypatch):
     monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 35)
     assert len(p.receivers()) == 35
     monkeypatch.setattr(grasscode, "ENUMERATION_LIMIT", 34)
-    sol = LinearSolution(params=p, field=F2, t=1, matrices=tuple(
-        MatrixQ(F2, [[1, i & 1, i >> 1 & 1]]) for i in range(7)))
+    sol = LinearSolution(params=p, field=F2, t=1,
+                         matrices=[[[1, i & 1, i >> 1 & 1]] for i in range(7)])
     for call in (p.receivers, lambda: verify_solution(sol), lambda: sol.decoder_plan,
                  lambda: random_solution_search(p, F2, 1, 1, 0)):
         with pytest.raises(ValueError, match=r"C\(7, 3\) receivers exceed the cap 34"):
@@ -98,9 +96,7 @@ def test_verify_three_line_solution():
 
 
 def test_verify_reports_first_violating_receiver():
-    a = MatrixQ(F2, [[1, 0]])
-    sol = LinearSolution(params=THREE_LINE, field=F2, t=1,
-                         matrices=(a, a, MatrixQ(F2, [[1, 1]])))
+    sol = LinearSolution(params=THREE_LINE, field=F2, t=1, matrices=[[[1, 0]], [[1, 0]], [[1, 1]]])
     ok, witness = verify_solution(sol)
     assert not ok
     assert witness == (0, 1)
@@ -108,19 +104,20 @@ def test_verify_reports_first_violating_receiver():
 
 def test_verify_unsolvable_raises():
     p = NetworkParams(h=5, r=4, alpha=2, ell=1, epsilon=1)
-    mats = tuple(MatrixQ.zeros(F2, 1, 5) for _ in range(4))
-    sol = LinearSolution(params=p, field=F2, t=1, matrices=mats)
+    sol = LinearSolution(params=p, field=F2, t=1, matrices=np.zeros((4, 1, 5), dtype=np.int16))
     with pytest.raises(ValueError):
         verify_solution(sol)
 
 
 def test_solution_shape_validation():
-    with pytest.raises(ValueError):
-        LinearSolution(params=THREE_LINE, field=F2, t=1,
-                       matrices=(MatrixQ(F2, [[1, 0]]),) * 2)
-    with pytest.raises(ValueError):
-        LinearSolution(params=THREE_LINE, field=F2, t=1,
-                       matrices=(MatrixQ(F2, [[1, 0, 0]]),) * 3)
+    with pytest.raises(ValueError, match=r"shape \(3, 1, 2\), got shape \(2, 1, 2\)"):
+        LinearSolution(params=THREE_LINE, field=F2, t=1, matrices=[[[1, 0]]] * 2)
+    with pytest.raises(ValueError, match=r"shape \(3, 1, 2\), got shape \(3, 1, 3\)"):
+        LinearSolution(params=THREE_LINE, field=F2, t=1, matrices=[[[1, 0, 0]]] * 3)
+    with pytest.raises(ValueError, match="blocklength t must be >= 1"):
+        LinearSolution(params=THREE_LINE, field=F2, t=0, matrices=np.zeros((3, 0, 0)))
+    sol = three_line_solution()
+    assert sol.matrices.dtype == np.int16 and not sol.matrices.flags.writeable
 
 
 def test_code_solution_round_trip():
@@ -129,7 +126,7 @@ def test_code_solution_round_trip():
     assert NetworkParams(h=4, r=6, alpha=3, ell=2, epsilon=1).code_params(3) == (12, 6, 3, 3)
     # the row spaces of the coding matrices form the network's covering code
     code = CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2,
-                        codewords=np.array([m.rref()[0].data for m in sol.matrices]))
+                        codewords=np.array([rref_of_array(m, F2)[0] for m in sol.matrices]))
     ok, _ = is_covering_code(code)
     assert ok
     back = solution_from_code(code, THREE_LINE, 1)
@@ -151,16 +148,22 @@ def test_solution_from_constructed_code():
         solution_from_code(code, NetworkParams(h=4, r=4, alpha=2, ell=1, epsilon=1), 1)
 
 
+def direct_links(sol):
+    """Each receiver's ``(epsilon*t, h*t)`` direct-link matrix: the rows
+    of its decoding system below its ``alpha*ell*t`` coding rows."""
+    p = sol.params
+    return sol.decoder_plan[0][:, p.alpha * p.ell * sol.t:]
+
+
 def test_direct_link_matrices_complete_decoding():
     code = covering_code_from_mrd(3, 1, 1, 2, 2)
     p = NetworkParams(h=3, r=4, alpha=2, ell=1, epsilon=1)
     sol = solution_from_code(code, p, 1)
-    bs = derive_direct_link_matrices(sol)
-    assert len(bs) == p.n_receivers
+    bs = direct_links(sol)
+    assert bs.shape == (p.n_receivers, p.epsilon * 1, p.h * 1)
     for recv, b in zip(p.receivers(), bs):
-        assert b.rows == p.epsilon * 1 and b.cols == p.h * 1
-        stacked = MatrixQ(sol.field, np.vstack([sol.matrices[i].data for i in recv] + [b.data]))
-        assert stacked.rank() == p.h * 1  # decodable: full column rank
+        stacked = np.vstack([*sol.matrices[list(recv)], b])
+        assert rank_of_array(stacked, sol.field) == p.h * 1  # decodable: full column rank
 
 
 def test_receiver_matrices_stack_each_receiver_over_its_direct_links():
@@ -170,11 +173,15 @@ def test_receiver_matrices_stack_each_receiver_over_its_direct_links():
     plan = sol.decoder_plan
     assert sol.decoder_plan is plan  # built once per solution
     systems, decoders = plan
-    want = [MatrixQ(sol.field, np.vstack([sol.matrices[i].data for i in recv] + [b.data]))
-            for recv, b in zip(p.receivers(), derive_direct_link_matrices(sol))]
-    assert [MatrixQ(sol.field, m) for m in systems] == want
-    ident = MatrixQ.identity(sol.field, p.h * sol.t)
-    assert all(MatrixQ(sol.field, d) @ m == ident for d, m in zip(decoders, want))
+    coding = p.alpha * p.ell * sol.t
+    for recv, m in zip(p.receivers(), systems):
+        assert np.array_equal(m[:coding], np.vstack(sol.matrices[list(recv)]))
+        # each direct link carries one message symbol
+        assert np.array_equal(np.sort(m[coding:], axis=1)[:, -1], [1] * p.epsilon)
+        assert np.count_nonzero(m[coding:]) == p.epsilon
+    ident = np.eye(p.h * sol.t)
+    assert all(np.array_equal(product_of_arrays(d, m, sol.field), ident)
+               for d, m in zip(decoders, systems))
     assert not systems.flags.writeable and not decoders.flags.writeable
 
 
@@ -184,7 +191,7 @@ def reference_direct_links(sol):
     ht = p.h * sol.t
     out = []
     for subset in p.receivers():
-        current = np.vstack([sol.matrices[i].data for i in subset])
+        current = np.vstack(sol.matrices[list(subset)])
         rank = rank_of_array(current, sol.field)
         picked = []
         for j in range(ht):
@@ -198,7 +205,7 @@ def reference_direct_links(sol):
         b = np.zeros((p.epsilon * sol.t, ht), dtype=np.int16)
         for row, j in enumerate(picked):
             b[row, j] = 1
-        out.append(MatrixQ(sol.field, b))
+        out.append(b)
     return out
 
 
@@ -227,17 +234,15 @@ def test_direct_links_match_greedy_reference(q, t):
                     a[:, rng.random(p.h * t) < 0.2] = 0
                 if p.ell * t > 1 and rng.random() < 0.3:
                     a[-1] = a[0]
-                mats.append(MatrixQ(field, a))
-            sol = LinearSolution(params=p, field=field, t=t, matrices=tuple(mats))
+                mats.append(a)
+            sol = LinearSolution(params=p, field=field, t=t, matrices=mats)
             if not verify_solution(sol)[0]:
                 continue
-            links = reference_direct_links(sol)
-            assert derive_direct_link_matrices(sol) == links
             systems, decoders = sol.decoder_plan
-            ident = MatrixQ.identity(field, p.h * t)
-            for recv, b, m, d in zip(p.receivers(), links, systems, decoders):
-                assert np.array_equal(m, np.vstack([sol.matrices[i].data for i in recv] + [b.data]))
-                assert MatrixQ(field, d) @ MatrixQ(field, m) == ident
+            ident = np.eye(p.h * t)
+            for recv, b, m, d in zip(p.receivers(), reference_direct_links(sol), systems, decoders):
+                assert np.array_equal(m, np.vstack([*sol.matrices[list(recv)], b]))
+                assert np.array_equal(product_of_arrays(d, m, field), ident)
             receivers += p.n_receivers
     assert receivers >= 20
 
@@ -245,11 +250,10 @@ def test_direct_links_match_greedy_reference(q, t):
 def test_direct_links_name_the_first_failing_receiver():
     # receivers (1, 2) and (2, 3) see only one line; (1, 2) comes first
     p = NetworkParams(h=2, r=4, alpha=2, ell=1, epsilon=0)
-    a, b, c = MatrixQ(F2, [[1, 0]]), MatrixQ(F2, [[0, 1]]), MatrixQ(F2, [[1, 1]])
-    sol = LinearSolution(params=p, field=F2, t=1, matrices=(a, b, b, b))
+    sol = LinearSolution(params=p, field=F2, t=1, matrices=[[[1, 0]], [[0, 1]], [[0, 1]], [[0, 1]]])
     assert verify_solution(sol) == (False, (1, 2))
     with pytest.raises(ValueError, match=r"witness subset \(1, 2\)"):
-        derive_direct_link_matrices(sol)
+        sol.decoder_plan
     with pytest.raises(ValueError, match=r"witness subset \(1, 2\)"):
         simulate(sol, MatrixQ(F2, [[1], [0]]))
 
@@ -290,25 +294,25 @@ def test_random_search_is_deterministic():
     p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
     a = random_solution_search(p, F11, t=1, trials=60, seed=7)
     b = random_solution_search(p, F11, t=1, trials=60, seed=7)
-    assert a == b
+    assert (a.params, a.field, a.t) == (b.params, b.field, b.t)
+    assert np.array_equal(a.matrices, b.matrices)
 
 
 def test_random_search_wraps_only_the_draw_that_verifies(monkeypatch):
-    # seed 1 passes at its fourth trial; a rejected draw stays one array
+    # seed 1 passes at its fourth trial; a rejected draw is never
+    # validated, and the one that passes is validated once, as one array
     p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
     assert random_solution_search(p, F2, t=1, trials=1, seed=1) is None
-    built = {"MatrixQ": 0, "LinearSolution": 0}
+    checked = []
+    element_array = combnet.element_array
 
-    def counting(cls, init):
-        def wrapper(self, *args, **kwargs):
-            built[cls.__name__] += 1
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, init.__name__, wrapper)
+    def counting(field, data, shape):
+        checked.append(shape)
+        return element_array(field, data, shape)
 
-    counting(MatrixQ, MatrixQ.__init__)
-    counting(LinearSolution, LinearSolution.__post_init__)
+    monkeypatch.setattr(combnet, "element_array", counting)
     sol = random_solution_search(p, F2, t=1, trials=1000, seed=1)
-    assert built == {"MatrixQ": 3, "LinearSolution": 1}
+    assert checked == [(3, 1, 3)]
     assert verify_solution(sol) == (True, None)
 
 
@@ -346,7 +350,7 @@ def test_block_search_returns_the_first_verifying_trial(net):
     for seed in range(50):
         trial, coding = first_verifying_trial(p, field, t, 2000, seed)
         sol = random_solution_search(p, field, t, 2000, seed)
-        assert np.array_equal(np.stack([a.data for a in sol.matrices]), coding)
+        assert np.array_equal(sol.matrices, coding)
         later += trial > 0
     if q <= 4:
         assert later >= 40  # most searches reach a block past the first
@@ -391,9 +395,8 @@ def test_search_memory_does_not_grow_with_the_block():
 
 def first_short_receiver(sol):
     need = (sol.params.h - sol.params.epsilon) * sol.t
-    coding = np.stack([a.data for a in sol.matrices])
     return next((s for s in sol.params.receivers()
-                 if rank_of_array(coding[list(s)].reshape(-1, sol.params.h * sol.t),
+                 if rank_of_array(sol.matrices[list(s)].reshape(-1, sol.params.h * sol.t),
                                   sol.field) < need), None)
 
 
@@ -405,8 +408,7 @@ def test_receivers_are_ranked_in_bounded_stacks(monkeypatch, entries):
     # chunk boundaries
     p = NetworkParams(h=3, r=6, alpha=2, ell=1, epsilon=1)
     rng = np.random.default_rng(entries)
-    sols = [LinearSolution(params=p, field=f, t=t, matrices=tuple(
-                random_matrix(f, t, 3 * t, rng) for _ in range(6)))
+    sols = [LinearSolution(params=p, field=f, t=t, matrices=rng.integers(0, f.q, size=(6, t, 3 * t)))
             for f, t in [(F2, 1), (F2, 2), (field_from_size(4), 1)] for _ in range(10)]
     shapes = []
     kernel = backend.rank_stack
@@ -423,7 +425,7 @@ def test_receivers_are_ranked_in_bounded_stacks(monkeypatch, entries):
     for seed in range(20):
         trial, coding = first_verifying_trial(p, F2, 1, 200, seed)
         sol = random_solution_search(p, F2, 1, 200, seed)
-        assert np.array_equal(np.stack([a.data for a in sol.matrices]), coding)
+        assert np.array_equal(sol.matrices, coding)
     assert all(b * r * c <= max(entries, r * c) for b, r, c in shapes)
     assert max(b for b, _, _ in shapes) > 1 or entries == 1
 

@@ -1,4 +1,4 @@
-"""Matrices, subspaces and counting over GF(q)."""
+"""Arrays, subspaces and counting over GF(q)."""
 
 import itertools
 import time
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gcnet.bounds import EXACT_LIMIT
+from gcnet.combnet import LinearSolution, NetworkParams
 from gcnet.ffield import comb_exceeds, field_from_size, power_exceeds
 from gcnet.grasscode import CoveringCode
 from gcnet.linalg import (
@@ -15,10 +16,10 @@ from gcnet.linalg import (
     count_rank_matrices,
     dual,
     gaussian_binomial,
-    null_space,
     product_of_arrays,
     random_matrix,
-    solve_exact,
+    rank_of_array,
+    rref_of_array,
     span_dim,
 )
 
@@ -27,24 +28,38 @@ F3 = field_from_size(3)
 F4 = field_from_size(4)
 
 
-def brute_row_space_size(m: MatrixQ) -> int:
+def brute_row_space_size(m: np.ndarray, f) -> int:
     """|row space| by enumerating every coefficient vector."""
-    f = m.field
     seen = set()
-    for coeffs in itertools.product(range(f.q), repeat=m.rows):
-        vec = [0] * m.cols
-        for c, row in zip(coeffs, m.data):
-            for j in range(m.cols):
-                vec[j] = f.add(vec[j], f.mul(c, int(row[j])))
+    for coeffs in itertools.product(range(f.q), repeat=m.shape[0]):
+        vec = [0] * m.shape[1]
+        for c, row in zip(coeffs, m):
+            for j in range(m.shape[1]):
+                vec[j] = int(f.add_table[vec[j], f.mul_table[c, row[j]]])
         seen.add(tuple(vec))
     return len(seen)
 
 
+def scalar_product(a: np.ndarray, b: np.ndarray, f) -> list[list[int]]:
+    """``a @ b`` one field operation at a time."""
+    out = []
+    for i in range(a.shape[0]):
+        row = []
+        for j in range(b.shape[1]):
+            acc = 0
+            for k in range(a.shape[1]):
+                acc = int(f.add_table[acc, f.mul_table[a[i, k], b[k, j]]])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 def test_matrix_construction_and_validation():
     m = MatrixQ(F2, [[1, 0], [0, 1]])
-    assert m.rows == 2 and m.cols == 2
-    assert m == MatrixQ.identity(F2, 2)
-    assert MatrixQ.zeros(F3, 2, 3).rank() == 0
+    assert m.data.shape == (2, 2) and m.data.dtype == np.int16
+    assert m == MatrixQ(F2, np.eye(2, dtype=np.int64))
+    assert m != MatrixQ(F3, [[1, 0], [0, 1]]) and m != MatrixQ(F2, [[1, 0]])
+    assert repr(m) == "MatrixQ(GF(2), 2x2)"
     with pytest.raises(ValueError):
         MatrixQ(F2, [[2, 0]])
     with pytest.raises(ValueError):
@@ -53,36 +68,38 @@ def test_matrix_construction_and_validation():
 
 
 @pytest.mark.parametrize(
-    "data", [[[65537, 0]], [[70000, 0]], [[1.9, 0.2]], [[-1, 0]], [[2, 0]]],
-    ids=["wraps-to-1", "int16-overflow", "float", "negative", "above-q"],
+    "data", [[[65537, 0]], [[70000, 0]], [[1.9, 0.2]], [[-1, 0]], [[2, 0]], [[[1, 0]]]],
+    ids=["wraps-to-1", "int16-overflow", "float", "negative", "above-q", "wrong-shape"],
 )
 def test_matrix_and_subspace_reject_entries_outside_the_field(data):
-    # checked on the values given, before the int16 cast could alter them;
-    # a subspace is a codeword of a code's array
-    with pytest.raises(ValueError):
-        MatrixQ(F2, data)
-    with pytest.raises(ValueError):
-        CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=[data, [[1, 0]]])
-    with pytest.raises(ValueError):
-        MatrixQ(F2, np.array(data))
+    # one check, linalg.element_array, for every stored array: a message
+    # matrix, a code's codewords and a solution's coding matrices.  The
+    # entries are checked as given, before the int16 cast could alter
+    # them; the wrong shape has an extra axis in every container.
+    net = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
+    makers = [
+        lambda d: MatrixQ(F2, d),
+        lambda d: CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2, codewords=[d, d]),
+        lambda d: LinearSolution(params=net, field=F2, t=1, matrices=[d] * 3),
+    ]
+    for make in makers:
+        for given in (data, np.array(data)):
+            with pytest.raises(ValueError, match="^(expected an array of shape|entries must be)"):
+                make(given)
+    # the same containers accept in-range entries of the right shape
+    for make in makers:
+        make([[1, 0]])
 
 
 def test_matmul_against_scalar_definition():
     rng = np.random.default_rng(11)
     for f in (F2, F3, F4):
-        a = random_matrix(f, 3, 4, rng)
-        b = random_matrix(f, 4, 2, rng)
-        prod = a @ b
-        for i in range(3):
-            for j in range(2):
-                acc = 0
-                for k in range(4):
-                    acc = f.add(acc, f.mul(int(a.data[i, k]), int(b.data[k, j])))
-                assert prod.data[i, j] == acc
+        a = random_matrix(f, 3, 4, rng).data
+        b = random_matrix(f, 4, 2, rng).data
+        prod = product_of_arrays(a, b, f)
+        assert prod.dtype == np.int16 and prod.tolist() == scalar_product(a, b, f)
     with pytest.raises(ValueError):
-        MatrixQ(F2, [[1, 0]]) @ MatrixQ(F2, [[1, 0]])
-    with pytest.raises(ValueError):
-        MatrixQ(F2, [[1]]) @ MatrixQ(F3, [[1]])
+        product_of_arrays(np.array([[1, 0]]), np.array([[1, 0]]), F2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 257, 1024])
@@ -96,25 +113,21 @@ def test_product_of_arrays_is_matmul_per_slice(q):
     broadcast = product_of_arrays(a, b2, f)
     assert stacked.shape == broadcast.shape == (5, 3, 2)
     for s in range(5):
-        m = MatrixQ(f, a[s])
-        assert np.array_equal(stacked[s], (m @ MatrixQ(f, b[s])).data)
-        assert np.array_equal(broadcast[s], (m @ MatrixQ(f, b2)).data)
-        for i in range(3):
-            for j in range(2):
-                acc = 0
-                for k in range(4):
-                    acc = f.add(acc, f.mul(int(a[s, i, k]), int(b[s, k, j])))
-                assert stacked[s, i, j] == acc
+        assert np.array_equal(stacked[s], product_of_arrays(a[s], b[s], f))
+        assert np.array_equal(broadcast[s], product_of_arrays(a[s], b2, f))
+        assert stacked[s].tolist() == scalar_product(a[s], b[s], f)
     with pytest.raises(ValueError):
         product_of_arrays(a, a, f)
 
 
 def test_matmul_big_field():
     f = field_from_size(512)
-    a = MatrixQ(f, [[300, 1], [0, 511]])
-    ident = MatrixQ.identity(f, 2)
-    assert a @ ident == a
-    assert (a @ null_space(a).transpose()).rank() == 0 or null_space(a).rows == 0
+    a = np.array([[300, 1], [0, 511]], dtype=np.int16)
+    assert np.array_equal(product_of_arrays(a, np.eye(2, dtype=np.int16), f), a)
+    singular = np.array([[300, 1], [300, 1]], dtype=np.int16)
+    null = dual(singular, f)
+    assert null.shape == (1, 2)
+    assert not product_of_arrays(singular, null.T, f).any()
 
 
 def test_rank_matches_row_space_size():
@@ -122,21 +135,22 @@ def test_rank_matches_row_space_size():
     for f in (F2, F3):
         for rows, cols in [(1, 3), (2, 2), (3, 4), (4, 3)]:
             for _ in range(10):
-                m = random_matrix(f, rows, cols, rng)
-                assert f.q ** m.rank() == brute_row_space_size(m)
+                m = random_matrix(f, rows, cols, rng).data
+                assert f.q ** rank_of_array(m, f) == brute_row_space_size(m, f)
 
 
 def test_rref_shape_and_idempotence():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        m = random_matrix(F3, 3, 5, rng)
-        red, pivots = m.rref()
-        assert len(pivots) == m.rank()
-        again, pivots2 = red.rref()
-        assert again == red and pivots2 == pivots
+        m = random_matrix(F3, 3, 5, rng).data
+        red, pivots = rref_of_array(m, F3)
+        assert red.shape == m.shape and red.dtype == np.int16
+        assert len(pivots) == rank_of_array(m, F3)
+        again, pivots2 = rref_of_array(red, F3)
+        assert np.array_equal(again, red) and pivots2 == pivots
         # pivot columns hold standard basis vectors
         for i, c in enumerate(pivots):
-            col = [int(v) for v in red.data[:, c]]
+            col = [int(v) for v in red[:, c]]
             assert col[i] == 1 and sum(col) == 1
 
 
@@ -198,9 +212,9 @@ def test_gaussian_binomial_counts_subspaces():
     # exhaustive: number of distinct row spaces of 2x4 matrices of rank 2
     seen = set()
     for bits in itertools.product(range(2), repeat=8):
-        m = MatrixQ(F2, np.array(bits, dtype=np.int16).reshape(2, 4))
-        if m.rank() == 2:
-            seen.add(m.rref()[0])
+        m = np.array(bits, dtype=np.int16).reshape(2, 4)
+        if rank_of_array(m, F2) == 2:
+            seen.add(rref_of_array(m, F2)[0].tobytes())
     assert len(seen) == gaussian_binomial(4, 2, 2)
 
 
@@ -208,8 +222,7 @@ def test_count_rank_matrices_census():
     # all 16 binary 2x2 matrices by brute force
     census = {0: 0, 1: 0, 2: 0}
     for bits in itertools.product(range(2), repeat=4):
-        m = MatrixQ(F2, np.array(bits, dtype=np.int16).reshape(2, 2))
-        census[m.rank()] += 1
+        census[rank_of_array(np.array(bits, dtype=np.int16).reshape(2, 2), F2)] += 1
     assert census == {0: 1, 1: 9, 2: 6}
     assert count_rank_matrices(2, 2, 1, 2) == 9
     for s, expect in census.items():
@@ -226,15 +239,15 @@ def test_rank_count_partition(q):
 
 def test_subspace_canonical_form():
     # two generating sets of one plane, the second with a third row
-    s1, _ = MatrixQ(F2, [[1, 1, 0], [0, 1, 1]]).rref()
-    s2, _ = MatrixQ(F2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]]).rref()
-    assert s1.data.tolist() == [[1, 0, 1], [0, 1, 1]]
-    assert s2.data.tolist() == s1.data.tolist() + [[0, 0, 0]]
+    s1, _ = rref_of_array(np.array([[1, 1, 0], [0, 1, 1]]), F2)
+    s2, _ = rref_of_array(np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]]), F2)
+    assert s1.tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert s2.tolist() == s1.tolist() + [[0, 0, 0]]
     # (1, 0, 1) lies in the plane and (1, 0, 0) does not
-    assert span_dim([s1.data, [[1, 0, 1]]], F2) == 2
-    assert span_dim([s1.data, [[1, 0, 0]]], F2) == 3
-    zero, pivots = MatrixQ(F2, [[0, 0, 0]]).rref()
-    assert zero.data.tolist() == [[0, 0, 0]] and pivots == ()
+    assert span_dim([s1, [[1, 0, 1]]], F2) == 2
+    assert span_dim([s1, [[1, 0, 0]]], F2) == 3
+    zero, pivots = rref_of_array(np.zeros((1, 3), dtype=np.int16), F2)
+    assert zero.tolist() == [[0, 0, 0]] and pivots == ()
     with pytest.raises(ValueError):
         span_dim([], F2)
 
@@ -252,39 +265,40 @@ def test_span_and_intersection_dims():
     # and a zero row changes neither, on a seeded sweep
     rng = np.random.default_rng(21)
     for _ in range(30):
-        a = random_matrix(F3, 2, 4, rng)
-        b = random_matrix(F3, 2, 4, rng)
-        expect = MatrixQ(F3, np.vstack([a.data, b.data])).rank()
-        assert span_dim([a.data, b.data], F3) == expect
-        assert span_dim([a.rref()[0].data, np.zeros((1, 4), dtype=np.int16), b.data], F3) == expect
+        a = random_matrix(F3, 2, 4, rng).data
+        b = random_matrix(F3, 2, 4, rng).data
+        expect = rank_of_array(np.vstack([a, b]), F3)
+        assert span_dim([a, b], F3) == expect
+        assert span_dim([rref_of_array(a, F3)[0], np.zeros((1, 4), dtype=np.int16), b], F3) == expect
 
 
 def test_null_space_annuls_matrix():
+    # the dual of a row space is the null space of its generators
     rng = np.random.default_rng(2)
     for f in (F2, F3, F4):
         for _ in range(15):
-            m = random_matrix(f, 3, 5, rng)
-            ns = null_space(m)
-            assert ns.rows == 5 - m.rank()  # rank-nullity
-            if ns.rows:
-                assert (m @ ns.transpose()).rank() == 0
+            m = random_matrix(f, 3, 5, rng).data
+            ns = dual(m, f)
+            assert ns.shape == (5 - rank_of_array(m, f), 5)  # rank-nullity
+            assert rank_of_array(ns, f) == len(ns)
+            assert not product_of_arrays(m, ns.T, f).any()
 
 
 def test_dual_is_involution_on_all_planes():
-    planes = set()
+    planes = {}
     for bits in itertools.product(range(2), repeat=8):
-        m = MatrixQ(F2, np.array(bits, dtype=np.int16).reshape(2, 4))
-        if m.rank() == 2:
-            planes.add(m.rref()[0])
+        m = np.array(bits, dtype=np.int16).reshape(2, 4)
+        if rank_of_array(m, F2) == 2:
+            red = rref_of_array(m, F2)[0]
+            planes[red.tobytes()] = red
     assert len(planes) == 35
-    for s in planes:
-        d = dual(s.data, F2)
+    for s in planes.values():
+        d = dual(s, F2)
         assert d.shape == (2, 4)
-        assert MatrixQ(F2, d).rref()[0].data.tolist() == d.tolist()
-        assert np.array_equal(dual(d, F2), s.data)
+        assert np.array_equal(rref_of_array(d, F2)[0], d)
+        assert np.array_equal(dual(d, F2), s)
         # every pairing of basis vectors is orthogonal
-        prod = s @ MatrixQ(F2, d).transpose()
-        assert prod.rank() == 0
+        assert not product_of_arrays(s, d.T, F2).any()
 
 
 def test_dual_of_trivial_spaces():
@@ -293,52 +307,6 @@ def test_dual_of_trivial_spaces():
     assert np.array_equal(dual(np.zeros((0, 3), dtype=np.int16), F3), np.eye(3))
     full = np.eye(3, dtype=np.int16)
     assert dual(full, F3).shape == (0, 3)
-
-
-def test_solve_exact_round_trip():
-    rng = np.random.default_rng(17)
-    for f in (F2, F3, F4):
-        for _ in range(15):
-            # build a square invertible system
-            while True:
-                a = random_matrix(f, 3, 3, rng)
-                if a.rank() == 3:
-                    break
-            x = random_matrix(f, 3, 2, rng)
-            y = a @ x
-            assert solve_exact(a, y) == x
-
-
-def test_solve_exact_rejects_bad_systems():
-    a = MatrixQ(F2, [[1, 0], [1, 0]])
-    y_bad = MatrixQ(F2, [[1], [0]])
-    with pytest.raises(ValueError):
-        solve_exact(a, y_bad)  # inconsistent
-    y_ok = MatrixQ(F2, [[1], [1]])
-    with pytest.raises(ValueError):
-        solve_exact(a, y_ok)  # rank-deficient: x not unique
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 257, 1024])
-def test_solve_exact_over_every_field_size(q):
-    f = field_from_size(q)
-    rng = np.random.default_rng(23 + q)
-    for rows, cols in [(3, 3), (5, 3), (12, 12), (7, 1), (4, 0)]:
-        for _ in range(4):
-            while True:
-                m = random_matrix(f, rows, cols, rng)
-                if m.rank() == cols:
-                    break
-            x = random_matrix(f, cols, 2, rng)
-            assert solve_exact(m, m @ x) == x
-    deficient = MatrixQ(f, [[1, 1], [2 % q, 2 % q], [0, 0]])
-    with pytest.raises(ValueError, match="rank below"):
-        solve_exact(deficient, deficient @ MatrixQ(f, [[1], [0]]))
-    wide = random_matrix(f, 2, 3, rng)
-    with pytest.raises(ValueError, match="rank below"):
-        solve_exact(wide, wide @ random_matrix(f, 3, 1, rng))
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve_exact(deficient, MatrixQ(f, [[0], [0], [1]]))
 
 
 def test_random_matrix_determinism():
@@ -353,14 +321,11 @@ def test_big_field_rank_and_rref():
     big = field_from_size(257)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        data = rng.integers(0, 257, size=(3, 4))
-        m = MatrixQ(big, data)
-        small = MatrixQ(F2, (data % 2).astype(np.int16))
-        assert 0 <= m.rank() <= 3
-        red, pivots = m.rref()
-        assert len(pivots) == m.rank()
+        m = rng.integers(0, 257, size=(3, 4)).astype(np.int16)
+        assert 0 <= rank_of_array(m, big) <= 3
+        red, pivots = rref_of_array(m, big)
+        assert len(pivots) == rank_of_array(m, big)
         for i, c in enumerate(pivots):
-            assert red.data[i, c] == 1
+            assert red[i, c] == 1
     # a fixed case with a known answer
-    m = MatrixQ(big, [[1, 2, 3], [2, 4, 6], [0, 0, 5]])
-    assert m.rank() == 2
+    assert rank_of_array(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 5]]), big) == 2

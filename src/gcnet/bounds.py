@@ -204,10 +204,9 @@ def middle_ub_exact(h: int, ell: int, eps: int, alpha: int, q: int, t: int) -> B
     if power_exceeds(q, ell * t * (eps * t + 1), EXACT_LIMIT):
         return _report("middle_ub_exact", None, checks + [_TOO_LARGE], theta=th)
     gb = gaussian_binomial((eps + ell) * t, eps * t, q)
-    col = Fraction(q ** (ell * t + 1) - 1, q - 1)
+    col = gaussian_binomial(ell * t + 1, 1, q)  # (q^(ell*t+1) - 1) / (q - 1)
     val = gb * (th * col - 1) + (h - eps) // ell - 1
-    assert val.denominator == 1
-    return _report("middle_ub_exact", int(val), checks, theta=th)
+    return _report("middle_ub_exact", val, checks, theta=th)
 
 
 def middle_ub_relaxed(

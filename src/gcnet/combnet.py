@@ -8,7 +8,9 @@ solution assigns to middle node ``i`` a coding matrix ``A_i`` of shape
 ``(ell*t, h*t)`` over GF(q), row ``i`` of one ``(r, ell*t, h*t)``
 array; it is valid when every receiver's stacked coding matrix has rank
 at least ``(h - epsilon) * t``; its direct links, unit vectors read off
-one echelon pass per receiver, complete decoding.
+one echelon pass per receiver, complete decoding.  ``decoder_plan``
+allocates every receiver's system and left inverse as two stacks and
+fills them in place, each receiver's from its one echelon pass.
 
 Solutions correspond exactly to covering subspace codes: the row spaces
 of valid ``A_i`` form a code in G_q(h*t, ell*t) in which every ``alpha``
@@ -116,19 +118,53 @@ class LinearSolution:
 
     @cached_property
     def decoder_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each receiver's decoding system, its coding matrices over its
-        direct links, and a left inverse of that system, from one
-        reduction per receiver, once per solution: int16 stacks of shapes
-        ``(R, w, h*t)`` and ``(R, h*t, w)`` in ``receivers()`` order, with
-        ``w = (alpha*ell + epsilon) * t``.  Raises as ``_receiver_decoders``."""
-        systems, decoders = [], []
-        for a, b, d in _receiver_decoders(self):
-            systems.append(np.vstack([a, b]))
-            decoders.append(d)
-        plan = (np.stack(systems), np.stack(decoders))
-        for arr in plan:
-            arr.setflags(write=False)
-        return plan
+        """Each receiver's decoding system and a left inverse of it, built
+        once per solution: read-only int16 stacks of shapes ``(R, w, n)``
+        and ``(R, n, w)`` in ``receivers()`` order, with ``n = h*t``,
+        ``w = a + e``, ``a = alpha*ell*t`` and ``e = epsilon*t``.
+
+        System rows ``:a`` are the receiver's stacked coding matrices
+        ``A``; rows ``a:`` are its direct links ``B``, in index order and
+        then zero rows, the ``e_j`` at each ``j`` where no vector of ``V =
+        rowspace(A)`` ends (has its last nonzero entry): the picks of a
+        greedy scan taking ``e_j`` whenever it raises the rank, as it skips
+        ``e_j`` iff ``e_j`` is in ``V + span(e_0, ..., e_{j-1})``, iff some
+        vector of ``V`` ends at ``j``.  Reversed, the ends are the pivots
+        ``c < n`` of ``rref([A[:, ::-1] | I_a])``, one reduction per
+        receiver: ``ends = n - 1 - c``.  Fewer than ``(h - epsilon) * t``
+        of them raises ValueError naming the first such receiver, the
+        witness ``verify_solution`` reports; so do UNSOLVABLE parameters.
+
+        Pivot row ``i`` is ``[E_i A reversed | E_i]`` for the row
+        operations ``E_i``; it is 1 at its own end and 0 at the others, so
+        it reads ``x[ends_i] + sum_j R_i[n-1-picked_j] x[picked_j] = E_i A
+        x``.  Link ``j`` carries ``x[picked_j]``, so decoder row
+        ``ends_i`` is ``E_i`` and then ``-R_i[n-1-picked_j]``, and row
+        ``picked_j`` is 1 at ``a + j``.
+        """
+        p = self.params
+        need = _need(p, self.t)
+        n, a, e = p.h * self.t, p.alpha * p.ell * self.t, p.epsilon * self.t
+        subsets = p.receivers()
+        systems = np.zeros((len(subsets), a + e, n), dtype=np.int16)
+        decoders = np.zeros((len(subsets), n, a + e), dtype=np.int16)
+        systems[:, :a] = self.matrices[np.array(subsets, dtype=np.intp)].reshape(-1, a, n)
+        ident = np.eye(a, dtype=np.int16)
+        for subset, system, decoder in zip(subsets, systems, decoders):
+            red, pivots = rref_of_array(np.hstack([system[:a, ::-1], ident]), self.field)
+            rho = sum(c < n for c in pivots)
+            if rho < need:
+                raise ValueError(f"solution is invalid (witness subset {subset})")
+            ends = n - 1 - np.array(pivots[:rho], dtype=np.intp)
+            picked = np.array(sorted(set(range(n)).difference(ends)), dtype=np.intp)
+            links = a + np.arange(len(picked))
+            system[links, picked] = 1
+            decoder[picked, links] = 1
+            decoder[ends, :a] = red[:rho, n:]
+            decoder[ends[:, None], links] = self.field.neg_table[red[:rho, n - 1 - picked]]
+        systems.setflags(write=False)
+        decoders.setflags(write=False)
+        return systems, decoders
 
 
 def _need(params: NetworkParams, t: int) -> int:
@@ -171,50 +207,6 @@ def solution_from_code(code: CoveringCode, params: NetworkParams, t: int) -> Lin
     if code.size != p.r:
         raise ValueError(f"need exactly r={p.r} codewords, got {code.size}")
     return LinearSolution(params=p, field=code.field, t=t, matrices=code.codewords)
-
-
-def _receiver_decoders(sol: LinearSolution):
-    """Per receiver, in ``receivers()`` order, ``(A, B, D)`` from one
-    reduction: ``A`` its stacked coding matrices (``a x n``, with
-    ``a = alpha*ell*t`` and ``n = h*t``), ``B`` its direct links
-    (``e x n``, ``e = epsilon*t``) and ``D`` with ``D @ [A; B] = I``.
-
-    ``B`` holds, in index order and then zero rows, the ``e_j`` at each
-    ``j`` where no vector of ``V = rowspace(A)`` ends (has its last
-    nonzero entry): the picks of a greedy scan taking ``e_j`` whenever it
-    raises the rank, as it skips ``e_j`` iff ``e_j`` is in ``V + span(e_0,
-    ..., e_{j-1})``, iff some vector of ``V`` ends at ``j``.  Reversed,
-    the ends are the pivots ``c < n`` of ``rref([A[:, ::-1] | I_a])``:
-    ``ends = n - 1 - c``.  Fewer than ``(h - epsilon) * t`` of them raises
-    ValueError naming the first such receiver, the witness
-    ``verify_solution`` reports; so do UNSOLVABLE parameters.
-
-    Pivot row ``i`` is ``[E_i A reversed | E_i]`` for the row operations
-    ``E_i``; it is 1 at its own end and 0 at the others, so it reads
-    ``x[ends_i] + sum_j R_i[n-1-picked_j] x[picked_j] = E_i A x``.  Link
-    ``j`` carries ``x[picked_j]``, so row ``ends_i`` of ``D`` is ``E_i``
-    and then ``-R_i[n-1-picked_j]``, and row ``picked_j`` is 1 at ``a + j``.
-    """
-    p = sol.params
-    need = _need(p, sol.t)
-    n, a_rows, e = p.h * sol.t, p.alpha * p.ell * sol.t, p.epsilon * sol.t
-    ident = np.eye(a_rows, dtype=np.int16)
-    for subset in p.receivers():
-        a = sol.matrices[list(subset)].reshape(a_rows, n)
-        red, pivots = rref_of_array(np.hstack([a[:, ::-1], ident]), sol.field)
-        rho = sum(c < n for c in pivots)
-        if rho < need:
-            raise ValueError(f"solution is invalid (witness subset {subset})")
-        ends = n - 1 - np.array(pivots[:rho], dtype=np.intp)
-        picked = np.array(sorted(set(range(n)).difference(ends)), dtype=np.intp)
-        links = np.arange(len(picked))
-        b = np.zeros((e, n), dtype=np.int16)
-        b[links, picked] = 1
-        d = np.zeros((n, a_rows + e), dtype=np.int16)
-        d[picked, a_rows + links] = 1
-        d[ends, :a_rows] = red[:rho, n:]
-        d[ends[:, None], a_rows + links] = sol.field.neg_table[red[:rho, n - 1 - picked]]
-        yield a, b, d
 
 
 def simulate(sol: LinearSolution, messages: MatrixQ) -> list[MatrixQ]:

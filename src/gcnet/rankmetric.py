@@ -15,7 +15,8 @@ one ``(size, m, n)`` index array.
 
 Lifting prepends an identity block, turning a ``k x (n-k)`` matrix
 ``A`` into a k-dimensional subspace of GF(q)^n whose canonical basis is
-``[I | A]`` itself; lifting a whole code is one concatenation.  Two
+``[I | A]`` itself; the covering code's array is allocated once and
+takes the identity and the words in one write each.  Two
 distinct lifts ``[I | A]`` and ``[I | B]`` meet in dimension
 ``k - rank(A - B)``, at most ``k - delta``, so they span at least
 ``k + delta``: a lifted MRD code is a covering code at ``alpha = 2``.
@@ -24,8 +25,6 @@ The covering construction repeats it ``alpha - 1`` times, so that any
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,24 +37,9 @@ from .linalg import product_of_arrays, ranks_of_selections
 CARDINALITY_LIMIT = 2**16
 
 
-@dataclass(frozen=True, eq=False)
-class RankMetricCode:
-    """A linear code of ``m x n`` matrices with a certified rank distance;
-    ``codewords`` is a read-only ``(size, m, n)`` index array."""
-
-    field: FieldSpec
-    m: int
-    n: int
-    delta: int
-    codewords: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.codewords)
-
-
-def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
-    """Build an MRD code of ``m x n`` matrices over GF(q) with distance ``delta``.
+def gabidulin_code(q: int, m: int, n: int, delta: int) -> np.ndarray:
+    """An MRD code of ``m x n`` matrices over GF(q) with distance ``delta``,
+    as a read-only ``(size, m, n)`` int16 array of its words.
 
     Requires ``1 <= delta <= min(m, n)``.  The code has
     ``q^(max(m,n) * (min(m,n) - delta + 1))`` codewords; a ValueError is
@@ -103,7 +87,7 @@ def gabidulin_code(q: int, m: int, n: int, delta: int) -> RankMetricCode:
     if least != delta:
         raise RuntimeError(f"construction bug: minimum nonzero rank {least} != delta {delta}")
     words.setflags(write=False)
-    return RankMetricCode(field=base, m=m, n=n, delta=delta, codewords=words)
+    return words
 
 
 def _powers(a: np.ndarray, count: int, field: FieldSpec) -> np.ndarray:
@@ -114,21 +98,6 @@ def _powers(a: np.ndarray, count: int, field: FieldSpec) -> np.ndarray:
     return np.array(out)
 
 
-def lifted_mrd_code(q: int, n: int, k: int, delta: int) -> CoveringCode:
-    """Lift an MRD code of ``k x (n-k)`` matrices into G_q(n, k), word
-    ``A`` to ``[I | A]`` in the code's order.
-
-    Any two distinct codewords meet in dimension at most ``k - delta``,
-    so the result is a covering code with ``alpha = 2``.
-    """
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    mrd = gabidulin_code(q, k, n - k, delta)
-    eye = np.broadcast_to(np.eye(k, dtype=np.int16), (mrd.size, k, k))
-    return CoveringCode(field=mrd.field, n=n, k=k, delta=delta, alpha=2,
-                        codewords=np.concatenate([eye, mrd.codewords], axis=2))
-
-
 def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> CoveringCode:
     """Covering code from a lifted MRD code, repeated ``alpha - 1`` times.
 
@@ -137,7 +106,9 @@ def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> Co
     codewords of dimension k in GF(q)^n, and every ``alpha`` of them
     span at least ``delta + k`` dimensions: a selection always contains
     two distinct lifts, which meet in dimension at most ``k - delta``.
-    Raises ValueError, before building anything, when the result would
+    Codeword ``j * size + i`` is ``[I | A_i]`` for word ``A_i`` of
+    ``gabidulin_code(q, k, n - k, delta)``, whose ``size`` words fill each
+    copy ``j`` in order.  Raises ValueError, before building anything, when the result would
     have more than ``grasscode.ENUMERATION_LIMIT`` codewords, read at
     call time.
     """
@@ -147,11 +118,15 @@ def covering_code_from_mrd(n: int, k: int, delta: int, alpha: int, q: int) -> Co
         raise ValueError(f"need delta + k <= n, got {delta} + {k} > {n}")
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
-    field_from_size(q)  # refuses a bad order first
+    field = field_from_size(q)  # refuses a bad order first
     e = max(k, n - k) * (min(k, n - k) - delta + 1)
     # gabidulin_code refuses an MRD code above CARDINALITY_LIMIT itself
     if not power_exceeds(q, e, CARDINALITY_LIMIT) and (alpha - 1) * q**e > grasscode.ENUMERATION_LIMIT:
         raise ValueError(f"covering code has {(alpha - 1) * q**e} codewords, above the cap "
                          f"{grasscode.ENUMERATION_LIMIT}")
-    lifted = lifted_mrd_code(q, n, k, delta)
-    return replace(lifted, alpha=alpha, codewords=np.tile(lifted.codewords, (alpha - 1, 1, 1)))
+    words = gabidulin_code(q, k, n - k, delta)
+    lifted = np.empty((alpha - 1, len(words), k, n), dtype=np.int16)
+    lifted[..., :k] = np.eye(k, dtype=np.int16)
+    lifted[..., k:] = words
+    return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha,
+                        codewords=lifted.reshape(-1, k, n))

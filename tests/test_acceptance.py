@@ -44,7 +44,7 @@ from gcnet.linalg import (
     rank_of_array,
     span_dim,
 )
-from gcnet.rankmetric import covering_code_from_mrd, lifted_mrd_code
+from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
 
@@ -97,7 +97,7 @@ def test_construction_validity():
 def test_lifted_mrd_subspace_distance():
     with budget(5):
         for q, n, k, delta in [(2, 4, 2, 2), (2, 4, 2, 1)]:
-            lifted = lifted_mrd_code(q, n, k, delta)
+            lifted = covering_code_from_mrd(n, k, delta, 2, q)
             for a, b in itertools.combinations(lifted.codewords, 2):
                 assert span_dim([a, b], lifted.field) >= k + delta
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from functools import cached_property
 from math import comb
 from pathlib import Path
 
@@ -414,7 +415,10 @@ def test_oracle_budget_stop_counts_only_the_nodes_tried(capsys, limit, out):
     (["search", "--h", "3", "--r", "3", "--alpha", "2", "--ell", "1", "--eps", "1", "--q", "2"],
      "--seed"),
     (["simulate", "--solution", "sol.txt"], "--seed"),
-], ids=["oracle-target-size", "search-t", "search-seed", "simulate-seed"])
+    (["qs", "--h", "3", "--r", "3", "--alpha", "2", "--ell", "1", "--eps", "1"], "--q-cap"),
+    (["qv", "--h", "3", "--r", "3", "--alpha", "2", "--ell", "1", "--eps", "1"], "--qt-cap"),
+], ids=["oracle-target-size", "search-t", "search-seed", "simulate-seed", "qs-q-cap",
+        "qv-qt-cap"])
 def test_negative_sizes_are_usage_errors(capsys, argv, flag):
     code, out, err = run(capsys, *argv, flag, "-1")
     assert code == 2
@@ -427,23 +431,26 @@ def test_simulate_stacks_no_system_per_round(tmp_path, capsys, monkeypatch):
     assert main(["search", "--h", "4", "--r", "4", "--alpha", "3", "--ell", "1", "--eps", "1",
                  "--q", "4", "--t", "2", "--seed", "0", "-o", str(path)]) == 0
     capsys.readouterr()
-    calls = []
-    vstack = np.vstack
+    # each round reuses the one plan of stacked systems, built per command
+    builds = []
+    build = LinearSolution.decoder_plan.func
 
-    def counted(arrays, *args, **kwargs):
-        calls.append(len(arrays))
-        return vstack(arrays, *args, **kwargs)
+    def counted(sol):
+        builds.append(sol)
+        return build(sol)
 
-    monkeypatch.setattr(np, "vstack", counted)
+    plan = cached_property(counted)
+    plan.__set_name__(LinearSolution, "decoder_plan")
+    monkeypatch.setattr(LinearSolution, "decoder_plan", plan)
     counts = []
     for rounds in ("1", "5"):
-        calls.clear()
+        builds.clear()
         code, out, _ = run(capsys, "simulate", "--solution", str(path), "--seed", "2",
                            "--count", rounds)
         assert code == 0
         assert out == f"OK: {rounds} random messages decoded at all 4 receivers (seed 2)\n"
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(len(builds))
+    assert counts == [1, 1]
 
 
 def test_simulate_reduces_each_receiver_once_per_solution(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from gcnet import backend, grasscode, rankmetric
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import CoveringCode, is_covering_code
 from gcnet.linalg import rank_of_array, rref_of_array, span_dim
-from gcnet.rankmetric import covering_code_from_mrd, gabidulin_code, lifted_mrd_code
+from gcnet.rankmetric import covering_code_from_mrd, gabidulin_code
 
 F2 = field_from_size(2)
 
@@ -31,19 +31,20 @@ def with_identity(words):
     (3, 2, 2, 2, 9),
 ])
 def test_gabidulin_cardinality_and_distance(q, m, n, delta, size):
-    code = gabidulin_code(q, m, n, delta)
-    assert code.codewords.shape == (size, m, n) and code.size == size
-    assert len({c.tobytes() for c in code.codewords}) == size
+    words = gabidulin_code(q, m, n, delta)
+    assert isinstance(words, np.ndarray) and words.dtype == np.int16
+    assert words.shape == (size, m, n) and len(words) == size
+    assert not words.flags.writeable
+    assert len({c.tobytes() for c in words}) == size
     # linearity makes pairwise distance equal nonzero-codeword rank,
     # but check a few true pairs anyway
-    words = code.codewords[:8]
-    for a, b in itertools.combinations(words, 2):
-        assert rank_distance(code.field, a, b) >= delta
+    for a, b in itertools.combinations(words[:8], 2):
+        assert rank_distance(field_from_size(q), a, b) >= delta
 
 
 def test_gabidulin_distance_is_tight():
-    code = gabidulin_code(2, 3, 3, 2)
-    nonzero_ranks = {r for c in code.codewords if (r := rank_of_array(c, code.field)) > 0}
+    words = gabidulin_code(2, 3, 3, 2)
+    nonzero_ranks = {r for c in words if (r := rank_of_array(c, F2)) > 0}
     assert min(nonzero_ranks) == 2
 
 
@@ -62,8 +63,8 @@ def test_gabidulin_self_check_is_one_batched_rank_call(monkeypatch):
 
     monkeypatch.setattr(backend, "rank_destructive", refuse)
     monkeypatch.setattr(backend, "rank_stack", recording)
-    assert gabidulin_code(4, 3, 3, 3).size == 64
-    assert gabidulin_code(2, 4, 2, 1).size == 256
+    assert len(gabidulin_code(4, 3, 3, 3)) == 64
+    assert len(gabidulin_code(2, 4, 2, 1)) == 256
     assert stacks == [(63, 3, 3), (255, 4, 2)]
 
 
@@ -94,7 +95,7 @@ def test_gabidulin_domain_errors():
 
 def test_cardinality_limit_is_read_at_call_time(monkeypatch):
     # 16 codewords: under the default limit, over a patched one
-    assert gabidulin_code(2, 2, 2, 1).size == 16
+    assert len(gabidulin_code(2, 2, 2, 1)) == 16
     monkeypatch.setattr(rankmetric, "CARDINALITY_LIMIT", 8)
     with pytest.raises(ValueError, match="exceeds the cap 8"):
         gabidulin_code(2, 2, 2, 1)
@@ -103,8 +104,8 @@ def test_cardinality_limit_is_read_at_call_time(monkeypatch):
 
 
 def test_lift_shape_and_injectivity():
-    words = gabidulin_code(2, 2, 2, 1).codewords
-    code = lifted_mrd_code(2, 4, 2, 1)
+    words = gabidulin_code(2, 2, 2, 1)
+    code = covering_code_from_mrd(4, 2, 1, 2, 2)
     assert code.codewords.shape == (16, 2, 4)
     assert len({c.tobytes() for c in code.codewords}) == 16
     assert all(rank_of_array(c, F2) == 2 for c in code.codewords)
@@ -116,7 +117,7 @@ def test_lift_shape_and_injectivity():
 
 @pytest.mark.parametrize("q,n,k,delta", [(2, 4, 2, 2), (2, 4, 2, 1)])
 def test_lifted_mrd_subspace_distance(q, n, k, delta):
-    lifted = lifted_mrd_code(q, n, k, delta)
+    lifted = covering_code_from_mrd(n, k, delta, 2, q)
     assert len(lifted.codewords) == q ** (max(k, n - k) * (min(k, n - k) - delta + 1))
     assert isinstance(lifted, CoveringCode) and (lifted.k, lifted.alpha) == (k, 2)
     assert is_covering_code(lifted) == (True, None)
@@ -156,7 +157,7 @@ def test_covering_code_repeats_the_lifted_gabidulin_code(monkeypatch):
     monkeypatch.setattr(backend, "rank_destructive", refuse)
     for n, k, delta, alpha, q in [(5, 2, 1, 3, 2), (5, 3, 1, 2, 3), (4, 2, 2, 4, 4)]:
         code = covering_code_from_mrd(n, k, delta, alpha, q)
-        block = with_identity(gabidulin_code(q, k, n - k, delta).codewords)
+        block = with_identity(gabidulin_code(q, k, n - k, delta))
         assert np.array_equal(code.codewords, np.concatenate([block] * (alpha - 1)))
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .ffield import ORDER_LIMIT, FieldSpec, comb_exceeds, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
-from . import grasscode, linalg
+from . import grasscode
 from .linalg import MatrixQ, element_array, product_of_arrays, ranks_of_selections, rref_of_array
 
 
@@ -240,16 +240,13 @@ def random_solution_search(
 ) -> Optional[LinearSolution]:
     """Draw i.i.d. uniform coding matrices until a draw verifies.
 
-    Each trial uses its own generator derived from ``(seed, trial)``,
-    so the result is reproducible and independent of scheduling.  A
-    trial is one ``(r, ell*t, h*t)`` draw.  Trials are checked in blocks
-    of doubling size (1, 2, 4, ...), each block's receivers ranked by
-    one ``ranks_of_selections`` call; a block holds at most
-    ``linalg.CHUNK_ENTRIES`` receiver entries, one trial at least, and no
-    block draws past ``trials``.
-    The first verifying trial's draw, in order, becomes the returned
-    solution's array, the one draw that is validated and cast.  Returns
-    None after ``trials`` draws (absence is an outcome, not an error).
+    One generator, ``np.random.default_rng(seed)``, serves the whole
+    search, so the result is reproducible: trial ``i`` is its ``i``-th
+    ``(r, ell*t, h*t)`` draw.  Each trial's receivers are ranked by one
+    ``ranks_of_selections`` call, and the first trial whose receivers
+    all reach ``(h - epsilon) * t`` becomes the returned solution's
+    array, the one draw that is validated and cast.  Returns None after
+    ``trials`` draws (absence is an outcome, not an error).
     Raises ValueError, before any draw, for a blocklength ``t`` below 1,
     for a trial of more than ``grasscode.ENUMERATION_LIMIT`` entries and
     for more receivers than ``NetworkParams.receivers`` lists.
@@ -264,22 +261,11 @@ def random_solution_search(
                          f"{grasscode.ENUMERATION_LIMIT}")
     need = _need(p, t)
     subsets = np.array(p.receivers(), dtype=np.intp)
-    most = linalg.items_per_pass(subsets.size * k * n)
-    trial, block = 0, 1
-    while trial < trials:
-        count = min(block, most, trials - trial)
-        codings = np.stack([
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            .integers(0, field.q, size=(p.r, k, n), dtype=np.int64)
-            for i in range(trial, trial + count)])
-        # receiver j of trial i is blocks subsets[j] + i*r of the flattened codings
-        pairs = (subsets + p.r * np.arange(count)[:, None, None]).reshape(-1, p.alpha)
-        ranks = ranks_of_selections(codings.reshape(-1, k, n), pairs, field)
-        passed = np.flatnonzero((ranks.reshape(count, -1) >= need).all(axis=1))
-        if passed.size:
-            return LinearSolution(params=p, field=field, t=t, matrices=codings[passed[0]])
-        trial += count
-        block *= 2
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        coding = rng.integers(0, field.q, size=(p.r, k, n), dtype=np.int64)
+        if (ranks_of_selections(coding, subsets, field) >= need).all():
+            return LinearSolution(params=p, field=field, t=t, matrices=coding)
     return None
 
 

@@ -64,7 +64,8 @@ class _LineReader:
                     f"expected {expect} integers, found {len(values)}", self.pos
                 )
             return values
-        raise FileFormatError("unexpected end of file", len(self.lines))
+        # line numbers are 1-based, so a file with no lines ends at line 1
+        raise FileFormatError("unexpected end of file", max(1, len(self.lines)))
 
     def at_eof(self) -> bool:
         for raw in self.lines[self.pos :]:

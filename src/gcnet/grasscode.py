@@ -350,13 +350,18 @@ class SearchResult:
     says why it stopped: ``exhausted`` (the tree finished),
     ``bound:<source>`` (``size`` met ``proven_upper``), ``budget`` (the
     node budget ran out) or ``target`` (a code of ``target_size`` was
-    found).  ``exact`` holds for the first two."""
+    found)."""
 
     size: int
     code: Optional[CoveringCode]
-    exact: bool
     nodes: int = 0
     certified_by: str = "exhausted"
+
+    @property
+    def exact(self) -> bool:
+        """Whether ``size`` is certified the maximum: the stop is
+        ``exhausted`` or ``bound:<source>``."""
+        return self.certified_by == "exhausted" or self.certified_by.startswith("bound:")
 
 
 def max_covering_code(
@@ -481,8 +486,6 @@ def max_covering_code(
             kept = [y for y in cands[pos:] if all(spans[h + (y,)] >= need for h in heads)]
             frames.append([kept, 0])
 
-    exact = certified_by == "exhausted" or certified_by.startswith("bound:")
     code = CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha,
                         codewords=candidates[best]) if best else None
-    return SearchResult(size=len(best), code=code, exact=exact, nodes=nodes,
-                        certified_by=certified_by)
+    return SearchResult(size=len(best), code=code, nodes=nodes, certified_by=certified_by)

@@ -299,10 +299,10 @@ def test_random_search_is_deterministic():
 
 
 def test_random_search_wraps_only_the_draw_that_verifies(monkeypatch):
-    # seed 1 passes at its fourth trial; a rejected draw is never
+    # seed 0 passes at its fourth trial; a rejected draw is never
     # validated, and the one that passes is validated once, as one array
     p = NetworkParams(h=3, r=3, alpha=2, ell=1, epsilon=1)
-    assert random_solution_search(p, F2, t=1, trials=1, seed=1) is None
+    assert random_solution_search(p, F2, t=1, trials=1, seed=0) is None
     checked = []
     element_array = combnet.element_array
 
@@ -311,7 +311,7 @@ def test_random_search_wraps_only_the_draw_that_verifies(monkeypatch):
         return element_array(field, data, shape)
 
     monkeypatch.setattr(combnet, "element_array", counting)
-    sol = random_solution_search(p, F2, t=1, trials=1000, seed=1)
+    sol = random_solution_search(p, F2, t=1, trials=1000, seed=0)
     assert checked == [(3, 1, 3)]
     assert verify_solution(sol) == (True, None)
 
@@ -329,11 +329,12 @@ BENCHMARK_SEARCHES = [
 
 
 def first_verifying_trial(params, field, t, trials, seed):
-    """The per-trial loop the block search must agree with: each trial's
-    own draw, every receiver ranked alone, the first that verifies."""
+    """The reference the search must agree with: trial i is the i-th draw
+    of one generator seeded by ``seed``, every receiver ranked alone, and
+    the first trial that verifies wins."""
     need = (params.h - params.epsilon) * t
+    rng = np.random.default_rng(seed)
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         coding = rng.integers(0, field.q, size=(params.r, params.ell * t, params.h * t),
                               dtype=np.int64)
         if all(rank_of_array(coding[list(s)].reshape(-1, params.h * t), field) >= need
@@ -353,34 +354,44 @@ def test_block_search_returns_the_first_verifying_trial(net):
         assert np.array_equal(sol.matrices, coding)
         later += trial > 0
     if q <= 4:
-        assert later >= 40  # most searches reach a block past the first
+        assert later >= 40  # most searches need more than one trial
 
 
 @pytest.mark.parametrize("trials", [3, 5])
 def test_block_search_draws_no_trial_past_the_budget(monkeypatch, trials):
-    # the q = 2 benchmark network fails about 93% of its trials; blocks of
-    # 1 and 2 trials end at 3, and 5 cuts the third block to 2
+    # the q = 2 benchmark network fails about 93% of its trials; a miss
+    # draws exactly the budget, and a hit stops at the trial that verifies
     p, field = NetworkParams(h=3, r=5, alpha=2, ell=1, epsilon=1), F2
-    keys = []
-    seed_sequence = np.random.SeedSequence
+    draws = []
+    default_rng = np.random.default_rng
 
-    def recording(*args, **kwargs):
-        keys.append(kwargs["spawn_key"])
-        return seed_sequence(*args, **kwargs)
+    class Counting:
+        # a generator whose draws are counted, one count per search
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+            draws.append(0)
 
-    monkeypatch.setattr(np.random, "SeedSequence", recording)
+        def integers(self, *args, **kwargs):
+            draws[-1] += 1
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
     found = [random_solution_search(p, field, 1, trials, seed) is not None for seed in range(50)]
-    assert not all(found)
-    assert max(keys) == (trials - 1,)
-    assert found == [first_verifying_trial(p, field, 1, trials, seed)[0] is not None
-                     for seed in range(50)]
+    monkeypatch.undo()
+    assert not all(found) and any(found)
+    for seed, hit, count in zip(range(50), found, draws, strict=True):
+        trial, _ = first_verifying_trial(p, field, 1, trials, seed)
+        assert hit == (trial is not None)
+        assert count == (trial + 1 if hit else trials)
 
 
 def test_search_memory_does_not_grow_with_the_block():
     # (2, 6, 2, 1, 0) at q = 2, t = 8: each of the 15 receivers is a
     # square 16 x 16 matrix over GF(2), all invertible almost never, so no
-    # trial verifies and the blocks keep doubling.  A block of 256 trials
-    # would hold 256 * 15 * 256 gathered int64 entries, about 7.5 MiB.
+    # trial verifies.  Trials are drawn and ranked one at a time, so what
+    # the search holds does not grow with the trials it checks; holding
+    # 256 trials at once would take 256 * 15 * 256 gathered int64
+    # entries, about 7.5 MiB.
     p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
     random_solution_search(p, F2, 8, 3, 0)
     tracemalloc.start()

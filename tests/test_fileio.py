@@ -118,6 +118,14 @@ def test_code_bad_dimensions_point_at_header(text, message):
     assert str(err.value) == f"{message} (line 1)"
 
 
+@pytest.mark.parametrize("parse", [parse_code, parse_solution], ids=["code", "solution"])
+def test_empty_file_ends_at_line_one(parse):
+    # line numbers are 1-based, also for a file with no lines
+    with pytest.raises(FileFormatError) as err:
+        parse("")
+    assert str(err.value) == "unexpected end of file (line 1)"
+
+
 def test_code_negative_count_points_at_header():
     with pytest.raises(FileFormatError) as err:
         parse_code("# comment\n2 1 1 2 2 -1\n")

@@ -14,6 +14,7 @@ from gcnet.ffield import field_from_size
 from gcnet.grasscode import (
     CoverWitness,
     CoveringCode,
+    SearchResult,
     enumerate_grassmannian,
     is_covering_code,
     max_covering_code,
@@ -466,6 +467,18 @@ def test_max_code_exactness_flags():
     assert early.size == 2
     assert not early.exact
     assert early.certified_by == "target"
+
+
+@pytest.mark.parametrize("certified_by,exact", [
+    ("exhausted", True), ("bound:x", True), ("budget", False), ("target", False)])
+def test_search_result_exact_is_read_from_its_stop(certified_by, exact):
+    # exact is derived, so no result carries a flag its stop does not certify
+    result = SearchResult(size=3, code=None, nodes=3, certified_by=certified_by)
+    assert result.exact is exact
+    with pytest.raises(AttributeError):
+        result.exact = not exact
+    with pytest.raises(TypeError):
+        SearchResult(size=3, code=None, exact=exact, nodes=3, certified_by=certified_by)
 
 
 @pytest.mark.parametrize("limit,certified_by", [(482, "exhausted"), (481, "budget")])

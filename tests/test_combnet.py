@@ -388,10 +388,8 @@ def test_block_search_draws_no_trial_past_the_budget(monkeypatch, trials):
 def test_search_memory_does_not_grow_with_the_block():
     # (2, 6, 2, 1, 0) at q = 2, t = 8: each of the 15 receivers is a
     # square 16 x 16 matrix over GF(2), all invertible almost never, so no
-    # trial verifies.  Trials are drawn and ranked one at a time, so what
-    # the search holds does not grow with the trials it checks; holding
-    # 256 trials at once would take 256 * 15 * 256 gathered int64
-    # entries, about 7.5 MiB.
+    # trial verifies.  Holding 256 trials at once would take
+    # 256 * 15 * 256 gathered int64 entries, about 7.5 MiB.
     p = NetworkParams(h=2, r=6, alpha=2, ell=1, epsilon=0)
     random_solution_search(p, F2, 8, 3, 0)
     tracemalloc.start()

@@ -4,7 +4,8 @@ There are two paths, chosen by what the caller holds, with no size
 switch and no option:
 
 - a single matrix runs a Python loop over its rows as lists
-  (``rank_destructive``, ``rref_destructive``).  The search's span memo
+  (``rank_destructive``, ``rref_destructive``).  The search's span memo,
+  the random search's receivers (a trial stops at its first short one)
   and every rref pay per call, and NumPy's vectorised row operations only
   catch up between 12 x 12 and 24 x 24 (README, "Elimination kernel"),
   above every matrix gcnet reduces;

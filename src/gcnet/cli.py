@@ -67,7 +67,7 @@ from .fileio import (
     render_code,
     render_solution,
 )
-from . import grasscode
+from . import combnet, grasscode
 from .grasscode import NODE_LIMIT, is_covering_code, max_covering_code
 from .linalg import random_matrix
 from .rankmetric import covering_code_from_mrd
@@ -304,7 +304,7 @@ def _cmd_qs(args, parser) -> int:
     params = _resolve_params(args, parser)
     q, exact = compute_qs(params, q_cap=args.q_cap, node_limit=args.node_limit)
     if q is None:
-        print(f"qs: none found with q <= {args.q_cap}")
+        print(f"qs: none found with q <= {min(args.q_cap, combnet.ORDER_LIMIT)}")
         return 1
     print(f"qs = {q} ({'exact' if exact else 'upper bound'})")
     return 0
@@ -314,7 +314,7 @@ def _cmd_qv(args, parser) -> int:
     params = _resolve_params(args, parser)
     value, exact = compute_qv(params, qt_cap=args.qt_cap, node_limit=args.node_limit)
     if value is None:
-        print(f"qv: none found with q^t <= {args.qt_cap}")
+        print(f"qv: none found with q^t <= {min(args.qt_cap, combnet.ORDER_LIMIT)}")
         return 1
     print(f"qv = {value} ({'exact' if exact else 'upper bound'})")
     return 0

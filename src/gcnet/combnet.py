@@ -35,7 +35,8 @@ import numpy as np
 from .ffield import ORDER_LIMIT, FieldSpec, comb_exceeds, field_from_size, prime_powers
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
 from . import grasscode
-from .linalg import MatrixQ, element_array, product_of_arrays, ranks_of_selections, rref_of_array
+from .linalg import (MatrixQ, element_array, items_per_pass, product_of_arrays, rank_of_array,
+                     ranks_of_selections, rref_of_array)
 
 
 class SolvabilityClass(enum.Enum):
@@ -242,10 +243,13 @@ def random_solution_search(
 
     One generator, ``np.random.default_rng(seed)``, serves the whole
     search, so the result is reproducible: trial ``i`` is its ``i``-th
-    ``(r, ell*t, h*t)`` draw.  Each trial's receivers are ranked by one
-    ``ranks_of_selections`` call, and the first trial whose receivers
-    all reach ``(h - epsilon) * t`` becomes the returned solution's
-    array, the one draw that is validated and cast.  Returns None after
+    ``(r, ell*t, h*t)`` draw.  A trial's receivers are gathered from its
+    draw in ``receivers()`` order, in passes of ``items_per_pass``
+    receivers, and ranked one at a time by ``rank_of_array``; the trial
+    is rejected at its first receiver below ``(h - epsilon) * t``, so a
+    failing trial ranks only up to that receiver.  The first trial whose
+    receivers all reach it becomes the returned solution's array, the
+    one draw that is validated and cast.  Returns None after
     ``trials`` draws (absence is an outcome, not an error).
     Raises ValueError, before any draw, for a blocklength ``t`` below 1,
     for a trial of more than ``grasscode.ENUMERATION_LIMIT`` entries and
@@ -261,10 +265,14 @@ def random_solution_search(
                          f"{grasscode.ENUMERATION_LIMIT}")
     need = _need(p, t)
     subsets = np.array(p.receivers(), dtype=np.intp)
+    rows = p.alpha * k
+    step = items_per_pass(rows * n)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         coding = rng.integers(0, field.q, size=(p.r, k, n), dtype=np.int64)
-        if (ranks_of_selections(coding, subsets, field) >= need).all():
+        if all(rank_of_array(system, field) >= need
+               for start in range(0, len(subsets), step)
+               for system in coding[subsets[start:start + step]].reshape(-1, rows, n)):
             return LinearSolution(params=p, field=field, t=t, matrices=coding)
     return None
 

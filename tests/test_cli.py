@@ -586,6 +586,19 @@ def test_qv_budget_below_r_answers_none_at_once(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("command, cap, line", [
+    ("qs", "--q-cap", "qs: none found with q <= 1024\n"),
+    ("qv", "--qt-cap", "qv: none found with q^t <= 1024\n"),
+])
+def test_alphabet_miss_names_the_field_order_limit_above_it(capsys, command, cap, line):
+    # the points of PG(2, q) number q^2 + q + 1, below 1 100 000 at every
+    # q <= 1024 and above it at q = 1049, which no field reaches: the miss
+    # line names the largest order searched, not the cap of 2000
+    code, out, err = run(capsys, command, "--h", "3", "--r", "1100000", "--alpha", "2",
+                         "--ell", "1", "--eps", "1", cap, "2000")
+    assert (code, out, err) == (1, line, "")
+
+
 def test_every_node_limit_default_is_the_grasscode_one():
     for fn in (compute_qs, compute_qv, estimate_gap, max_covering_code):
         assert inspect.signature(fn).parameters["node_limit"].default == NODE_LIMIT

@@ -402,6 +402,67 @@ def test_search_memory_does_not_grow_with_the_block():
     assert peak < 1 << 20
 
 
+def test_search_gathers_receivers_in_bounded_passes():
+    # (2, 60, 2, 1, 0) at q = 2, t = 8: 1 770 receivers of 16 x 16 per
+    # trial, almost never all invertible.  Gathering a trial's receivers
+    # at once would hold 1 770 * 256 int64 entries, about 3.5 MiB.
+    p = NetworkParams(h=2, r=60, alpha=2, ell=1, epsilon=0)
+    random_solution_search(p, F2, 8, 3, 0)
+    tracemalloc.start()
+    try:
+        found = random_solution_search(p, F2, 8, 50, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None
+    assert peak < 1 << 20
+
+
+def test_search_stops_at_a_trials_first_short_receiver(monkeypatch):
+    # the q = 2 benchmark network fails about 93% of its trials: each
+    # receiver is ranked alone, in receivers() order, and a trial stops
+    # at its first short receiver, so the search ranks, per trial of the
+    # stream, that receiver's index plus one, or all R when it verifies
+    p, field, trials = NetworkParams(h=3, r=5, alpha=2, ell=1, epsilon=1), F2, 5
+    subsets = p.receivers()
+    expected, drawn = [], 0
+    for seed in range(50):
+        hit, _ = first_verifying_trial(p, field, 1, trials, seed)
+        rng = np.random.default_rng(seed)
+        ranked = 0
+        for trial in range(trials if hit is None else hit + 1):
+            coding = rng.integers(0, field.q, size=(p.r, p.ell, p.h), dtype=np.int64)
+            short = [i for i, s in enumerate(subsets)
+                     if rank_of_array(coding[list(s)].reshape(-1, p.h), field) < p.h - p.epsilon]
+            assert (trial == hit) == (not short)
+            drawn += 1
+            ranked += short[0] + 1 if short else len(subsets)
+        expected.append(ranked)
+    singles, stacks = [], []
+    rank_destructive, rank_stack = backend.rank_destructive, backend.rank_stack
+
+    def single(m, *views):
+        singles.append(m.shape)
+        return rank_destructive(m, *views)
+
+    def stack(s, *views):
+        stacks.append(s.shape)
+        return rank_stack(s, *views)
+
+    monkeypatch.setattr(backend, "rank_destructive", single)
+    monkeypatch.setattr(backend, "rank_stack", stack)
+    counts = []
+    for seed in range(50):
+        before = len(singles)
+        random_solution_search(p, field, 1, trials, seed)
+        counts.append(len(singles) - before)
+    monkeypatch.undo()
+    assert stacks == []
+    assert counts == expected
+    assert set(singles) == {(2, 3)}
+    assert 2 * sum(expected) < drawn * len(subsets)  # most trials stop early
+
+
 def first_short_receiver(sol):
     need = (sol.params.h - sol.params.epsilon) * sol.t
     return next((s for s in sol.params.receivers()

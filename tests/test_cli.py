@@ -22,6 +22,7 @@ from gcnet.combnet import NetworkParams, compute_qs, compute_qv, estimate_gap
 from gcnet.fileio import parse_code, render_code, render_solution
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import NODE_LIMIT, CoveringCode, max_covering_code
+from gcnet.linalg import MatrixQ
 from gcnet.combnet import LinearSolution
 
 
@@ -1041,3 +1042,28 @@ def test_simulate_messages_keep_the_data_rows_the_benchmark_reads(tmp_path, caps
             assert isinstance(data, np.ndarray) and data.shape == (sol.params.h, sol.t)
             assert [[int(v) for v in row] for row in data] == data.tolist()
             assert np.array_equal(data, message)
+
+
+def test_simulate_names_the_first_receiver_of_a_failing_round(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sol.txt"
+    assert main(["search", "--h", "4", "--r", "6", "--alpha", "3", "--ell", "1", "--eps", "1",
+                 "--q", "16", "--t", "2", "--seed", "0", "-o", str(path)]) == 0
+    capsys.readouterr()
+    calls = []
+    plain = cli.simulate
+
+    def corrupt(sol, messages):
+        decoded = plain(sol, messages)
+        calls.append(messages)
+        if len(calls) == 3:
+            # receivers 5 and 9 of receivers() order: middle nodes 1,3,5 and 1,5,6
+            for i in (5, 9):
+                decoded[i] = MatrixQ(sol.field, decoded[i].data ^ 1)
+        return decoded
+
+    monkeypatch.setattr(cli, "simulate", corrupt)
+    code, out, err = run(capsys, "simulate", "--solution", str(path), "--seed", "4",
+                         "--count", "5")
+    assert (code, out, err) == (1, "FAIL: round 2 receiver at middle nodes 1,3,5 "
+                                   "decoded incorrectly\n", "")
+    assert len(calls) == 3

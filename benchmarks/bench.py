@@ -14,9 +14,10 @@ whole measurement.
 ``BENCH_<label>.json`` is written at the root of the repository holding
 this script.  It names the checkout's commit and whether tracked files
 were modified on top of it.  Per workload it holds the median and
-quartiles of wall_s, setup_s and peak_rss_mib, every run's figures, the
-operations attempted and failed, and the per-layer figures of the
-traced run; and it records the seeds, run length, numpy and Python
+quartiles of wall_s, setup_s and peak_rss_mib, the median over seeds of
+each command's share of wall_s (``wall_s_by_command``, in seconds),
+every run's figures, the operations attempted and failed, and the
+per-layer figures of the traced run; and it records the seeds, run length, numpy and Python
 versions, CPU count and the kernel ``backend_name()`` the runs
 reported.  The exit code is 1 when any run reports an unexpected
 failure.
@@ -36,7 +37,9 @@ END_TO_END = ("wall_s", "setup_s", "peak_rss_mib")
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` child: its result line and full record."""
+    """One ``perfbench/run.py`` child: its result line, with the
+    environment and the timed run's ``wall_s_by_command`` (None for a
+    traced run) from its full record."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -46,7 +49,9 @@ def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> 
     result = json.loads(lines[-1])
     stem = f"{workload}-s{seed}-t{trace}"
     with open(os.path.join(checkout, "perfbench", "out", f"result-{stem}.json")) as fh:
-        result["environment"] = json.load(fh)["environment"]
+        record = json.load(fh)
+    result["environment"] = record["environment"]
+    result["wall_s_by_command"] = (record["samples"] or {}).get("wall_s_by_command")
     return result
 
 
@@ -110,12 +115,16 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for w in workloads:
+        by_command = [r["wall_s_by_command"] for r in runs[w]]
         record["workloads"][w] = {
             "end_to_end": {
                 k: dict(spread([r["metrics"][k]["value"] for r in runs[w]]),
                         unit=runs[w][0]["metrics"][k]["unit"])
                 for k in END_TO_END
             },
+            # a command's per-operation medians summed, then the median over seeds
+            "wall_s_by_command": {c: statistics.median(b[c] for b in by_command if c in b)
+                                  for c in sorted(set().union(*by_command))},
             "attempted": sum(r["attempted"] for r in runs[w]),
             "failed": sum(r["failed"] for r in runs[w]),
             # the traced run's checks count too, so this is the exit code's verdict

@@ -286,15 +286,15 @@ def _cmd_simulate(args, parser) -> int:
         return 1
     p = sol.params
     rng = np.random.default_rng(args.seed)
-    receivers = p.receivers()
     for round_no in range(args.count):
         messages = random_matrix(sol.field, p.h, sol.t, rng)
         decoded = simulate(sol, messages)
-        for recv, got in zip(receivers, decoded):
-            if got != messages:
-                print(f"FAIL: round {round_no} receiver at middle nodes {_labels(recv)} "
-                      f"decoded incorrectly")
-                return 1
+        wrong = np.array([d.data for d in decoded]) != messages.data
+        if wrong.any():
+            recv = p.receivers()[wrong.any(axis=(1, 2)).argmax()]
+            print(f"FAIL: round {round_no} receiver at middle nodes {_labels(recv)} "
+                  f"decoded incorrectly")
+            return 1
     print(f"OK: {args.count} random messages decoded at all {p.n_receivers} receivers "
           f"(seed {args.seed})")
     return 0
@@ -314,7 +314,9 @@ def _cmd_qv(args, parser) -> int:
     params = _resolve_params(args, parser)
     value, exact = compute_qv(params, qt_cap=args.qt_cap, node_limit=args.node_limit)
     if value is None:
-        print(f"qv: none found with q^t <= {min(args.qt_cap, combnet.ORDER_LIMIT)}")
+        # q^t runs to the cap, but q itself stops at the field order limit
+        limit = f", q <= {combnet.ORDER_LIMIT}" if args.qt_cap > combnet.ORDER_LIMIT else ""
+        print(f"qv: none found with q^t <= {args.qt_cap}{limit}")
         return 1
     print(f"qv = {value} ({'exact' if exact else 'upper bound'})")
     return 0

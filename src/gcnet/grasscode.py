@@ -83,6 +83,8 @@ class CoveringCode:
             raise ValueError(f"bad ambient/dimension pair (n={self.n}, k={self.k})")
         if self.alpha < 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
+        if self.delta < 0:  # delta = 0 is legal: every code covers
+            raise ValueError(f"delta must be >= 0, got {self.delta}")
         object.__setattr__(self, "codewords",
                            element_array(self.field, self.codewords, (None, self.k, self.n)))
 

@@ -3,7 +3,8 @@
 An array over GF(q) holds int16 element indices; ``element_array`` is
 the one check that makes one, for every stored format: a covering
 code's codewords, a solution's coding matrices and the ``MatrixQ``
-messages of :func:`gcnet.combnet.simulate`.  Products index the field's
+messages of :func:`gcnet.combnet.simulate`.  ``MatrixQ`` defines no
+equality; callers compare the ``.data`` arrays.  Products index the field's
 dense operation tables, and rank and reduced row echelon form run the
 table-driven elimination kernel in :mod:`gcnet.backend`, for every field
 order alike; ``ranks_of_selections`` gathers same-shape stacks by index
@@ -63,7 +64,8 @@ def element_array(field: FieldSpec, data, shape: tuple) -> np.ndarray:
 
 class MatrixQ:
     """A dense matrix over a fixed finite field: ``simulate``'s message
-    and decoded matrices.
+    and decoded matrices.  It defines no equality; callers compare the
+    ``.data`` arrays.
 
     Args:
         field: The coefficient field.
@@ -76,14 +78,6 @@ class MatrixQ:
     def __init__(self, field: FieldSpec, data):
         self.field = field
         self.data = element_array(field, data, (None, None))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixQ)
-            and self.field == other.field
-            and self.data.shape == other.data.shape
-            and np.array_equal(self.data, other.data)
-        )
 
     def __repr__(self) -> str:
         return f"MatrixQ(GF({self.field.q}), {self.data.shape[0]}x{self.data.shape[1]})"

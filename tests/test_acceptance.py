@@ -162,7 +162,7 @@ def test_simulation_decodes_everywhere():
         for sol in (three_line, constructed):
             for _ in range(100):
                 messages = random_matrix(sol.field, sol.params.h, sol.t, rng)
-                assert all(d == messages for d in simulate(sol, messages))
+                assert all(np.array_equal(d.data, messages.data) for d in simulate(sol, messages))
 
 
 def test_smallest_scalar_field_is_exact():

@@ -265,6 +265,18 @@ def test_verify_failing_code_names_the_worst_witness(tmp_path, capsys):
     assert err == ""
 
 
+def test_verify_code_refuses_a_negative_delta(tmp_path, capsys):
+    # need = delta + k would fall to 0, so any code would pass
+    path = tmp_path / "code.txt"
+    path.write_text("3 1 -1 2 2 2\n1 0 0\n0 1 0\n")
+    rc, out, err = run(capsys, "verify", "--code", str(path))
+    assert (rc, out, err) == (2, "", "error: delta must be >= 0, got -1 (line 1)\n")
+    # delta = 0 stays legal: every code covers
+    path.write_text("3 1 0 2 2 2\n1 0 0\n0 1 0\n")
+    rc, out, err = run(capsys, "verify", "--code", str(path))
+    assert (rc, out, err) == (0, "OK: every 2 of 2 codewords span >= 1\n", "")
+
+
 def test_verify_code_of_zero_subspaces_names_its_witness(tmp_path, capsys):
     # k = 0: two zero subspaces of GF(2)^3 span 0 < delta = 2, with no row to rank
     path = tmp_path / "code.txt"
@@ -589,12 +601,13 @@ def test_qv_budget_below_r_answers_none_at_once(capsys):
 
 @pytest.mark.parametrize("command, cap, line", [
     ("qs", "--q-cap", "qs: none found with q <= 1024\n"),
-    ("qv", "--qt-cap", "qv: none found with q^t <= 1024\n"),
+    ("qv", "--qt-cap", "qv: none found with q^t <= 2000, q <= 1024\n"),
 ])
 def test_alphabet_miss_names_the_field_order_limit_above_it(capsys, command, cap, line):
     # the points of PG(2, q) number q^2 + q + 1, below 1 100 000 at every
-    # q <= 1024 and above it at q = 1049, which no field reaches: the miss
-    # line names the largest order searched, not the cap of 2000
+    # q <= 1024 and above it at q = 1049, which no field reaches: qs names
+    # the largest order searched, not the cap of 2000; qv searched q^t up
+    # to the cap, (43, 2) among them, with q itself stopped at the limit
     code, out, err = run(capsys, command, "--h", "3", "--r", "1100000", "--alpha", "2",
                          "--ell", "1", "--eps", "1", cap, "2000")
     assert (code, out, err) == (1, line, "")

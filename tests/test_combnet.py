@@ -263,7 +263,7 @@ def test_simulate_three_line():
     messages = MatrixQ(F2, [[1], [0]])
     decoded = simulate(sol, messages)
     assert len(decoded) == 3
-    assert all(d == messages for d in decoded)
+    assert all(np.array_equal(d.data, messages.data) for d in decoded)
 
 
 def test_simulate_seeded_sweep():
@@ -273,7 +273,7 @@ def test_simulate_seeded_sweep():
     rng = np.random.default_rng(404)
     for _ in range(100):
         messages = random_matrix(F2, 3, 1, rng)
-        assert all(d == messages for d in simulate(sol, messages))
+        assert all(np.array_equal(d.data, messages.data) for d in simulate(sol, messages))
 
 
 def test_simulate_validates_message_shape():

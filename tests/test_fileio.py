@@ -110,9 +110,11 @@ def test_code_errors_carry_line_numbers(text, line, message):
     ("-3 0 1 2 2 2\n", "bad ambient/dimension pair (n=-3, k=0)"),
     ("3 -1 1 2 2 2\n", "bad ambient/dimension pair (n=3, k=-1)"),
     ("3 4 1 2 2 1\n1 0 0\n", "bad ambient/dimension pair (n=3, k=4)"),
-], ids=["negative-n", "negative-k", "k-above-n"])
+    ("3 1 -1 2 2 2\n1 0 0\n0 1 0\n", "delta must be >= 0, got -1"),
+], ids=["negative-n", "negative-k", "k-above-n", "negative-delta"])
 def test_code_bad_dimensions_point_at_header(text, message):
-    # the header shapes the code's array, so it is refused before any block
+    # the header shapes the code's array, so a bad shape is refused before
+    # any block; every header error names the header's line
     with pytest.raises(FileFormatError) as err:
         parse_code(text)
     assert str(err.value) == f"{message} (line 1)"

@@ -17,9 +17,9 @@ were modified on top of it.  Per workload it holds the median and
 quartiles of wall_s, setup_s and peak_rss_mib, the median over seeds of
 each command's share of wall_s (``wall_s_by_command``, in seconds),
 every run's figures, the operations attempted and failed, and the
-per-layer figures of the traced run; and it records the seeds, run length, numpy and Python
-versions, CPU count and the kernel ``backend_name()`` the runs
-reported.  The exit code is 1 when any run reports an unexpected
+per-layer figures of the traced run; and it records the seeds, run
+length, numpy and Python versions, CPU count and the kernel
+``backend_name()`` the runs reported.  The exit code is 1 when any run reports an unexpected
 failure.
 """
 

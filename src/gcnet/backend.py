@@ -6,20 +6,23 @@ switch and no option:
 - a single matrix runs a Python loop over its rows as lists
   (``rank_destructive``, ``rref_destructive``).  The search's span memo,
   the random search's receivers (a trial stops at its first short one)
-  and every rref pay per call, and NumPy's vectorised row operations only
-  catch up between 12 x 12 and 24 x 24 (README, "Elimination kernel"),
-  above every matrix gcnet reduces;
-- a stack of same-shape matrices runs ``rank_stack``: one NumPy pass
-  over the batch axis per column, so NumPy's per-call cost is paid once
-  per column for the whole stack rather than once per matrix.  Its one
-  caller, ``linalg.ranks_of_selections``, gathers and bounds the stacks.
+  and the single reductions of parsing and ``dual`` pay per call, and
+  NumPy's vectorised row operations only catch up between 12 x 12 and
+  24 x 24 (README, "Elimination kernel"), above every matrix gcnet
+  reduces;
+- a stack of same-shape matrices runs ``rank_stack`` or ``rref_stack``:
+  one NumPy pass over the batch axis per column, so NumPy's per-call
+  cost is paid once per column for the whole stack rather than once per
+  matrix.  Their one caller each, ``linalg.ranks_of_selections`` and
+  ``linalg.rrefs_of_stack``, bounds the stacks; the decoder plan of a
+  solution reduces all its receivers through the second.
 
 Every entry point takes element indices and the field's ``inv``,
 ``neg``, ``add`` and ``mul`` tables as the flat int16 memoryviews each
 :class:`~gcnet.ffield.FieldSpec` builds once (``FieldSpec.kernel_views``),
 so one code path serves every field gcnet accepts; a ``(q, q)`` table is
 read at ``a * q + b``, and ``q`` is the length of ``inv``.  No entry
-point writes the array it is given.  The rref entry point returns the
+point writes the array it is given.  The rref entry points return the
 reduced rows and their pivot columns.
 
 Row operations touch only the columns from the pivot column on: every
@@ -132,6 +135,71 @@ def rank_stack(stack, inv, neg, add, mul) -> np.ndarray:
         add.take(at, out=tail, mode="clip")
     ranks += m[:, :, -1].any(axis=1)
     return ranks
+
+
+def rref_stack(stack, inv, neg, add, mul) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of the matrices of a ``(B, R, C)`` stack
+    of element indices over the table-described field, as ``(red,
+    pivots)``: an int16 stack of the input's shape, each matrix the rows
+    ``rref_destructive`` returns for it, and a ``(B, R)`` intp array of
+    each row's pivot column, ``C`` at the zero rows.  The stack is not
+    written.
+
+    Gauss-Jordan elimination over the whole stack at once, one column at
+    a time, with every row left in place.  At each column every matrix
+    takes its first nonzero row that is not yet a pivot row, of entry
+    ``p``, and adds ``c`` times it to each of its rows: ``c = -f / p``
+    for a row whose entry there is ``f``, and ``c = 1 / p - 1`` for the
+    pivot row itself, which scales it to a leading 1.  A matrix without
+    such a row adds with ``c = 0``, so its rows stay as they are.  The
+    pass stops once every row is a pivot row or every column is done;
+    then each matrix's pivot rows are gathered to the top in column
+    order, and the rest, which are zero, below them.  The reduced form
+    of a matrix is unique, so this is the single-matrix loop's result.
+    Index arithmetic runs in one reused intp buffer, as in ``rank_stack``.
+    """
+    inv, neg, add, mul = (np.asarray(t) for t in (inv, neg, add, mul))
+    q = np.intp(len(inv))
+    count, nrows, ncols = stack.shape
+    m = stack.astype(np.int16)
+    red = np.zeros_like(m)
+    pivots = np.full((count, nrows), ncols, dtype=np.intp)
+    if not m.size:
+        return red, pivots
+    flat = m.reshape(count * nrows, ncols)
+    first = np.arange(count) * nrows
+    unused = np.ones((count, nrows), dtype=bool)
+    minus_one = np.intp(neg[1])
+    buffer = np.empty(m.size, dtype=np.intp)
+    steps = []
+    for col in range(ncols):
+        lead = m[:, :, col]
+        free = (lead != 0) & unused
+        found = free.any(axis=1)
+        src = first + free.argmax(axis=1)
+        prow = flat.take(src, axis=0)[:, col:]
+        scale = inv.take(prow[:, 0]) * q
+        coef = neg.take(mul.take(scale[:, None] + lead))
+        coef.reshape(-1)[src] = add.take(scale + minus_one)
+        coef *= found[:, None]
+        tail = m[:, :, col:]
+        at = buffer[:tail.size].reshape(tail.shape)
+        np.add((coef * q)[:, :, None], prow[:, None, :], out=at)
+        product = mul.take(at)
+        np.multiply(tail, q, out=at)
+        at += product
+        add.take(at, out=tail, mode="clip")
+        unused.reshape(-1)[src[found]] = False
+        steps.append((col, found, src))
+        if not unused.any():
+            break
+    cols, found, src = (np.array(x) for x in zip(*steps))
+    # step s gives matrix b its pivot number place[s, b] when found[s, b]
+    place = np.cumsum(found, axis=0) - 1
+    s, b = np.nonzero(found)
+    pivots[b, place[s, b]] = cols[s]
+    red.reshape(-1, ncols)[first[b] + place[s, b]] = flat[src[s, b]]
+    return red, pivots
 
 
 def backend_name() -> str:

@@ -24,6 +24,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -181,6 +182,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _gamma(text: str) -> float:
+    """argparse type of ``--gamma``: a positive finite number, the only
+    values the bound evaluators can use (they report None for others)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _resolve_params(args, parser: argparse.ArgumentParser) -> NetworkParams:
     """The network from ``--params FILE`` or the flags.  Values read from
     the file are written back onto ``args``, so the echo shows them."""
@@ -279,7 +292,7 @@ def _cmd_search(args, parser) -> int:
 def _cmd_simulate(args, parser) -> int:
     sol = parse_solution(_read_text(args.solution))
     try:
-        sol.decoder_plan  # one reduction per receiver decides validity too
+        sol.decoder_plan  # the batched reduction of all receivers decides validity too
     except ValueError:
         _, witness = verify_solution(sol)  # names the witness; UNSOLVABLE re-raises
         print(_receiver_failure(witness))
@@ -503,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, help="middle nodes (enables gap and threshold bounds)")
     sp.add_argument("--sweep", metavar="VAR=RANGE",
                     help="vary one of h,ell,eps,alpha,q,t,r over start:stop[:step] or a list")
-    sp.add_argument("--gamma", type=float, default=GAMMA)
+    sp.add_argument("--gamma", type=_gamma, default=GAMMA)
     sp.add_argument("--exact-gamma", action="store_true",
                     help="use the convergent product for gamma at the given q")
     sp.add_argument("--plus-one", action="store_true",
@@ -519,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=int, required=True)
     sp.add_argument("--r", type=int, help="single middle-layer size")
     sp.add_argument("--r-range", metavar="RANGE", help="start:stop[:step] or comma list")
-    sp.add_argument("--gamma", type=float, default=GAMMA)
+    sp.add_argument("--gamma", type=_gamma, default=GAMMA)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("-o", "--out", help="output file (default: stdout)")
     sp.set_defaults(func=_cmd_gap)

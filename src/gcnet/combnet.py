@@ -8,9 +8,9 @@ solution assigns to middle node ``i`` a coding matrix ``A_i`` of shape
 ``(ell*t, h*t)`` over GF(q), row ``i`` of one ``(r, ell*t, h*t)``
 array; it is valid when every receiver's stacked coding matrix has rank
 at least ``(h - epsilon) * t``; its direct links, unit vectors read off
-one echelon pass per receiver, complete decoding.  ``decoder_plan``
-allocates every receiver's system and left inverse as two stacks and
-fills them in place, each receiver's from its one echelon pass.
+its reduced echelon form, complete decoding.  ``decoder_plan`` reduces
+every receiver in one batched pass and fills the systems and left
+inverses of all receivers, two stacks, with array operations.
 
 Solutions correspond exactly to covering subspace codes: the row spaces
 of valid ``A_i`` form a code in G_q(h*t, ell*t) in which every ``alpha``
@@ -36,7 +36,7 @@ from .ffield import ORDER_LIMIT, FieldSpec, comb_exceeds, field_from_size, prime
 from .grasscode import NODE_LIMIT, CoveringCode, max_covering_code, proven_upper
 from . import grasscode
 from .linalg import (MatrixQ, element_array, items_per_pass, product_of_arrays, rank_of_array,
-                     ranks_of_selections, rref_of_array)
+                     ranks_of_selections, rrefs_of_stack)
 
 
 class SolvabilityClass(enum.Enum):
@@ -131,38 +131,50 @@ class LinearSolution:
         greedy scan taking ``e_j`` whenever it raises the rank, as it skips
         ``e_j`` iff ``e_j`` is in ``V + span(e_0, ..., e_{j-1})``, iff some
         vector of ``V`` ends at ``j``.  Reversed, the ends are the pivots
-        ``c < n`` of ``rref([A[:, ::-1] | I_a])``, one reduction per
-        receiver: ``ends = n - 1 - c``.  Fewer than ``(h - epsilon) * t``
-        of them raises ValueError naming the first such receiver, the
-        witness ``verify_solution`` reports; so do UNSOLVABLE parameters.
+        ``c < n`` of ``rref([A[:, ::-1] | I_a])``: ``ends = n - 1 - c``.
+        Every receiver's ``[A[:, ::-1] | I_a]`` is gathered into one
+        stack and reduced by one ``rrefs_of_stack`` call.  Fewer than
+        ``(h - epsilon) * t`` ends at any receiver raises ValueError
+        naming the first such receiver, the witness ``verify_solution``
+        reports; so do UNSOLVABLE parameters.
 
         Pivot row ``i`` is ``[E_i A reversed | E_i]`` for the row
         operations ``E_i``; it is 1 at its own end and 0 at the others, so
         it reads ``x[ends_i] + sum_j R_i[n-1-picked_j] x[picked_j] = E_i A
         x``.  Link ``j`` carries ``x[picked_j]``, so decoder row
         ``ends_i`` is ``E_i`` and then ``-R_i[n-1-picked_j]``, and row
-        ``picked_j`` is 1 at ``a + j``.
+        ``picked_j`` is 1 at ``a + j``.  The links, ends and decoder rows
+        of all receivers are written with array indexing, with no loop
+        over receivers.
         """
         p = self.params
         need = _need(p, self.t)
         n, a, e = p.h * self.t, p.alpha * p.ell * self.t, p.epsilon * self.t
-        subsets = p.receivers()
-        systems = np.zeros((len(subsets), a + e, n), dtype=np.int16)
-        decoders = np.zeros((len(subsets), n, a + e), dtype=np.int16)
-        systems[:, :a] = self.matrices[np.array(subsets, dtype=np.intp)].reshape(-1, a, n)
-        ident = np.eye(a, dtype=np.int16)
-        for subset, system, decoder in zip(subsets, systems, decoders):
-            red, pivots = rref_of_array(np.hstack([system[:a, ::-1], ident]), self.field)
-            rho = sum(c < n for c in pivots)
-            if rho < need:
-                raise ValueError(f"solution is invalid (witness subset {subset})")
-            ends = n - 1 - np.array(pivots[:rho], dtype=np.intp)
-            picked = np.array(sorted(set(range(n)).difference(ends)), dtype=np.intp)
-            links = a + np.arange(len(picked))
-            system[links, picked] = 1
-            decoder[picked, links] = 1
-            decoder[ends, :a] = red[:rho, n:]
-            decoder[ends[:, None], links] = self.field.neg_table[red[:rho, n - 1 - picked]]
+        subsets = np.array(p.receivers(), dtype=np.intp)
+        count = len(subsets)
+        systems = np.zeros((count, a + e, n), dtype=np.int16)
+        decoders = np.zeros((count, n, a + e), dtype=np.int16)
+        systems[:, :a] = self.matrices[subsets].reshape(count, a, n)
+        stack = np.empty((count, a, n + a), dtype=np.int16)
+        stack[:, :, :n] = systems[:, :a, ::-1]
+        stack[:, :, n:] = np.eye(a, dtype=np.int16)
+        red, pivots = rrefs_of_stack(stack, self.field)
+        short = np.flatnonzero((pivots < n).sum(axis=1) < need)
+        if short.size:
+            witness = tuple(subsets[short[0]].tolist())
+            raise ValueError(f"solution is invalid (witness subset {witness})")
+        # pivot row i of receiver b, and the coordinate where it ends
+        b, i = np.nonzero(pivots < n)
+        ends = n - 1 - pivots[b, i]
+        picked = np.ones((count, n), dtype=bool)
+        picked[b, ends] = False
+        links = a - 1 + np.cumsum(picked, axis=1)  # system row of each picked link
+        pb, pj = np.nonzero(picked)
+        systems[pb, links[pb, pj], pj] = 1
+        decoders[pb, pj, links[pb, pj]] = 1
+        decoders[b, ends, :a] = red[b, i, n:]
+        k, j = np.nonzero(picked[b])  # pivot row k against each picked j of its receiver
+        decoders[b[k], ends[k], links[b[k], j]] = self.field.neg_table[red[b[k], i[k], n - 1 - j]]
         systems.setflags(write=False)
         decoders.setflags(write=False)
         return systems, decoders

@@ -8,9 +8,11 @@ equality; callers compare the ``.data`` arrays.  Products index the field's
 dense operation tables, and rank and reduced row echelon form run the
 table-driven elimination kernel in :mod:`gcnet.backend`, for every field
 order alike; ``ranks_of_selections`` gathers same-shape stacks by index
-and ranks them in bounded batched passes.  The reduced form comes back
-as an int16 array of its input's shape and the pivot columns; no call
-modifies the arrays it is given.
+and ranks them in bounded batched passes, and ``rrefs_of_stack``
+reduces a stack in such passes.  The reduced form comes back as an int16
+array of its input's shape and the pivot columns; no call modifies the
+arrays it is given.  A product gathers the terms of many inner indices
+in one table lookup and sums them by pairwise folds.
 
 A subspace of GF(q)^n of dimension at most k has one format: its
 canonical basis, the reduced row echelon form of any k generating rows,
@@ -29,9 +31,10 @@ import numpy as np
 from . import backend
 from .ffield import FieldSpec
 
-#: Most entries ``ranks_of_selections`` gathers into one batched rank
-#: pass (one matrix at least), so that what it holds at once does not
-#: grow with what it ranks.  Read at call time.
+#: Most entries one batched pass holds (one item at least): a stack that
+#: ``ranks_of_selections`` or ``rrefs_of_stack`` hands the kernel, or the
+#: gathered terms of one ``product_of_arrays`` pass, so that what a call
+#: holds at once does not grow with its input.  Read at call time.
 CHUNK_ENTRIES = 1 << 14
 
 
@@ -85,15 +88,32 @@ class MatrixQ:
 
 def product_of_arrays(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Product ``(..., m, k) @ (..., k, n)`` of index arrays over ``field``,
-    leading axes broadcast as in ``np.matmul``: a fold over ``k`` through
-    the field's ``mul`` and ``add`` tables, so every field order alike."""
+    leading axes broadcast as in ``np.matmul``, through the field's
+    ``mul`` and ``add`` tables, so every field order alike.
+
+    The inner indices go in passes of ``items_per_pass`` of the output's
+    entries: one ``mul`` take gathers a pass's terms, stacked on a new
+    axis, and halving folds through ``add`` sum them.  Field addition is
+    associative and commutative, so the sum is exact in any order.  At
+    ``CHUNK_ENTRIES = 1`` a pass is one inner index."""
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.int16)
-    for k in range(a.shape[-1]):
-        prod = field.mul_table[a[..., :, k, None], b[..., None, k, :]]
-        out = field.add_table[out, prod]
+    add, mul = field.add_table.reshape(-1), field.mul_table.reshape(-1)
+    q = np.intp(field.q)
+    step = items_per_pass(out.size)
+    for start in range(0, a.shape[-1], step):
+        # term s, a[..., :, start + s] times b[..., start + s, :], on axis -3
+        left = np.swapaxes(a[..., start:start + step], -1, -2)[..., None]
+        terms = mul.take(left * q + b[..., start:start + step, None, :])
+        count = terms.shape[-3]
+        while count > 1:
+            half = count // 2
+            terms[..., :half, :, :] = add.take(terms[..., :half, :, :] * q
+                                               + terms[..., count - half:count, :, :])
+            count -= half
+        out = terms[..., 0, :, :] if start == 0 else add.take(out * q + terms[..., 0, :, :])
     return out
 
 
@@ -131,6 +151,23 @@ def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[
     each nonzero row.  The array is not modified."""
     rows, pivots = backend.rref_destructive(arr, *field.kernel_views)
     return np.array(rows, dtype=np.int16).reshape(arr.shape), tuple(pivots)
+
+
+def rrefs_of_stack(stack: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of the matrices of the ``(B, R, C)``
+    index array ``stack`` as ``(red, pivots)``: an int16 array of its
+    shape, each matrix as ``rref_of_array`` returns it, and a ``(B, R)``
+    intp array of each row's pivot column, ``C`` at the zero rows.  The
+    matrices are reduced in order, in batched passes of at most
+    ``CHUNK_ENTRIES`` entries (one matrix at least).  The stack is not
+    modified."""
+    step = items_per_pass(stack.shape[1] * stack.shape[2])
+    red = np.empty(stack.shape, dtype=np.int16)
+    pivots = np.empty(stack.shape[:2], dtype=np.intp)
+    for start in range(0, len(stack), step):
+        red[start:start + step], pivots[start:start + step] = backend.rref_stack(
+            stack[start:start + step], *field.kernel_views)
+    return red, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,51 @@ def test_ranks_of_selections_matches_rank_of_array(q, shape, data):
     assert np.array_equal(blocks, inputs[0]) and np.array_equal(selections, inputs[1])
 
 
+#: (B, R, C) stacks for the batched rref: no matrices, one matrix tall or
+#: wide, no rows, no columns, tall, wide and square ones, and the 9 x 21
+#: shape of a receiver's ``[A reversed | I]`` at (h, t) = (4, 3), alpha = 3.
+RREF_SHAPES = [(0, 3, 4), (1, 6, 4), (1, 4, 6), (3, 0, 4), (3, 4, 0), (5, 1, 6), (5, 6, 1),
+               (4, 9, 3), (4, 3, 9), (3, 8, 8), (6, 9, 21)]
+
+
+@pytest.mark.parametrize("shape", RREF_SHAPES, ids=str)
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 257, 1024])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_rref_stack_matches_rref_destructive(q, shape, data):
+    f = field_from_size(q)
+    stack = data.draw(stacks(q, shape))
+    if shape[0] and data.draw(st.booleans()):
+        stack[data.draw(st.integers(0, shape[0] - 1))] = 0  # an all-zero matrix
+    before = stack.copy()
+    red, pivots = backend.rref_stack(stack, *f.kernel_views)
+    assert red.dtype == np.int16 and red.shape == shape
+    assert pivots.dtype == np.intp and pivots.shape == shape[:2]
+    for m, got, got_pivots in zip(stack, red, pivots):
+        rows, want_pivots = backend.rref_destructive(m, *f.kernel_views)
+        assert got.tolist() == rows
+        assert got_pivots.tolist() == want_pivots + [shape[2]] * (shape[1] - len(want_pivots))
+    assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, linalg.CHUNK_ENTRIES])
+@pytest.mark.parametrize("q", [2, 16, 1024])
+def test_rrefs_of_stack_matches_rref_of_array_in_every_pass_size(q, chunk):
+    f = field_from_size(q)
+    rng = np.random.default_rng(q + chunk)
+    for shape in [(0, 2, 3), (1, 3, 5), (7, 4, 6), (30, 2, 9)]:
+        stack = np.stack([random_matrix(rng, q, *shape[1:]) for _ in range(shape[0])]) \
+            if shape[0] else np.zeros(shape, dtype=np.int16)
+        with mock.patch.object(linalg, "CHUNK_ENTRIES", chunk):
+            red, pivots = linalg.rrefs_of_stack(stack, f)
+        assert red.shape == shape and pivots.shape == shape[:2]
+        for m, got, got_pivots in zip(stack, red, pivots):
+            want, want_pivots = linalg.rref_of_array(m, f)
+            assert np.array_equal(got, want)
+            assert tuple(got_pivots[:len(want_pivots)]) == want_pivots
+            assert (got_pivots[len(want_pivots):] == shape[2]).all()
+
+
 def test_backend_name_is_reported():
     assert backend_name() == "python"
 

@@ -481,12 +481,12 @@ def test_simulate_reduces_each_receiver_once_per_solution(tmp_path, capsys, monk
                  "--q", "4", "--t", "2", "--seed", "0", "-o", str(path)]) == 0
     capsys.readouterr()
     calls = []
-    for name in ("rref_destructive", "rank_destructive"):
+    for name in ("rref_destructive", "rank_destructive", "rref_stack", "rank_stack"):
         kernel = getattr(backend, name)
 
-        def counted(*args, name=name, kernel=kernel):
-            calls.append(name)
-            return kernel(*args)
+        def counted(m, *views, name=name, kernel=kernel):
+            calls.append((name, m.shape))
+            return kernel(m, *views)
 
         monkeypatch.setattr(backend, name, counted)
     for rounds in ("0", "5"):
@@ -495,8 +495,9 @@ def test_simulate_reduces_each_receiver_once_per_solution(tmp_path, capsys, monk
                            "--count", rounds)
         assert code == 0
         assert out == f"OK: {rounds} random messages decoded at all 4 receivers (seed 2)\n"
-        # one reduction per receiver (C(4, 3) of them), no rank pass
-        assert calls == ["rref_destructive"] * 4
+        # one batched pass reduces all C(4, 3) receivers' [A reversed | I]
+        # (6 x 8 and 6 x 6); no single-matrix rref or rank, no rank pass
+        assert calls == [("rref_stack", (4, 6, 14))]
 
 
 def test_search_find_verify_simulate(tmp_path, capsys):
@@ -739,6 +740,29 @@ def test_bounds_exact_gamma(capsys):
     assert relaxed[False] == "14.920000"
     exact = middle_ub_relaxed(3, 1, 1, 2, 2, 1, gamma=gamma_exact(2)).value
     assert relaxed[True] == f"{exact:.6f}" != relaxed[False]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--h", "3", "--ell", "1", "--eps", "1", "--alpha", "2", "--q", "2", "--t", "1",
+     "--r", "5"],
+    ["gap", "--h", "3", "--ell", "1", "--eps", "1", "--alpha", "2", "--r", "10"],
+], ids=["bounds", "gap"])
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "0", "-1", "1e400"])
+def test_gamma_outside_its_domain_is_a_usage_error(capsys, argv, gamma):
+    # such a gamma used to print rows of empty values and exit 0
+    code, out, err = run(capsys, *argv, f"--gamma={gamma}")
+    assert code == 2
+    assert out == ""
+    assert f"--gamma: must be positive and finite, got {gamma}" in err
+    # library callers still get a report with no value
+    assert middle_ub_relaxed(3, 1, 1, 2, 2, 1, gamma=float(gamma)).value is None
+
+
+def test_gamma_that_is_not_a_number_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "gap", "--h", "3", "--ell", "1", "--eps", "1", "--alpha", "2",
+                         "--r", "10", "--gamma", "abc")
+    assert (code, out) == (2, "")
+    assert "--gamma: invalid float value: 'abc'" in err
 
 
 def test_bounds_flags_pairwise_above_alpha_two(capsys):

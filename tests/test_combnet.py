@@ -247,6 +247,76 @@ def test_direct_links_match_greedy_reference(q, t):
     assert receivers >= 20
 
 
+def reference_plan(sol):
+    """The decoder plan one receiver at a time, each from its own
+    ``rref_of_array`` of ``[A reversed | I]``, with the ValueError of the
+    first receiver that has too few ends."""
+    p = sol.params
+    n, a, e = p.h * sol.t, p.alpha * p.ell * sol.t, p.epsilon * sol.t
+    need = (p.h - p.epsilon) * sol.t
+    systems, decoders = [], []
+    for subset in p.receivers():
+        system = np.zeros((a + e, n), dtype=np.int16)
+        decoder = np.zeros((n, a + e), dtype=np.int16)
+        system[:a] = np.vstack(sol.matrices[list(subset)])
+        red, pivots = rref_of_array(np.hstack([system[:a, ::-1], np.eye(a, dtype=np.int16)]),
+                                    sol.field)
+        ends = [n - 1 - c for c in pivots if c < n]
+        if len(ends) < need:
+            raise ValueError(f"solution is invalid (witness subset {subset})")
+        picked = [j for j in range(n) if j not in ends]
+        for link, j in enumerate(picked):
+            system[a + link, j] = 1
+            decoder[j, a + link] = 1
+        for row, end in enumerate(ends):
+            decoder[end, :a] = red[row, n:]
+            for link, j in enumerate(picked):
+                decoder[end, a + link] = sol.field.neg_table[red[row, n - 1 - j]]
+        systems.append(system)
+        decoders.append(decoder)
+    return np.array(systems), np.array(decoders)
+
+
+#: The direct-link networks, one whose receivers stack 9 x 12 systems
+#: at t = 3, and a TRIVIAL one with more direct links than coordinates.
+PLAN_NETWORKS = DIRECT_LINK_NETWORKS + [NetworkParams(h=4, r=6, alpha=3, ell=1, epsilon=1),
+                                        NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=3)]
+
+
+@pytest.mark.parametrize("chunk", [1, 40, linalg.CHUNK_ENTRIES])
+def test_decoder_plan_matches_the_per_receiver_reduction(monkeypatch, chunk):
+    # the batched plan has the bytes of one reduction per receiver, and an
+    # invalid solution names the same first witness, whatever the pass size
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(chunk)
+    valid = invalid = 0
+    for q in (2, 3, 4, 16, 257):
+        field = field_from_size(q)
+        for t in (1, 2, 3):
+            for p in PLAN_NETWORKS:
+                mats = rng.integers(0, q, size=(p.r, p.ell * t, p.h * t))
+                if rng.random() < 0.5:
+                    mats[:, :, rng.random(p.h * t) < 0.3] = 0
+                if rng.random() < 0.3:
+                    mats[rng.integers(p.r)] = 0
+                sol = LinearSolution(params=p, field=field, t=t, matrices=mats)
+                try:
+                    want = reference_plan(sol)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        sol.decoder_plan
+                    assert str(got.value) == str(exc)
+                    invalid += 1
+                    continue
+                systems, decoders = sol.decoder_plan
+                assert systems.dtype == decoders.dtype == np.int16
+                assert systems.shape == want[0].shape and decoders.shape == want[1].shape
+                assert systems.tobytes() == want[0].tobytes()
+                assert decoders.tobytes() == want[1].tobytes()
+                valid += 1
+    assert valid >= 20 and invalid >= 20
+
+
 def test_direct_links_name_the_first_failing_receiver():
     # receivers (1, 2) and (2, 3) see only one line; (1, 2) comes first
     p = NetworkParams(h=2, r=4, alpha=2, ell=1, epsilon=0)

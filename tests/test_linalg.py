@@ -7,6 +7,7 @@ from math import comb, isqrt
 import numpy as np
 import pytest
 
+from gcnet import linalg
 from gcnet.bounds import EXACT_LIMIT
 from gcnet.combnet import LinearSolution, NetworkParams
 from gcnet.ffield import comb_exceeds, field_from_size, power_exceeds
@@ -116,6 +117,35 @@ def test_product_of_arrays_is_matmul_per_slice(q):
         assert stacked[s].tolist() == scalar_product(a[s], b[s], f)
     with pytest.raises(ValueError):
         product_of_arrays(a, a, f)
+
+
+#: (a, b) shapes: deep and odd inner extents (several halving folds),
+#: leading axes broadcast from either side, k = 0 and k = 1.
+PRODUCT_SHAPES = [((5, 3, 13), (5, 13, 2)), ((5, 3, 4), (4, 2)), ((3, 4), (2, 4, 2)),
+                  ((2, 1, 3, 7), (4, 7, 1)), ((5, 3, 0), (0, 2)), ((3, 1), (1, 4)),
+                  ((20, 12, 12), (20, 12, 1))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 27, 257, 1024])
+def test_product_of_arrays_is_the_same_in_every_pass_size(q, monkeypatch):
+    # a pass gathers the terms of several inner indices and folds them
+    # pairwise; the sums must not depend on how many indices share a pass
+    f = field_from_size(q)
+    rng = np.random.default_rng(q)
+    for sa, sb in PRODUCT_SHAPES:
+        a = rng.integers(0, q, size=sa).astype(np.int16)
+        b = rng.integers(0, q, size=sb).astype(np.int16)
+        lead = np.broadcast_shapes(sa[:-2], sb[:-2])
+        count = int(np.prod(lead))
+        slices = zip(np.broadcast_to(a, lead + sa[-2:]).reshape(count, *sa[-2:]),
+                     np.broadcast_to(b, lead + sb[-2:]).reshape(count, *sb[-2:]))
+        want = np.array([scalar_product(x, y, f) for x, y in slices], dtype=np.int16)
+        want = want.reshape(lead + (sa[-2], sb[-1]))
+        for chunk in (1, 40, linalg.CHUNK_ENTRIES):
+            monkeypatch.setattr(linalg, "CHUNK_ENTRIES", chunk)
+            got = product_of_arrays(a, b, f)
+            assert got.dtype == np.int16 and got.shape == want.shape
+            assert np.array_equal(got, want), (sa, sb, chunk)
 
 
 def test_matmul_big_field():

@@ -4,18 +4,21 @@ There are two paths, chosen by what the caller holds, with no size
 switch and no option:
 
 - a single matrix runs a Python loop over its rows as lists
-  (``rank_destructive``, ``rref_destructive``).  The search's span memo,
-  the random search's receivers (a trial stops at its first short one)
-  and the single reductions of parsing and ``dual`` pay per call, and
-  NumPy's vectorised row operations only catch up between 12 x 12 and
-  24 x 24 (README, "Elimination kernel"), above every matrix gcnet
-  reduces;
+  (``rank_destructive``).  The search's span memo and the random
+  search's receivers (a trial stops at its first short one) pay per
+  call, and NumPy's vectorised row operations only catch up between
+  12 x 12 and 24 x 24 (README, "Elimination kernel"), above every matrix
+  gcnet ranks;
 - a stack of same-shape matrices runs ``rank_stack`` or ``rref_stack``:
   one NumPy pass over the batch axis per column, so NumPy's per-call
   cost is paid once per column for the whole stack rather than once per
   matrix.  Their one caller each, ``linalg.ranks_of_selections`` and
-  ``linalg.rrefs_of_stack``, bounds the stacks; the decoder plan of a
-  solution reduces all its receivers through the second.
+  ``linalg.rrefs_of_stack``, bounds the stacks.  Every reduced form
+  gcnet decides comes from the second: a parsed code's codewords, the
+  verifier's canonical-basis check and a solution's decoder plan.
+
+The loop's reducing entry point has no caller in gcnet: the tests hold
+``rref_stack`` to it matrix by matrix.
 
 Every entry point takes element indices and the field's ``inv``,
 ``neg``, ``add`` and ``mul`` tables as the flat int16 memoryviews each
@@ -140,10 +143,9 @@ def rank_stack(stack, inv, neg, add, mul) -> np.ndarray:
 def rref_stack(stack, inv, neg, add, mul) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms of the matrices of a ``(B, R, C)`` stack
     of element indices over the table-described field, as ``(red,
-    pivots)``: an int16 stack of the input's shape, each matrix the rows
-    ``rref_destructive`` returns for it, and a ``(B, R)`` intp array of
-    each row's pivot column, ``C`` at the zero rows.  The stack is not
-    written.
+    pivots)``: an int16 stack of the input's shape, each matrix reduced
+    with its zero rows last, and a ``(B, R)`` intp array of each row's
+    pivot column, ``C`` at the zero rows.  The stack is not written.
 
     Gauss-Jordan elimination over the whole stack at once, one column at
     a time, with every row left in place.  At each column every matrix
@@ -161,7 +163,8 @@ def rref_stack(stack, inv, neg, add, mul) -> tuple[np.ndarray, np.ndarray]:
     inv, neg, add, mul = (np.asarray(t) for t in (inv, neg, add, mul))
     q = np.intp(len(inv))
     count, nrows, ncols = stack.shape
-    m = stack.astype(np.int16)
+    # C order, whatever the input's layout, so that ``flat`` below is a view of m
+    m = np.array(stack, dtype=np.int16, order="C")
     red = np.zeros_like(m)
     pivots = np.full((count, nrows), ncols, dtype=np.intp)
     if not m.size:

@@ -7,7 +7,8 @@ are ignored, and every other line is whitespace-separated integers.
 - covering code: header ``n k delta alpha q count`` then ``count``
   blocks, each ``k`` lines of ``n`` entries spanning a k-dimensional
   subspace.  Writers give each block's canonical basis, the row of the
-  code's ``(count, k, n)`` array; the parser reduces each block to it.
+  code's ``(count, k, n)`` array; the parser reads every block into one
+  flat buffer and reduces them all to it in one ``rrefs_of_stack`` call.
 - solution: header ``h r alpha ell epsilon q t`` then ``r`` matrix
   blocks, each a line ``rows cols q`` then ``rows`` lines of ``cols``
   entries.  Block ``i`` is row ``i`` of the solution's
@@ -22,6 +23,7 @@ number, which the CLI reports verbatim.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Iterable, Optional
 
 import numpy as np
@@ -30,7 +32,6 @@ from .combnet import LinearSolution, NetworkParams
 from .ffield import FieldSpec, field_from_size
 from . import grasscode, linalg
 from .grasscode import CoveringCode
-from .linalg import rref_of_array
 
 
 class FileFormatError(ValueError):
@@ -145,26 +146,34 @@ def parse_code(text: str) -> CoveringCode:
     # the array's shape comes from the header, so a bad one is refused here
     if n < 1 or not 0 <= k <= n:
         raise FileFormatError(f"bad ambient/dimension pair (n={n}, k={k})", header_line)
-    # the blocks are read before the array is allocated, so a header alone
+    # the blocks are read before anything is allocated, so a header alone
     # cannot ask for more memory than the file holds; a codeword with
-    # k = 0 is the zero subspace, with no block to read or reduce
-    blocks = []
-    for i in range(count if k else 0):
-        rows = []
-        for _ in range(k):
-            values = reader.next_ints(expect=n)
-            if any(v < 0 or v >= field.q for v in values):
-                raise FileFormatError(f"entries out of range for GF({field.q})", reader.pos)
-            rows.append(values)
-        red, pivots = rref_of_array(np.array(rows, dtype=np.int16), field)
-        if len(pivots) != k:
-            raise FileFormatError(
-                f"codeword {i} basis has rank {len(pivots)}, expected {k}", reader.pos
-            )
-        blocks.append(red)
+    # k = 0 is the zero subspace, with no block to read
+    entries, ends, stopped = array("h"), [], None
+    try:
+        for _ in range(count if k else 0):
+            for _ in range(k):
+                values = reader.next_ints(expect=n)
+                if any(v < 0 or v >= field.q for v in values):
+                    raise FileFormatError(f"entries out of range for GF({field.q})", reader.pos)
+                entries.extend(values)
+            ends.append(reader.pos)
+    except FileFormatError as exc:
+        stopped = exc
+    # the blocks complete before a read error come first: a short one
+    # among them is the fault on the earliest line
+    complete = count if stopped is None else len(ends)
+    words = np.frombuffer(entries, dtype=np.int16, count=complete * k * n)
+    codewords, pivots = linalg.rrefs_of_stack(words.reshape(complete, k, n), field)
+    ranks = np.count_nonzero(pivots < n, axis=1)
+    short = np.flatnonzero(ranks < k)
+    if short.size:
+        i = int(short[0])
+        raise FileFormatError(f"codeword {i} basis has rank {ranks[i]}, expected {k}", ends[i])
+    if stopped is not None:
+        raise stopped
     if not reader.at_eof():
         raise FileFormatError("trailing content after code", reader.pos + 1)
-    codewords = np.array(blocks, dtype=np.int16).reshape(count, k, n)
     try:
         return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=codewords)
     except ValueError as exc:

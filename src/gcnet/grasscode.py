@@ -5,8 +5,9 @@ GF(q)^n such that every selection of ``alpha`` codewords (with
 repetition counted, i.e. every size-``alpha`` sub-multiset) spans a
 subspace of dimension at least ``delta + k``.  A code is stored as one
 ``(size, k, n)`` int16 array, a row per codeword holding its canonical
-basis (see :mod:`gcnet.linalg`); repeated codewords are legal and
-meaningful.
+basis (see :mod:`gcnet.linalg`), which the verifier checks by reducing
+the whole array once with ``linalg.rrefs_of_stack``; repeated codewords
+are legal and meaningful.
 
 The module provides deterministic enumeration of Grassmannians, a
 verifier that reports the worst witness on failure, and an exhaustive
@@ -150,9 +151,9 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     dimension, indices).
 
     Equal codewords are grouped by their rows' bytes, which is sound only
-    for canonical bases, so a code whose rows are not each in reduced row
-    echelon form with zero rows last raises ValueError; so does one with
-    fewer than ``alpha`` codewords, or whose ``need`` exceeds ``n``.
+    for canonical bases, so a code that ``linalg.rrefs_of_stack`` does
+    not return unchanged raises ValueError; so does one with fewer than
+    ``alpha`` codewords, or whose ``need`` exceeds ``n``.
     """
     if code.size < code.alpha:
         raise ValueError(f"need at least alpha={code.alpha} codewords to verify, have {code.size}")
@@ -160,7 +161,7 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     if need > code.n:
         raise ValueError(f"required span {need} exceeds the ambient dimension {code.n}")
     words = code.codewords
-    if not _is_canonical(words):
+    if not np.array_equal(linalg.rrefs_of_stack(words, code.field)[0], words):
         raise ValueError("codewords are not canonical bases (reduced row echelon form, zero rows last)")
     dims = np.count_nonzero(words.any(axis=2), axis=1)
     copies: dict[bytes, list[int]] = {}
@@ -186,25 +187,6 @@ def is_covering_code(code: CoveringCode) -> tuple[bool, Optional[CoverWitness]]:
     if worst[0] == need:
         return True, None
     return False, CoverWitness(indices=worst[1], achieved_dim=worst[0], required_dim=need)
-
-
-def _is_canonical(words: np.ndarray) -> bool:
-    """Whether every ``(k, n)`` block of ``words`` is in reduced row
-    echelon form with its zero rows last: the leading columns rise down
-    the nonzero rows, no nonzero row follows a zero one, and each leading
-    entry is 1 and the only nonzero entry of its column."""
-    n = words.shape[2]
-    nonzero = words != 0
-    # a zero row leads at n
-    lead = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), n)
-    at = np.minimum(lead, n - 1)
-    zero = lead == n
-    rising = (lead[:, 1:] > lead[:, :-1]) | zero[:, 1:]
-    ones = (np.take_along_axis(words, at[:, :, None], 2)[:, :, 0] == 1) | zero
-    # entry (r, i) of a block: whether row r is nonzero in row i's leading column
-    column = np.take_along_axis(nonzero, at[:, None, :], 2)
-    alone = (column == np.eye(words.shape[1], dtype=bool)) | zero[:, None, :]
-    return bool(rising.all() and ones.all() and alone.all())
 
 
 def _multisets(caps: list[int], size: int):

@@ -9,8 +9,9 @@ dense operation tables, and rank and reduced row echelon form run the
 table-driven elimination kernel in :mod:`gcnet.backend`, for every field
 order alike; ``ranks_of_selections`` gathers same-shape stacks by index
 and ranks them in bounded batched passes, and ``rrefs_of_stack``
-reduces a stack in such passes.  The reduced form comes back as an int16
-array of its input's shape and the pivot columns; no call modifies the
+reduces a stack in such passes.  ``rrefs_of_stack`` is the one place
+that decides a reduced form: the reduced forms come back as an int16
+array of the input's shape and the pivot columns; no call modifies the
 arrays it is given.  A product gathers the terms of many inner indices
 in one table lookup and sums them by pairwise folds.
 
@@ -145,22 +146,15 @@ def ranks_of_selections(blocks: np.ndarray, selections: np.ndarray, field: Field
     return ranks
 
 
-def rref_of_array(arr: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form of ``arr`` as ``(red, pivots)``: an int16
-    array of ``arr``'s shape, zero rows last, and the pivot column of
-    each nonzero row.  The array is not modified."""
-    rows, pivots = backend.rref_destructive(arr, *field.kernel_views)
-    return np.array(rows, dtype=np.int16).reshape(arr.shape), tuple(pivots)
-
-
 def rrefs_of_stack(stack: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms of the matrices of the ``(B, R, C)``
     index array ``stack`` as ``(red, pivots)``: an int16 array of its
-    shape, each matrix as ``rref_of_array`` returns it, and a ``(B, R)``
+    shape, each matrix reduced with its zero rows last, and a ``(B, R)``
     intp array of each row's pivot column, ``C`` at the zero rows.  The
     matrices are reduced in order, in batched passes of at most
     ``CHUNK_ENTRIES`` entries (one matrix at least).  The stack is not
-    modified."""
+    modified.  The reduced form of a matrix is unique, so a stack of
+    canonical bases is exactly one that this returns unchanged."""
     step = items_per_pass(stack.shape[1] * stack.shape[2])
     red = np.empty(stack.shape, dtype=np.int16)
     pivots = np.empty(stack.shape[:2], dtype=np.intp)
@@ -182,23 +176,6 @@ def span_dim(bases: Iterable[np.ndarray], field: FieldSpec) -> int:
     if not bases:
         raise ValueError("span of an empty collection is undefined here")
     return rank_of_array(np.vstack(bases), field)
-
-
-def dual(basis: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Canonical basis of the orthogonal complement, under the standard
-    bilinear form, of the row space of the ``(rows, n)`` index array
-    ``basis``: an ``(n - rank, n)`` array with no zero rows.
-
-    The complement is ``{x : red @ x^T = 0}`` for the reduced form
-    ``red``: one row per free column, 1 there and minus that column's
-    entries at the pivots, reduced once more to its canonical basis."""
-    n = basis.shape[1]
-    red, pivots = rref_of_array(basis, field)
-    free = np.setdiff1d(np.arange(n), pivots)
-    null = np.zeros((len(free), n), dtype=np.int16)
-    null[np.arange(len(free)), free] = 1
-    null[:, list(pivots)] = field.neg_table[red[: len(pivots)][:, free]].T
-    return rref_of_array(null, field)[0]
 
 
 def random_matrix(field: FieldSpec, rows: int, cols: int, rng: np.random.Generator) -> MatrixQ:

@@ -111,8 +111,9 @@ def test_rref_of_empty_matrices(shape):
     f = field_from_size(4)
     m = np.zeros(shape, dtype=np.int16)
     assert linalg.rank_of_array(m, f) == 0
-    red, pivots = linalg.rref_of_array(m, f)
-    assert red.shape == shape and red.dtype == np.int16 and pivots == ()
+    red, pivots = linalg.rrefs_of_stack(m[None], f)
+    assert red.shape == (1,) + shape and red.dtype == np.int16
+    assert pivots.tolist() == [[shape[1]] * shape[0]]
 
 
 def test_rref_of_a_negative_stride_view():
@@ -121,9 +122,9 @@ def test_rref_of_a_negative_stride_view():
     m.setflags(write=False)
     view = m[::-1, ::-1]
     want, want_pivots = reference_rref(view, f)
-    red, pivots = linalg.rref_of_array(view, f)
-    assert red.dtype == np.int16 and np.array_equal(red, want) and pivots == want_pivots
-    assert type(pivots) is tuple
+    red, pivots = linalg.rrefs_of_stack(view[None], f)
+    assert red.dtype == np.int16 and np.array_equal(red[0], want)
+    assert tuple(pivots[0, :len(want_pivots)]) == want_pivots
 
 
 #: (B, R, C) stacks: an empty batch, no rows, no columns, single rows,
@@ -215,6 +216,28 @@ def test_rref_stack_matches_rref_destructive(q, shape, data):
     assert np.array_equal(stack, before)
 
 
+@pytest.mark.parametrize("q", [2, 3, 16, 257])
+def test_rref_stack_reads_every_layout(q):
+    # the same values as transposed, Fortran-ordered, negative-stride and
+    # strided views: each is reduced as its C-ordered copy is
+    f = field_from_size(q)
+    rng = np.random.default_rng(q)
+    base = np.stack([random_matrix(rng, q, 6, 4) for _ in range(8)])
+    layouts = {
+        "transposed": np.ascontiguousarray(base.transpose(0, 2, 1)).transpose(0, 2, 1),
+        "fortran": np.asfortranarray(base),
+        "reversed": base[::-1, ::-1, ::-1].copy()[::-1, ::-1, ::-1],
+        "strided": np.repeat(base, 2, axis=2)[:, :, ::2],
+    }
+    for name, stack in layouts.items():
+        assert np.array_equal(stack, base) and not stack.flags.c_contiguous, name
+        red, pivots = linalg.rrefs_of_stack(stack, f)
+        for m, got, got_pivots in zip(base, red, pivots):
+            rows, want_pivots = backend.rref_destructive(m, *f.kernel_views)
+            assert got.tolist() == rows, name
+            assert got_pivots.tolist() == want_pivots + [4] * (6 - len(want_pivots)), name
+
+
 @pytest.mark.parametrize("chunk", [1, 40, linalg.CHUNK_ENTRIES])
 @pytest.mark.parametrize("q", [2, 16, 1024])
 def test_rrefs_of_stack_matches_rref_of_array_in_every_pass_size(q, chunk):
@@ -227,10 +250,9 @@ def test_rrefs_of_stack_matches_rref_of_array_in_every_pass_size(q, chunk):
             red, pivots = linalg.rrefs_of_stack(stack, f)
         assert red.shape == shape and pivots.shape == shape[:2]
         for m, got, got_pivots in zip(stack, red, pivots):
-            want, want_pivots = linalg.rref_of_array(m, f)
-            assert np.array_equal(got, want)
-            assert tuple(got_pivots[:len(want_pivots)]) == want_pivots
-            assert (got_pivots[len(want_pivots):] == shape[2]).all()
+            rows, want_pivots = backend.rref_destructive(m, *f.kernel_views)
+            assert got.tolist() == rows
+            assert got_pivots.tolist() == want_pivots + [shape[2]] * (shape[1] - len(want_pivots))
 
 
 def test_backend_name_is_reported():
@@ -251,11 +273,11 @@ def test_tracer_sees_the_kernel_entry_points():
     tracer.install()
     try:
         rank = linalg.rank_of_array(m, f)
-        red, pivots = linalg.rref_of_array(m, f)
+        rows, pivots = backend.rref_destructive(m, *f.kernel_views)
     finally:
         tracer.uninstall()
     assert (backend.rank_destructive, backend.rref_destructive, linalg.rank_of_array) == kernels
-    assert (rank, pivots) == (2, (0, 1))
+    assert (rank, pivots) == (2, [0, 1])
     report = tracer.report()
     shapes = {(s["name"], s["q"], s["shape"]): s["calls"] for s in report["rank_by_shape"]}
     assert shapes[("backend.rank_destructive", 4, "2x3")] == 1

@@ -299,6 +299,20 @@ def test_verify_code_of_zero_subspaces_reduces_no_block(tmp_path, capsys, monkey
     assert (rc, out, err) == (1, "FAIL: codewords 1,2 span 0 < 1\n", "")
 
 
+def test_verify_code_makes_no_single_matrix_reduction(tmp_path, capsys, monkeypatch):
+    # one plane of GF(3)^3 in two bases, neither canonical, then a third
+    # plane: the parser reduces all three blocks in one batched pass, and
+    # the verifier checks the canonical form in another
+    def refuse(*args):
+        raise AssertionError("a single-matrix reduction")
+
+    monkeypatch.setattr(backend, "rref_destructive", refuse)
+    path = tmp_path / "code.txt"
+    path.write_text("3 2 1 2 3 3\n2 0 0\n0 1 0\n0 1 0\n1 0 0\n1 1 1\n0 1 2\n")
+    rc, out, err = run(capsys, "verify", "--code", str(path))
+    assert (rc, out, err) == (1, "FAIL: codewords 1,2 span 2 < 3\n", "")
+
+
 def test_verify_failing_solution(tmp_path, capsys):
     f2 = field_from_size(2)
     p = NetworkParams(h=2, r=3, alpha=2, ell=1, epsilon=0)
@@ -422,7 +436,7 @@ def test_negative_node_limit_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("limit,out", [
     ("5", "B = 5 (lower bound), nodes=5\n"),
     ("0", "B = 0 (lower bound), nodes=0\n"),
-])
+], ids=["budget-5", "budget-0"])
 def test_oracle_budget_stop_counts_only_the_nodes_tried(capsys, limit, out):
     # the extension the budget refuses is not counted
     assert run(capsys, "oracle", "--n", "4", "--k", "2", "--delta", "2", "--alpha", "2",
@@ -603,7 +617,7 @@ def test_qv_budget_below_r_answers_none_at_once(capsys):
 @pytest.mark.parametrize("command, cap, line", [
     ("qs", "--q-cap", "qs: none found with q <= 1024\n"),
     ("qv", "--qt-cap", "qv: none found with q^t <= 2000, q <= 1024\n"),
-])
+], ids=["qs", "qv"])
 def test_alphabet_miss_names_the_field_order_limit_above_it(capsys, command, cap, line):
     # the points of PG(2, q) number q^2 + q + 1, below 1 100 000 at every
     # q <= 1024 and above it at q = 1049, which no field reaches: qs names

@@ -24,7 +24,7 @@ from gcnet.combnet import (
 )
 from gcnet.ffield import field_from_size
 from gcnet.grasscode import CoveringCode, is_covering_code
-from gcnet.linalg import MatrixQ, product_of_arrays, random_matrix, rank_of_array, rref_of_array
+from gcnet.linalg import MatrixQ, product_of_arrays, random_matrix, rank_of_array
 from gcnet.rankmetric import covering_code_from_mrd
 
 F2 = field_from_size(2)
@@ -126,7 +126,8 @@ def test_code_solution_round_trip():
     assert NetworkParams(h=4, r=6, alpha=3, ell=2, epsilon=1).code_params(3) == (12, 6, 3, 3)
     # the row spaces of the coding matrices form the network's covering code
     code = CoveringCode(field=F2, n=2, k=1, delta=1, alpha=2,
-                        codewords=np.array([rref_of_array(m, F2)[0] for m in sol.matrices]))
+                        codewords=np.array([backend.rref_destructive(m, *F2.kernel_views)[0]
+                                            for m in sol.matrices]))
     ok, _ = is_covering_code(code)
     assert ok
     back = solution_from_code(code, THREE_LINE, 1)
@@ -249,8 +250,8 @@ def test_direct_links_match_greedy_reference(q, t):
 
 def reference_plan(sol):
     """The decoder plan one receiver at a time, each from its own
-    ``rref_of_array`` of ``[A reversed | I]``, with the ValueError of the
-    first receiver that has too few ends."""
+    ``backend.rref_destructive`` of ``[A reversed | I]``, with the
+    ValueError of the first receiver that has too few ends."""
     p = sol.params
     n, a, e = p.h * sol.t, p.alpha * p.ell * sol.t, p.epsilon * sol.t
     need = (p.h - p.epsilon) * sol.t
@@ -259,8 +260,9 @@ def reference_plan(sol):
         system = np.zeros((a + e, n), dtype=np.int16)
         decoder = np.zeros((n, a + e), dtype=np.int16)
         system[:a] = np.vstack(sol.matrices[list(subset)])
-        red, pivots = rref_of_array(np.hstack([system[:a, ::-1], np.eye(a, dtype=np.int16)]),
-                                    sol.field)
+        rows, pivots = backend.rref_destructive(
+            np.hstack([system[:a, ::-1], np.eye(a, dtype=np.int16)]), *sol.field.kernel_views)
+        red = np.array(rows, dtype=np.int16).reshape(a, n + a)
         ends = [n - 1 - c for c in pivots if c < n]
         if len(ends) < need:
             raise ValueError(f"solution is invalid (witness subset {subset})")

@@ -98,7 +98,11 @@ def test_code_truncated_block():
 @pytest.mark.parametrize("text,line,message", [
     ("3 1 1 2 2 1\n1 0 0\n0 1 0\n", 3, "trailing content after code"),
     ("3 1 1 2 2 1\n1 0 2\n", 2, "entries out of range for GF(2)"),
-])
+    # the fault on the earliest line wins: a short block before a bad line
+    ("3 2 1 2 2 2\n1 0 0\n1 0 0\nx y z\n", 3, "codeword 0 basis has rank 1, expected 2"),
+    # a good block, then one cut off after its first row
+    ("3 2 1 2 2 2\n1 0 0\n0 1 0\n0 0 1\n", 4, "unexpected end of file"),
+], ids=["trailing", "out-of-range", "short-block-then-bad-line", "cut-block"])
 def test_code_errors_carry_line_numbers(text, line, message):
     with pytest.raises(FileFormatError) as err:
         parse_code(text)

@@ -25,7 +25,6 @@ from gcnet.linalg import (
     product_of_arrays,
     random_matrix,
     rank_of_array,
-    rref_of_array,
     span_dim,
 )
 from gcnet.rankmetric import covering_code_from_mrd
@@ -56,7 +55,9 @@ def reference_grassmannian(n, k, field):
     off the pivot columns, read row-major."""
     found = {}
     for entries in product(range(field.q), repeat=k * n):
-        rows, pivots = rref_of_array(np.array(entries, dtype=np.int16).reshape(k, n), field)
+        m = np.array(entries, dtype=np.int16).reshape(k, n)
+        rows, pivots = backend.rref_destructive(m, *field.kernel_views)
+        pivots = tuple(pivots)
         if len(pivots) == k:
             free = tuple(row[j] for row in rows for j in range(n) if j not in pivots)
             found[pivots, free] = rows
@@ -93,7 +94,7 @@ def canonical(field, k, rows):
     with k zero rows, reduced, and cut to their first k."""
     rows = np.asarray(rows)
     padded = np.vstack([rows, np.zeros((k, rows.shape[1]), dtype=rows.dtype)])
-    return rref_of_array(padded, field)[0][:k]
+    return np.array(backend.rref_destructive(padded, *field.kernel_views)[0][:k], dtype=np.int16)
 
 
 def one_dim(field, vec, k=1):
@@ -152,6 +153,16 @@ def test_verifier_refuses_one_subspace_in_two_bases(rows):
         is_covering_code(code)
     twice = CoveringCode(field=F3, n=3, k=k, delta=1, alpha=2, codewords=np.array([same, same]))
     assert is_covering_code(twice)[0] is False
+
+
+def test_verifier_accepts_canonical_bases_in_any_layout():
+    # a code keeps the view it is given, here the canonical MRD rows of a
+    # transposed array, and the canonical check reads values, not strides
+    mrd = covering_code_from_mrd(6, 3, 2, 2, 2)
+    words = np.ascontiguousarray(mrd.codewords.transpose(0, 2, 1)).transpose(0, 2, 1)
+    code = CoveringCode(field=F2, n=6, k=3, delta=2, alpha=2, codewords=words)
+    assert code.codewords.shape == (64, 3, 6) and not code.codewords.flags.c_contiguous
+    assert is_covering_code(code) == (True, None)
 
 
 def reference_worst_witness(code):

@@ -15,12 +15,10 @@ from gcnet.grasscode import CoveringCode
 from gcnet.linalg import (
     MatrixQ,
     count_rank_matrices,
-    dual,
     gaussian_binomial,
     product_of_arrays,
     random_matrix,
     rank_of_array,
-    rref_of_array,
     span_dim,
 )
 
@@ -153,8 +151,7 @@ def test_matmul_big_field():
     a = np.array([[300, 1], [0, 511]], dtype=np.int16)
     assert np.array_equal(product_of_arrays(a, np.eye(2, dtype=np.int16), f), a)
     singular = np.array([[300, 1], [300, 1]], dtype=np.int16)
-    null = dual(singular, f)
-    assert null.shape == (1, 2)
+    null = np.array([[1, f.neg_table[300]]], dtype=np.int16)
     assert not product_of_arrays(singular, null.T, f).any()
 
 
@@ -169,16 +166,17 @@ def test_rank_matches_row_space_size():
 
 def test_rref_shape_and_idempotence():
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        m = random_matrix(F3, 3, 5, rng).data
-        red, pivots = rref_of_array(m, F3)
-        assert red.shape == m.shape and red.dtype == np.int16
-        assert len(pivots) == rank_of_array(m, F3)
-        again, pivots2 = rref_of_array(red, F3)
-        assert np.array_equal(again, red) and pivots2 == pivots
+    stack = np.stack([random_matrix(F3, 3, 5, rng).data for _ in range(20)])
+    red, pivots = linalg.rrefs_of_stack(stack, F3)
+    assert red.shape == stack.shape and red.dtype == np.int16
+    again, pivots2 = linalg.rrefs_of_stack(red, F3)
+    assert np.array_equal(again, red) and np.array_equal(pivots2, pivots)
+    for m, r, p in zip(stack, red, pivots):
+        p = p[p < 5]
+        assert len(p) == rank_of_array(m, F3)
         # pivot columns hold standard basis vectors
-        for i, c in enumerate(pivots):
-            col = [int(v) for v in red[:, c]]
+        for i, c in enumerate(p):
+            col = [int(v) for v in r[:, c]]
             assert col[i] == 1 and sum(col) == 1
 
 
@@ -238,12 +236,11 @@ def test_comb_exceeds_near_the_cap_and_far_past_it(cap):
 
 def test_gaussian_binomial_counts_subspaces():
     # exhaustive: number of distinct row spaces of 2x4 matrices of rank 2
-    seen = set()
-    for bits in itertools.product(range(2), repeat=8):
-        m = np.array(bits, dtype=np.int16).reshape(2, 4)
-        if rank_of_array(m, F2) == 2:
-            seen.add(rref_of_array(m, F2)[0].tobytes())
-    assert len(seen) == gaussian_binomial(4, 2, 2)
+    stack = np.array(list(itertools.product(range(2), repeat=8)), dtype=np.int16).reshape(-1, 2, 4)
+    red, pivots = linalg.rrefs_of_stack(stack, F2)
+    full = (pivots < 4).all(axis=1)
+    assert full.tolist() == [rank_of_array(m, F2) == 2 for m in stack]
+    assert len({r.tobytes() for r in red[full]}) == gaussian_binomial(4, 2, 2)
 
 
 def test_count_rank_matrices_census():
@@ -267,15 +264,15 @@ def test_rank_count_partition(q):
 
 def test_subspace_canonical_form():
     # two generating sets of one plane, the second with a third row
-    s1, _ = rref_of_array(np.array([[1, 1, 0], [0, 1, 1]]), F2)
-    s2, _ = rref_of_array(np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]]), F2)
+    s1 = linalg.rrefs_of_stack(np.array([[[1, 1, 0], [0, 1, 1]]]), F2)[0][0]
+    s2 = linalg.rrefs_of_stack(np.array([[[1, 0, 1], [0, 1, 1], [1, 1, 0]]]), F2)[0][0]
     assert s1.tolist() == [[1, 0, 1], [0, 1, 1]]
     assert s2.tolist() == s1.tolist() + [[0, 0, 0]]
     # (1, 0, 1) lies in the plane and (1, 0, 0) does not
     assert span_dim([s1, [[1, 0, 1]]], F2) == 2
     assert span_dim([s1, [[1, 0, 0]]], F2) == 3
-    zero, pivots = rref_of_array(np.zeros((1, 3), dtype=np.int16), F2)
-    assert zero.tolist() == [[0, 0, 0]] and pivots == ()
+    zero, pivots = linalg.rrefs_of_stack(np.zeros((1, 1, 3), dtype=np.int16), F2)
+    assert zero.tolist() == [[[0, 0, 0]]] and pivots.tolist() == [[3]]
     with pytest.raises(ValueError):
         span_dim([], F2)
 
@@ -297,44 +294,8 @@ def test_span_and_intersection_dims():
         b = random_matrix(F3, 2, 4, rng).data
         expect = rank_of_array(np.vstack([a, b]), F3)
         assert span_dim([a, b], F3) == expect
-        assert span_dim([rref_of_array(a, F3)[0], np.zeros((1, 4), dtype=np.int16), b], F3) == expect
-
-
-def test_null_space_annuls_matrix():
-    # the dual of a row space is the null space of its generators
-    rng = np.random.default_rng(2)
-    for f in (F2, F3, F4):
-        for _ in range(15):
-            m = random_matrix(f, 3, 5, rng).data
-            ns = dual(m, f)
-            assert ns.shape == (5 - rank_of_array(m, f), 5)  # rank-nullity
-            assert rank_of_array(ns, f) == len(ns)
-            assert not product_of_arrays(m, ns.T, f).any()
-
-
-def test_dual_is_involution_on_all_planes():
-    planes = {}
-    for bits in itertools.product(range(2), repeat=8):
-        m = np.array(bits, dtype=np.int16).reshape(2, 4)
-        if rank_of_array(m, F2) == 2:
-            red = rref_of_array(m, F2)[0]
-            planes[red.tobytes()] = red
-    assert len(planes) == 35
-    for s in planes.values():
-        d = dual(s, F2)
-        assert d.shape == (2, 4)
-        assert np.array_equal(rref_of_array(d, F2)[0], d)
-        assert np.array_equal(dual(d, F2), s)
-        # every pairing of basis vectors is orthogonal
-        assert not product_of_arrays(s, d.T, F2).any()
-
-
-def test_dual_of_trivial_spaces():
-    zero = np.zeros((1, 3), dtype=np.int16)
-    assert np.array_equal(dual(zero, F3), np.eye(3))
-    assert np.array_equal(dual(np.zeros((0, 3), dtype=np.int16), F3), np.eye(3))
-    full = np.eye(3, dtype=np.int16)
-    assert dual(full, F3).shape == (0, 3)
+        red = linalg.rrefs_of_stack(a[None], F3)[0][0]
+        assert span_dim([red, np.zeros((1, 4), dtype=np.int16), b], F3) == expect
 
 
 def test_random_matrix_determinism():
@@ -351,9 +312,10 @@ def test_big_field_rank_and_rref():
     for _ in range(5):
         m = rng.integers(0, 257, size=(3, 4)).astype(np.int16)
         assert 0 <= rank_of_array(m, big) <= 3
-        red, pivots = rref_of_array(m, big)
+        red, pivots = linalg.rrefs_of_stack(m[None], big)
+        pivots = pivots[0][pivots[0] < 4]
         assert len(pivots) == rank_of_array(m, big)
         for i, c in enumerate(pivots):
-            assert red[i, c] == 1
+            assert red[0, i, c] == 1
     # a fixed case with a known answer
     assert rank_of_array(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 5]]), big) == 2

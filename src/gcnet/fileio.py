@@ -12,8 +12,8 @@ are ignored, and every other line is whitespace-separated integers.
 - solution: header ``h r alpha ell epsilon q t`` then ``r`` matrix
   blocks, each a line ``rows cols q`` then ``rows`` lines of ``cols``
   entries.  Block ``i`` is row ``i`` of the solution's
-  ``(r, ell*t, h*t)`` array; the parser reads every block, checks its
-  shape and then stacks them.
+  ``(r, ell*t, h*t)`` array; the parser reads every block into one flat
+  buffer, checks each block's shape and views the buffer as that array.
 - network parameters: a JSON object with keys h, r, alpha, ell, epsilon.
 
 Parse errors raise :class:`FileFormatError` carrying the 1-based line
@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .combnet import LinearSolution, NetworkParams
-from .ffield import FieldSpec, field_from_size
+from .ffield import field_from_size
 from . import grasscode, linalg
 from .grasscode import CoveringCode
 
@@ -50,60 +50,46 @@ class _LineReader:
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next_ints(self, expect: Optional[int] = None) -> list[int]:
+    def next_ints(self, expect: int) -> list[int]:
         while self.pos < len(self.lines):
             self.pos += 1
             raw = self.lines[self.pos - 1].strip()
             if not raw or raw.startswith("#"):
                 continue
             try:
-                values = [int(tok) for tok in raw.split()]
+                values = list(map(int, raw.split()))
             except ValueError:
                 raise FileFormatError("expected whitespace-separated integers", self.pos) from None
-            if expect is not None and len(values) != expect:
-                raise FileFormatError(
-                    f"expected {expect} integers, found {len(values)}", self.pos
-                )
+            if len(values) != expect:
+                raise FileFormatError(f"expected {expect} integers, found {len(values)}", self.pos)
             return values
         # line numbers are 1-based, so a file with no lines ends at line 1
         raise FileFormatError("unexpected end of file", max(1, len(self.lines)))
 
-    def at_eof(self) -> bool:
-        for raw in self.lines[self.pos :]:
-            s = raw.strip()
-            if s and not s.startswith("#"):
-                return False
-        return True
+    def next_content(self) -> Optional[int]:
+        """The 1-based number of the first meaningful line not yet read,
+        or None when only blank and comment lines are left."""
+        for number in range(self.pos, len(self.lines)):
+            raw = self.lines[number].strip()
+            if raw and not raw.startswith("#"):
+                return number + 1
+        return None
+
+    def read_rows(self, rows: int, cols: int, q: int, entries: array, message: str) -> None:
+        """Append the next ``rows`` lines of ``cols`` integers to the flat
+        buffer ``entries``.  Each line is checked to lie in ``[0, q)``
+        before it is stored, and a bad one raises ``message`` at its line,
+        so no entry can overflow the buffer's type."""
+        for _ in range(rows):
+            # a meaningful line holds at least one integer
+            values = self.next_ints(cols)
+            if min(values) < 0 or max(values) >= q:
+                raise FileFormatError(message, self.pos)
+            entries.extend(values)
 
 
 def _format_rows(rows) -> list[str]:
     return [" ".join(map(str, row)) for row in rows]
-
-
-# ---------------------------------------------------------------------------
-# Matrix blocks of a solution.
-# ---------------------------------------------------------------------------
-
-
-def _parse_matrix_block(reader: _LineReader) -> tuple[FieldSpec, np.ndarray]:
-    """One block: its header's field and its entries, each checked
-    against that field, as an int16 array of the header's shape."""
-    rows, cols, q = reader.next_ints(expect=3)
-    if rows < 0 or cols < 0:
-        raise FileFormatError("matrix shape must be non-negative", reader.pos)
-    try:
-        field = field_from_size(q)
-    except ValueError as exc:
-        raise FileFormatError(str(exc), reader.pos) from None
-    # the rows are read before the array is allocated, so a header alone
-    # cannot ask for more memory than the file holds
-    read = []
-    for _ in range(rows):
-        values = reader.next_ints(expect=cols)
-        if any(v < 0 or v >= field.q for v in values):
-            raise FileFormatError(f"matrix entries out of range for GF({field.q})", reader.pos)
-        read.append(values)
-    return field, np.array(read, dtype=np.int16).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +115,7 @@ def render_code(code: CoveringCode, header: Iterable[str] = ()) -> str:
 
 def parse_code(text: str) -> CoveringCode:
     reader = _LineReader(text)
-    n, k, delta, alpha, q, count = reader.next_ints(expect=6)
+    n, k, delta, alpha, q, count = reader.next_ints(6)
     header_line = reader.pos
     if count < 0:
         raise FileFormatError(f"codeword count must be non-negative, got {count}", header_line)
@@ -152,11 +138,7 @@ def parse_code(text: str) -> CoveringCode:
     entries, ends, stopped = array("h"), [], None
     try:
         for _ in range(count if k else 0):
-            for _ in range(k):
-                values = reader.next_ints(expect=n)
-                if any(v < 0 or v >= field.q for v in values):
-                    raise FileFormatError(f"entries out of range for GF({field.q})", reader.pos)
-                entries.extend(values)
+            reader.read_rows(k, n, field.q, entries, f"entries out of range for GF({field.q})")
             ends.append(reader.pos)
     except FileFormatError as exc:
         stopped = exc
@@ -172,8 +154,9 @@ def parse_code(text: str) -> CoveringCode:
         raise FileFormatError(f"codeword {i} basis has rank {ranks[i]}, expected {k}", ends[i])
     if stopped is not None:
         raise stopped
-    if not reader.at_eof():
-        raise FileFormatError("trailing content after code", reader.pos + 1)
+    trailing = reader.next_content()
+    if trailing is not None:
+        raise FileFormatError("trailing content after code", trailing)
     try:
         return CoveringCode(field=field, n=n, k=k, delta=delta, alpha=alpha, codewords=codewords)
     except ValueError as exc:
@@ -198,29 +181,43 @@ def render_solution(sol: LinearSolution, header: Iterable[str] = ()) -> str:
 
 def parse_solution(text: str) -> LinearSolution:
     reader = _LineReader(text)
-    h, r, alpha, ell, epsilon, q, t = reader.next_ints(expect=7)
+    h, r, alpha, ell, epsilon, q, t = reader.next_ints(7)
     header_line = reader.pos
     try:
         params = NetworkParams(h=h, r=r, alpha=alpha, ell=ell, epsilon=epsilon)
         field = field_from_size(q)
     except ValueError as exc:
         raise FileFormatError(str(exc), header_line) from None
-    blocks = []
+    # every block goes into one flat buffer as it is read, so a header
+    # alone cannot ask for more memory than the file holds
+    entries, shapes = array("h"), []
     for i in range(r):
-        block_field, block = _parse_matrix_block(reader)
-        if block_field != field:
-            raise FileFormatError(f"matrix {i} is over GF({block_field.q}), expected GF({q})",
+        rows, cols, block_q = reader.next_ints(3)
+        if rows < 0 or cols < 0:
+            raise FileFormatError("matrix shape must be non-negative", reader.pos)
+        # a block over the header's field reuses it; another order is
+        # checked as a field here and refused once its rows are read
+        if block_q != q:
+            try:
+                field_from_size(block_q)
+            except ValueError as exc:
+                raise FileFormatError(str(exc), reader.pos) from None
+        reader.read_rows(rows, cols, block_q, entries,
+                         f"matrix entries out of range for GF({block_q})")
+        if block_q != q:
+            raise FileFormatError(f"matrix {i} is over GF({block_q}), expected GF({q})",
                                   reader.pos)
-        blocks.append(block)
-    if not reader.at_eof():
-        raise FileFormatError("trailing content after solution", reader.pos + 1)
+        shapes.append((rows, cols))
+    trailing = reader.next_content()
+    if trailing is not None:
+        raise FileFormatError("trailing content after solution", trailing)
     try:
         n, k, _, _ = params.code_params(t)
-        for i, block in enumerate(blocks):
-            if block.shape != (k, n):
-                rows, cols = block.shape
+        for i, (rows, cols) in enumerate(shapes):
+            if (rows, cols) != (k, n):
                 raise ValueError(f"matrix {i} has shape {rows}x{cols}, expected {k}x{n}")
-        return LinearSolution(params=params, field=field, t=t, matrices=np.stack(blocks))
+        matrices = np.frombuffer(entries, dtype=np.int16).reshape(r, k, n)
+        return LinearSolution(params=params, field=field, t=t, matrices=matrices)
     except ValueError as exc:
         raise FileFormatError(str(exc), header_line) from None
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcnet import fileio
 from gcnet.combnet import LinearSolution, NetworkParams, random_solution_search, verify_solution
 from gcnet.ffield import field_from_size
 from gcnet.fileio import (
@@ -62,6 +63,10 @@ def test_matrix_headers_and_comments():
     ("1 2 2\n1 5\n", 2),          # entry out of range
     ("1 2 2\n", 1),               # truncated
     ("1 2 2\n1 0\n1 1\n", 3),     # trailing content
+    # entries beyond int16 are range errors, checked before they are stored
+    pytest.param("1 2 2\n70000 0\n", 2, id="above-int16"),
+    pytest.param("1 2 2\n0 -40000\n", 2, id="below-int16"),
+    pytest.param("1 2 2\n" + "9" * 30 + " 0\n", 2, id="30-digit"),
 ])
 def test_matrix_errors_carry_line_numbers(text, line):
     # ``line`` counts from the block's own first line
@@ -102,7 +107,14 @@ def test_code_truncated_block():
     ("3 2 1 2 2 2\n1 0 0\n1 0 0\nx y z\n", 3, "codeword 0 basis has rank 1, expected 2"),
     # a good block, then one cut off after its first row
     ("3 2 1 2 2 2\n1 0 0\n0 1 0\n0 0 1\n", 4, "unexpected end of file"),
-], ids=["trailing", "out-of-range", "short-block-then-bad-line", "cut-block"])
+    # the trailing line is the first meaningful one, not the next line
+    ("3 1 1 2 2 1\n1 0 0\n# c\n\n0 1 0\n", 5, "trailing content after code"),
+    # entries beyond int16 are range errors, checked before they are stored
+    ("3 1 1 2 2 1\n1 70000 0\n", 2, "entries out of range for GF(2)"),
+    ("3 1 1 2 2 1\n1 0 -40000\n", 2, "entries out of range for GF(2)"),
+    ("3 1 1 2 2 1\n" + "9" * 30 + " 0 0\n", 2, "entries out of range for GF(2)"),
+], ids=["trailing", "out-of-range", "short-block-then-bad-line", "cut-block",
+        "trailing-after-comment", "above-int16", "below-int16", "30-digit"])
 def test_code_errors_carry_line_numbers(text, line, message):
     with pytest.raises(FileFormatError) as err:
         parse_code(text)
@@ -171,12 +183,34 @@ def test_solution_bad_params_line():
     ("2 2 2 1 0 2 1\n1 2 2\n1 0\n1 2 3\n1 0\n5\n", 5, "matrix 1 is over GF(3), expected GF(2)"),
     ("2 2 2 1 0 2 0\n1 2 2\n1 0\n1 2 2\n0 1\n", 1, "blocklength t must be >= 1"),
     ("2 2 2 1 0 2 2\n1 2 2\n1 0\n1 2 2\n0 1\n", 1, "matrix 0 has shape 1x2, expected 2x4"),
+    # the trailing line is the first meaningful one, not the next line
+    pytest.param("2 2 2 1 0 2 1\n1 2 2\n1 0\n1 2 2\n0 1\n# note\n\n0 1\n", 8,
+                 "trailing content after solution", id="trailing-after-comment"),
 ])
 def test_solution_errors_carry_line_numbers(text, line, message):
     with pytest.raises(FileFormatError) as err:
         parse_solution(text)
     assert err.value.line == line
     assert str(err.value) == f"{message} (line {line})"
+
+
+def test_solution_builds_its_field_once(monkeypatch):
+    # blocks over the header's field reuse it: no field lookup per block
+    p = NetworkParams(h=3, r=5, alpha=2, ell=2, epsilon=0)
+    field = field_from_size(257)
+    mats = np.random.default_rng(4).integers(0, 257, size=(p.r, 2, 3))
+    sol = LinearSolution(params=p, field=field, t=1, matrices=mats)
+    text = render_solution(sol)
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return field_from_size(q)
+
+    monkeypatch.setattr(fileio, "field_from_size", counted)
+    back = parse_solution(text)
+    assert calls == [257]
+    assert same_solution(back, sol)
 
 
 def test_params_errors():
